@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_NONCONVERGENCE = 4
 
+#: Largest number of points a --p-grid may hold.
+MAX_GRID_POINTS = 10**6
+
 
 def parse_grid(spec: str) -> list[float]:
     """Inclusive a:b:step grid parsed in decimal, so 0.5 lands on-grid."""
@@ -52,14 +55,17 @@ def parse_grid(spec: str) -> list[float]:
         a, b, h = (Decimal(s) for s in parts)
     except ArithmeticError:
         raise ParameterError(f"grid values must be decimal numbers: {spec!r}")
+    if not all(v.is_finite() for v in (a, b, h)):
+        raise ParameterError(f"grid values must be finite: {spec!r}")
     if h <= 0 or b < a:
         raise ParameterError(f"grid needs step > 0 and b >= a: {spec!r}")
-    out = []
-    x = a
-    while x <= b:
-        out.append(float(x))
-        x += h
-    return out
+    try:
+        n = int((b - a) / h) + 1
+    except ArithmeticError:  # the quotient overflows the decimal context
+        n = MAX_GRID_POINTS + 1
+    if n > MAX_GRID_POINTS:
+        raise SizeCapError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [float(a + j * h) for j in range(n)]
 
 
 def _meta(args, **extra) -> dict:

@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import FeasibilityError, ParameterError
+from .errors import FeasibilityError, ParameterError, check_probabilities
 from .rng import EdgeOracle, derive_trial_seed
 from .tree import TreeParams, long_selector, long_selector_index
 
@@ -100,8 +100,7 @@ class HatConfig:
         if rule is None:
             if p is None or q is None or seed is None:
                 raise ParameterError("random configs need p, q and a seed")
-            if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-                raise ParameterError(f"probabilities outside [0, 1]: p={p}, q={q}")
+            check_probabilities(p=p, q=q)
             self.p, self.q = p, q
             s = derive_trial_seed(seed, trial) if trial else seed % (1 << 64)
             self._key = s.to_bytes(8, "little")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_probabilities
 from .spectral import pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix
@@ -64,6 +64,7 @@ def qc(
     rho_tol: float | None = None,
 ) -> CurvePoint:
     """Critical long-edge probability at short-edge probability p."""
+    check_probabilities(p=p)
     if rho_tol is None:
         # the eigenvalue only has to resolve sign changes of rho - 1 on the
         # q-scale of tol; the slope drho/dq near the root is of order d^k / k

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared check of edge
+probabilities that raises them."""
 
 
 class ParameterError(ValueError):
@@ -28,3 +29,11 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def check_probabilities(**probs: float) -> None:
+    """Reject edge probabilities outside [0, 1]; NaN fails every comparison
+    and is rejected too."""
+    if not all(0.0 <= v <= 1.0 for v in probs.values()):
+        got = ", ".join(f"{name}={v}" for name, v in probs.items())
+        raise ParameterError(f"probabilities must lie in [0, 1], got {got}")

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, ParameterError, SizeCapError
+from .errors import ConsistencyError, ParameterError, SizeCapError, check_probabilities
 from .rng import EdgeOracle
 from .tree import ROOT, TreeParams, slot_index, window_height, window_size
 
@@ -33,8 +33,7 @@ class PercParams:
     q: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ParameterError(f"probabilities must lie in [0, 1]: {self}")
+        check_probabilities(p=self.p, q=self.q)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import math
 import random
 from bisect import bisect_left
 
-from .errors import ParameterError
+from .errors import check_probabilities
 from .tree import TreeParams, long_selector
 
 _SHORT = b"s"
@@ -69,8 +69,7 @@ class EdgeOracle:
     """
 
     def __init__(self, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
-        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-            raise ParameterError(f"probabilities must lie in [0, 1], got p={p}, q={q}")
+        check_probabilities(p=p, q=q)
         self.params = params
         self.p = p
         self.q = q

@@ -12,45 +12,27 @@ window ``A`` factorizes:
   the base vertex itself is in A (long edge from the base).
 
 These are exactly the edges a height-layered exploration has not queried
-before, so the chain is Markov and its mean offspring matrix is available in
-closed form.  ``build_offspring_matrix`` materializes it as a sparse matrix
-over all nonempty windows.
+before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
+of this law, vectorised over parent windows.  The exact pmf
+(``child_window_dist``), the sparse mean offspring matrix over all nonempty
+windows (``build_offspring_matrix``) and the transition tables of the
+count-level simulation (``simulate_window_chain``) are all read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
-from .errors import ParameterError, SizeCapError
-from .tree import ROOT, TreeParams, parent, slot_index, slot_vertex
+from .errors import ParameterError, SizeCapError, check_probabilities
+from .tree import TreeParams, parent, slot_index, slot_vertex
 
 #: Enumerating a child-window law costs 2^(top slots); refuse beyond this.
 MAX_TOP_SLOTS = 16
 
-_POP16 = None
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for nonnegative integers below 2^32."""
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array(
-            [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-        )
-    a = np.asarray(a, dtype=np.int64)
-    return _POP16[a & 0xFFFF].astype(np.int64) + _POP16[(a >> 16) & 0xFFFF]
-
-
-@dataclass(frozen=True)
-class WindowTransition:
-    """One-step law of the window of child ``i`` given parent window ``A``."""
-
-    child: int
-    deterministic: int  # window bits over slots of height <= k-2
-    top_probs: tuple  # activation probability per height-(k-1) slot, slot order
+#: Bytes the count-level chain may hold: transition tables, the current and
+#: next generation, and the layer counts x.
+MAX_CHAIN_BYTES = 1 << 30
 
 
 class SparseOffspringMatrix:
@@ -119,44 +101,53 @@ def _child_slot_maps(params: TreeParams):
     return low_targets, top_sources
 
 
-def window_transition(a: int, child: int, p: float, q: float, params: TreeParams) -> WindowTransition:
-    """Transition data for one (parent window, child digit) pair."""
-    if a <= 0:
-        raise ParameterError("parent window must be nonempty")
-    base, t = params.top_slot_base, params.n_top_slots
-    det = 0
-    for j in range(base):
-        if a >> slot_index((child,) + slot_vertex(j, params), params) & 1:
-            det |= 1 << j
-    b = a & 1
-    probs = []
-    for u in range(t):
-        src = slot_index((child,) + parent(slot_vertex(base + u, params)), params)
-        aa = a >> src & 1
-        probs.append(1.0 - (1.0 - p * aa) * (1.0 - q * b))
-    return WindowTransition(child=child, deterministic=det, top_probs=tuple(probs))
+class ChildWindowLaw:
+    """One-step law of the window of child ``i`` given parent windows ``A``.
+
+    ``law(a, i)`` takes an int64 array of n nonempty parent windows and a
+    child digit i in [1, d] and returns ``(windows, probs)``, both of shape
+    (n, 2^t) for t top slots.  Column m is the outcome whose top slots are
+    the set bits of m, so windows increase along each row; outcomes of
+    probability zero are kept.  The product over top slots is built in slot
+    order, one factor per slot.
+    """
+
+    def __init__(self, params: TreeParams, p: float, q: float):
+        check_probabilities(p=p, q=q)
+        if params.n_top_slots > MAX_TOP_SLOTS:
+            raise SizeCapError(
+                f"a child-window law has 2^{params.n_top_slots} outcomes; "
+                f"(d={params.d}, k={params.k}) exceeds the enumeration cap"
+            )
+        self.params = params
+        self.p = p
+        self.q = q
+        self._low_targets, self._top_sources = _child_slot_maps(params)
+        self._top_windows = (
+            np.arange(1 << params.n_top_slots, dtype=np.int64) << params.top_slot_base
+        )
+
+    def __call__(self, a: np.ndarray, child: int) -> tuple[np.ndarray, np.ndarray]:
+        if not 1 <= child <= self.params.d:
+            raise ParameterError(f"child digit {child} outside [1, {self.params.d}]")
+        det = np.zeros_like(a)
+        for j, tgt in enumerate(self._low_targets[child - 1]):
+            det |= (a >> tgt & 1) << j
+        b = a & 1
+        probs = np.ones((len(a), 1))
+        for src in self._top_sources[child - 1]:
+            pi = (1.0 - (1.0 - self.p * (a >> src & 1)) * (1.0 - self.q * b))[:, None]
+            probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=1)
+        return det[:, None] | self._top_windows, probs
 
 
 def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams) -> dict[int, float]:
     """Exact pmf over the child's window (0 encodes the empty window)."""
-    if params.n_top_slots > MAX_TOP_SLOTS:
-        raise SizeCapError(
-            f"child-window support has 2^{params.n_top_slots} outcomes; "
-            "use the sampling interface instead"
-        )
-    tr = window_transition(a, child, p, q, params)
-    base = params.top_slot_base
-    pmf = {tr.deterministic: 1.0}
-    for u, pi in enumerate(tr.top_probs):
-        nxt: dict[int, float] = {}
-        bit = 1 << (base + u)
-        for w, pr in pmf.items():
-            if pi < 1.0:
-                nxt[w] = nxt.get(w, 0.0) + pr * (1.0 - pi)
-            if pi > 0.0:
-                nxt[w | bit] = nxt.get(w | bit, 0.0) + pr * pi
-        pmf = nxt
-    return pmf
+    if a <= 0:
+        raise ParameterError("parent window must be nonempty")
+    windows, probs = ChildWindowLaw(params, p, q)(np.array([a], dtype=np.int64), child)
+    keep = probs[0] > 0.0
+    return dict(zip(windows[0, keep].tolist(), probs[0, keep].tolist()))
 
 
 def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
@@ -193,71 +184,28 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
 
 
 def build_offspring_matrix(
-    params: TreeParams, p: float, q: float, *, chunk: int = 4096
+    params: TreeParams, p: float, q: float, *, chunk: int = 2048
 ) -> SparseOffspringMatrix:
     """Exact mean offspring matrix over all 2^W - 1 nonempty windows.
 
-    Vectorized over rows: for each child digit the deterministic slot map is a
-    bit gather, and the top-slot product law depends on the row only through
-    the indicator vector of occupied parent slots, so probabilities reduce to
-    popcount-indexed power tables.
+    M(A, B) is the child-window law summed over the d children.  Rows are
+    built ``chunk`` parent windows at a time, which bounds the law's
+    temporary (chunk, 2^t) arrays.
     """
-    if params.n_top_slots > MAX_TOP_SLOTS:
-        raise SizeCapError(
-            f"offspring matrix rows need 2^{params.n_top_slots} entries each; "
-            f"(d={params.d}, k={params.k}) exceeds the enumeration cap"
-        )
-    w_bits = params.window_slots
-    n_types = (1 << w_bits) - 1
-    base, t, d = params.top_slot_base, params.n_top_slots, params.d
-    low_targets, top_sources = _child_slot_maps(params)
-
-    m = np.arange(1 << t, dtype=np.int64)
-    pop_m = _popcount(m)
-
-    def pow_table(x: float) -> np.ndarray:
-        # x**n with the 0**0 = 1 convention
-        out = np.empty(t + 1)
-        out[0] = 1.0
-        for n in range(1, t + 1):
-            out[n] = out[n - 1] * x
-        return out
-
+    child_law = ChildWindowLaw(params, p, q)
+    n_types = (1 << params.window_slots) - 1
     rows_parts, cols_parts, data_parts = [], [], []
     for start in range(1, n_types + 1, chunk):
         a = np.arange(start, min(start + chunk, n_types + 1), dtype=np.int64)
-        b = (a & 1).astype(bool)
-        for i in range(d):
-            det = np.zeros_like(a)
-            for j, tgt in enumerate(low_targets[i]):
-                det |= (a >> tgt & 1) << j
-            abits = np.zeros_like(a)
-            for u, src in enumerate(top_sources[i]):
-                abits |= (a >> src & 1) << u
-            for bval in (False, True):
-                sel = b == bval
-                if not sel.any():
-                    continue
-                c1 = p + q - p * q if bval else p  # slot parent occupied
-                c0 = q if bval else 0.0  # slot parent vacant
-                pw_c1, pw_1c1 = pow_table(c1), pow_table(1.0 - c1)
-                pw_c0, pw_1c0 = pow_table(c0), pow_table(1.0 - c0)
-                asel = abits[sel]
-                pa = _popcount(asel)
-                n1 = _popcount(m[None, :] & asel[:, None])
-                n0 = pop_m[None, :] - n1
-                probs = (
-                    pw_c1[n1]
-                    * pw_1c1[pa[:, None] - n1]
-                    * pw_c0[n0]
-                    * pw_1c0[(t - pa)[:, None] - n0]
-                )
-                cols = det[sel][:, None] | (m[None, :] << base)
-                rows = np.broadcast_to(a[sel][:, None], cols.shape)
-                keep = (cols > 0) & (probs > 0.0)
-                rows_parts.append(rows[keep] - 1)
-                cols_parts.append(cols[keep] - 1)
-                data_parts.append(probs[keep])
+        for i in range(1, params.d + 1):
+            windows, probs = child_law(a, i)
+            keep = (windows > 0) & (probs > 0.0)
+            rows, _ = np.nonzero(keep)
+            # int32 suffices (MAX_WINDOW_BITS is 20) and is the index type
+            # scipy stores, so the COO build makes no wider copy
+            rows_parts.append((rows + (start - 1)).astype(np.int32))
+            cols_parts.append((windows[keep] - 1).astype(np.int32))
+            data_parts.append(probs[keep])
 
     coo = sparse.coo_matrix(
         (
@@ -289,6 +237,8 @@ def chain_survival(
     so the frequency is the fraction of trials whose chain population is
     nonzero there.  Trials run in batches to bound memory.
     """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     if depth < params.k:
         raise ParameterError(f"depth must be >= k={params.k}")
     generations = depth - params.k + 1
@@ -296,29 +246,31 @@ def chain_survival(
     done = 0
     while done < trials:
         n = min(batch, trials - done)
-        counts, _ = simulate_window_chain(
+        final, _ = simulate_window_chain(
             params, p, q, rng, generations, trials=n, initial=initial
         )
-        alive += int((counts[:, generations, :].sum(axis=1) > 0).sum())
+        alive += int((final.sum(axis=1) > 0).sum())
         done += n
     freq = alive / trials
     return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
 
 
-def _transition_tables(params: TreeParams, p: float, q: float):
-    """Per (window, child): outcome windows and their probabilities, as arrays.
-
-    Outcome index 0 is always the empty window so extinction mass is explicit.
+def _transition_tables(child_law: ChildWindowLaw):
+    """Per parent window A (list index A-1), one entry per child: the
+    outcome windows of positive probability, in increasing order, as
+    ``(columns of the nonempty outcomes, nonempty mask, probabilities)``.
     """
-    tables = {}
-    for a in range(1, (1 << params.window_slots)):
+    a = np.arange(1, 1 << child_law.params.window_slots, dtype=np.int64)
+    laws = [child_law(a, i) for i in range(1, child_law.params.d + 1)]
+    tables = []
+    for r in range(len(a)):
         per_child = []
-        for i in range(1, params.d + 1):
-            pmf = child_window_dist(a, i, p, q, params)
-            outcomes = np.array(sorted(pmf), dtype=np.int64)
-            pvals = np.array([pmf[w] for w in outcomes])
-            per_child.append((outcomes, pvals))
-        tables[a] = per_child
+        for windows, probs in laws:
+            keep = probs[r] > 0.0
+            outcomes = windows[r, keep]
+            live = outcomes > 0
+            per_child.append((outcomes[live] - 1, live, probs[r, keep]))
+        tables.append(per_child)
     return tables
 
 
@@ -336,52 +288,68 @@ def simulate_window_chain(
 
     Offspring are aggregated per type with multinomial draws, which is the
     exact law of summed i.i.d. child windows, so the cost per generation does
-    not grow with the population size.
+    not grow with the population size.  Only the current and the next
+    generation are held in memory.
 
-    Returns ``(counts, x)`` where ``counts`` has shape
-    (trials, generations + 1, 2^W - 1) with per-type populations and ``x`` has
-    shape (trials, generations + 1) with the number of individuals whose
-    window contains the root, i.e. the height-layer occupation counts of the
-    underlying cluster.
+    Returns ``(final_counts, x)`` where ``final_counts`` has shape
+    (trials, 2^W - 1) with the per-type populations of the last generation
+    and ``x`` has shape (trials, generations + 1) with the number of
+    individuals per generation whose window contains the root, i.e. the
+    height-layer occupation counts of the underlying cluster.
 
     ``initial`` may be a window bitmask (fixed initial type) or a pmf mapping
     windows to probabilities; default is the root-window law at parameter p.
+    Raises ``SizeCapError`` before allocating when the estimated memory
+    exceeds ``MAX_CHAIN_BYTES``.
     """
     if generations < 0:
         raise ParameterError("generations must be >= 0")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    child_law = ChildWindowLaw(params, p, q)
     n_types = (1 << params.window_slots) - 1
-    tables = _transition_tables(params, p, q)
+    # the law's windows and probs for every (window, child) and their copies
+    # in the tables, then two generations and x
+    need = 32 * (n_types * params.d << params.n_top_slots) + 8 * trials * (
+        2 * n_types + generations + 1
+    )
+    if need > MAX_CHAIN_BYTES:
+        raise SizeCapError(
+            f"{trials} chain trials over {generations} generations at "
+            f"(d={params.d}, k={params.k}) need about {need / 2**30:.1f} GiB, "
+            f"above the cap of {MAX_CHAIN_BYTES / 2**30:.1f} GiB; use fewer trials"
+        )
+    tables = _transition_tables(child_law)
 
-    counts = np.zeros((trials, generations + 1, n_types), dtype=np.int64)
+    cur = np.zeros((trials, n_types), dtype=np.int64)
+    nxt = np.zeros_like(cur)
+    x = np.empty((trials, generations + 1), dtype=np.int64)
     if initial is None:
         initial = initial_window_dist(params, p)
     if isinstance(initial, int):
-        counts[:, 0, initial - 1] = 1
+        cur[:, initial - 1] = 1
     else:
         support = np.array(sorted(initial), dtype=np.int64)
         pvals = np.array([initial[w] for w in support])
         pvals = pvals / pvals.sum()
         drawn = support[rng.choice(len(support), size=trials, p=pvals)]
         for w in np.unique(drawn):
-            counts[drawn == w, 0, w - 1] = 1
+            cur[drawn == w, w - 1] = 1
+    # windows holding the root are the odd bitmasks, i.e. the even columns
+    x[:, 0] = cur[:, 0::2].sum(axis=1)
 
     for gen in range(generations):
-        cur = counts[:, gen, :]
-        nxt = counts[:, gen + 1, :]
+        nxt.fill(0)
         for a in np.flatnonzero(cur.any(axis=0)) + 1:
             n_parents = cur[:, a - 1]
-            for outcomes, pvals in tables[a]:
+            for cols, live, pvals in tables[a - 1]:
                 draws = rng.multinomial(n_parents, pvals)
-                live = outcomes > 0
-                nxt[:, outcomes[live] - 1] += draws[:, live]
+                nxt[:, cols] += draws[:, live]
         total = int(nxt.sum())
         if total > population_cap:
             raise SizeCapError(
                 f"population {total} exceeds cap {population_cap} at generation {gen + 1}"
             )
-
-    root_mask = np.array(
-        [1 if (w & 1) else 0 for w in range(1, n_types + 1)], dtype=np.int64
-    )
-    x = counts @ root_mask
-    return counts, x
+        cur, nxt = nxt, cur
+        x[:, gen + 1] = cur[:, 0::2].sum(axis=1)
+    return cur, x

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from treeperc.cli import main, parse_grid
-from treeperc.errors import ParameterError
+from treeperc.errors import ParameterError, SizeCapError
 
 
 def run(tmp_path, name, *argv):
@@ -20,9 +20,11 @@ def test_parse_grid_inclusive_and_on_grid():
 
 
 def test_parse_grid_errors():
-    for bad in ("0:1", "0:1:0", "1:0:0.1", "a:b:c"):
+    for bad in ("0:1", "0:1:0", "1:0:0.1", "a:b:c", "0:inf:0.1", "0:nan:0.1"):
         with pytest.raises(ParameterError):
             parse_grid(bad)
+    with pytest.raises(SizeCapError):
+        parse_grid("0:0.5:1e-30")
 
 
 def test_qc_point_json(tmp_path):
@@ -121,8 +123,19 @@ def test_limits_sub_regime(tmp_path):
     assert 0.0 <= tv <= 1.0
 
 
-def test_exit_code_usage():
-    assert main(["qc-curve", "--d", "2", "--k", "2", "--p-grid", "1:0:0.1"]) == 2
+def test_exit_code_usage(capsys):
+    for argv in (
+        ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "1:0:0.1"],
+        ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:inf:0.1"],
+        ["qc-curve", "--d", "2", "--k", "2", "--p-grid=-0.2:0:0.1"],
+        ["qc-point", "--d", "2", "--k", "2", "--p", "1.5"],
+        ["matrix", "--d", "2", "--k", "2", "--p", "-0.5", "--q", "0.1"],
+        ["survival", "--method", "chain", "--d", "2", "--k", "2", "--p", "1.5", "--q", "0.1"],
+        ["survival", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--trials", "0"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("treeperc: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_exit_code_cap(tmp_path):
@@ -130,6 +143,17 @@ def test_exit_code_cap(tmp_path):
     code = main([
         "limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.0",
         "--size-threshold", "1000000", "--trials", "40",
+        "--out", str(tmp_path / "never.csv"),
+    ])
+    assert code == 3
+    # the chain refuses 10^5 trials at (2,4) before allocating them
+    code = main([
+        "survival", "--d", "2", "--k", "4", "--p", "0.25", "--q", "0.05",
+        "--out", str(tmp_path / "never.json"),
+    ])
+    assert code == 3
+    code = main([
+        "qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:0.5:1e-30",
         "--out", str(tmp_path / "never.csv"),
     ])
     assert code == 3

@@ -3,21 +3,54 @@ import math
 import numpy as np
 import pytest
 
-from treeperc.errors import SizeCapError
+from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, explore_layers, make_oracle
-from treeperc.tree import TreeParams, slot_index, vertices_to_window
+from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
     initial_window_dist,
     simulate_window_chain,
-    window_transition,
 )
 
 TP22 = TreeParams(2, 2)
 TP23 = TreeParams(2, 3)
 TP32 = TreeParams(3, 2)
+
+
+def reference_top_probs(a, child, p, q, params):
+    """Scalar reading of the child-window law: the deterministic low bits
+    and the activation probability of each top slot, in slot order."""
+    base, t = params.top_slot_base, params.n_top_slots
+    det = 0
+    for j in range(base):
+        if a >> slot_index((child,) + slot_vertex(j, params), params) & 1:
+            det |= 1 << j
+    b = a & 1
+    probs = []
+    for u in range(t):
+        src = slot_index((child,) + parent(slot_vertex(base + u, params)), params)
+        aa = a >> src & 1
+        probs.append(1.0 - (1.0 - p * aa) * (1.0 - q * b))
+    return det, probs
+
+
+def reference_child_dist(a, child, p, q, params):
+    """Child-window pmf by slot-by-slot convolution of the scalar law."""
+    det, top_probs = reference_top_probs(a, child, p, q, params)
+    base = params.top_slot_base
+    pmf = {det: 1.0}
+    for u, pi in enumerate(top_probs):
+        nxt = {}
+        bit = 1 << (base + u)
+        for w, pr in pmf.items():
+            if pi < 1.0:
+                nxt[w] = nxt.get(w, 0.0) + pr * (1.0 - pi)
+            if pi > 0.0:
+                nxt[w | bit] = nxt.get(w | bit, 0.0) + pr * pi
+        pmf = nxt
+    return pmf
 
 
 def test_initial_dist_hand_example():
@@ -74,9 +107,8 @@ def test_child_dist_hand_example():
 def test_child_dist_deterministic_cases():
     # no root in parent window and no occupied slot parents for child 1
     # (the sources sit in the subtree of digit 1, but A only holds (2)):
-    # point mass at the deterministic shift, which is empty here
-    tr = window_transition(0b100, 1, 0.5, 0.0, TP22)
-    assert tr.top_probs == (0.0, 0.0)
+    # every top slot stays closed, a point mass at the deterministic shift,
+    # which is empty here
     pmf = child_window_dist(0b100, 1, 0.5, 0.0, TP22)
     assert pmf == {0: 1.0}
     # nonempty deterministic shift: A = {(1,1)} maps into child 1's slot (1)
@@ -130,6 +162,39 @@ def test_transition_rule_against_direct_slab_percolation():
             expect = mix[i].get(w, 0.0)
             se = math.sqrt(max(expect * (1 - expect), 1e-12) / trials)
             assert abs(freq - expect) < 4 * se, (i, w, freq, expect)
+
+
+@pytest.mark.parametrize("tp", [TP22, TP23, TP32])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("q", [0.0, 0.2, 1.0])
+def test_child_dist_matches_scalar_reference_bitwise(tp, p, q):
+    for a in range(1, 1 << tp.window_slots):
+        for i in range(1, tp.d + 1):
+            assert child_window_dist(a, i, p, q, tp) == reference_child_dist(a, i, p, q, tp)
+
+
+@pytest.mark.parametrize("tp", [TP22, TP23, TP32])
+@pytest.mark.parametrize("p, q", [(0.0, 0.2), (0.3, 0.2), (1.0, 0.0), (0.3, 1.0), (0.2, 0.0861)])
+def test_matrix_matches_scalar_reference(tp, p, q):
+    n = (1 << tp.window_slots) - 1
+    dense = np.zeros((n, n))
+    for a in range(1, n + 1):
+        for i in range(1, tp.d + 1):
+            for w, pr in reference_child_dist(a, i, p, q, tp).items():
+                if w:
+                    dense[a - 1, w - 1] += pr
+    m = build_offspring_matrix(tp, p, q).csr.toarray()
+    assert np.abs(m - dense).max() <= 1e-15
+
+
+def test_law_rejects_bad_probabilities():
+    for p, q in [(1.5, 0.1), (-0.5, 0.1), (0.2, math.nan), (0.2, 1.0000001)]:
+        with pytest.raises(ParameterError):
+            build_offspring_matrix(TP22, p, q)
+        with pytest.raises(ParameterError):
+            child_window_dist(1, 1, p, q, TP22)
+        with pytest.raises(ParameterError):
+            simulate_window_chain(TP22, p, q, np.random.default_rng(0), 3)
 
 
 def test_build_matrix_hand_example():
@@ -190,6 +255,35 @@ def test_simulate_population_cap():
     rng = np.random.default_rng(0)
     with pytest.raises(SizeCapError):
         simulate_window_chain(TP22, 1.0, 1.0, rng, 30, trials=4, population_cap=10**4)
+
+
+def test_simulate_memory_cap_before_allocating():
+    # 10^5 trials at (2,4) would hold two 32767-column generations per trial
+    rng = np.random.default_rng(0)
+    with pytest.raises(SizeCapError):
+        simulate_window_chain(TreeParams(2, 4), 0.25, 0.05, rng, 57, trials=10**5)
+
+
+def test_simulate_returns_last_generation_and_layer_counts():
+    rng = np.random.default_rng(3)
+    final, x = simulate_window_chain(TP23, 0.3, 0.1, rng, 6, trials=50)
+    assert final.shape == (50, (1 << TP23.window_slots) - 1)
+    assert x.shape == (50, 7)
+    # x counts the individuals whose window holds the root (odd bitmasks)
+    assert (x[:, -1] == final[:, 0::2].sum(axis=1)).all()
+
+
+def test_chain_outputs_pinned():
+    # recorded from the scalar-law implementation this module replaced; the
+    # transition tables are bitwise equal, so the draws are too
+    freq, se = chain_survival(TP23, 0.2, 0.0861, 60, 300, np.random.default_rng(7))
+    assert (freq, se) == (0.23, 0.02429677619218923)
+    # the call behind `limits --regime sub --d 2 --k 2 --p 0.2 --q 0.1
+    # --trials 3000 --horizon 12` at the default seed
+    _, x = simulate_window_chain(TP22, 0.2, 0.1, np.random.default_rng(20240817), 12, trials=3000)
+    assert x.sum(axis=0).tolist() == [
+        3000, 1255, 1625, 1125, 1098, 824, 743, 598, 558, 460, 395, 329, 292
+    ]
 
 
 def test_chain_survival_trivial():
