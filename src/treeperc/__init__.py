@@ -12,11 +12,11 @@ from .coupling import (
     omega_bar,
 )
 from .critical import asymptotics_table, qc, qc_sweep, rho, s_star
-from .mtbp import OffspringLaw, collapse_I, criteria, lambda_collapse, step, survival_mc
 from .percolation import (
     AdmissibleSet,
     EdgeOracle,
     PercParams,
+    conditioned_cluster_sample,
     criteria_eval,
     decompose,
     estimate_survival,

@@ -26,8 +26,12 @@ from .errors import (
     ParameterError,
     SizeCapError,
 )
-from .mtbp import conditioned_cluster_sample
-from .percolation import PercParams, criteria_eval, estimate_survival
+from .percolation import (
+    PercParams,
+    conditioned_cluster_sample,
+    criteria_eval,
+    estimate_survival,
+)
 from .tree import TreeParams
 from .window_chain import (
     build_offspring_matrix,
@@ -166,6 +170,8 @@ def cmd_survival(args):
 
 def cmd_limits(args):
     params = TreeParams(args.d, args.k)
+    if args.regime != "critical" and args.horizon < 0:
+        raise ParameterError(f"--horizon must be >= 0, got {args.horizon}")
     if args.regime == "super":
         rng = np.random.default_rng(args.seed)
         _, x = simulate_window_chain(
@@ -181,6 +187,8 @@ def cmd_limits(args):
     elif args.regime == "sub":
         rng = np.random.default_rng(args.seed)
         n1, n2 = args.horizon_low, args.horizon
+        if not 0 <= n1 <= n2:
+            raise ParameterError(f"--horizon-low {n1} must lie in [0, --horizon {n2}]")
         _, x = simulate_window_chain(params, args.p, args.q, rng, n2, trials=args.trials)
         pmf1 = _conditional_pmf(x[:, n1])
         pmf2 = _conditional_pmf(x[:, n2])

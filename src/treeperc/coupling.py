@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import FeasibilityError, ParameterError, check_probabilities
+from .percolation import reach
 from .rng import EdgeOracle, derive_trial_seed
 from .tree import TreeParams, long_selector, long_selector_index
 
@@ -159,22 +160,8 @@ def leaf_count_Z(params: TreeParams, oracle: EdgeOracle) -> int:
     Only edges whose tail has height below 2k exist in the slab, so every
     vertex at heights [2k, 3k) is terminal.
     """
-    lo, hi = leaf_band(params)
-    seen = {()}
-    stack = [()]
-    leaves = 0
-    while stack:
-        u = stack.pop()
-        if len(u) >= lo:
-            leaves += 1
-            continue
-        children = [u + (j,) for j in oracle.open_short_children(u)]
-        children += [u + s for s in oracle.open_long_children(u)]
-        for v in children:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return leaves
+    lo, _hi = leaf_band(params)
+    return sum(len(v) >= lo for v in reach(oracle, expand_below=lo))
 
 
 def leaf_count_Zhat(params: TreeParams, config: HatConfig) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, check_probabilities
+from .errors import ConsistencyError, check_probabilities, check_tolerance
 from .spectral import pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix
@@ -65,6 +65,7 @@ def qc(
 ) -> CurvePoint:
     """Critical long-edge probability at short-edge probability p."""
     check_probabilities(p=p)
+    check_tolerance(tol)
     if rho_tol is None:
         # the eigenvalue only has to resolve sign changes of rho - 1 on the
         # q-scale of tol; the slope drho/dq near the root is of order d^k / k

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the shared check of edge
-probabilities that raises them."""
+"""Exception types shared across the package, and the shared checks of edge
+probabilities and solver tolerances that raise them."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -37,3 +39,10 @@ def check_probabilities(**probs: float) -> None:
     if not all(0.0 <= v <= 1.0 for v in probs.values()):
         got = ", ".join(f"{name}={v}" for name, v in probs.items())
         raise ParameterError(f"probabilities must lie in [0, 1], got {got}")
+
+
+def check_tolerance(tol: float) -> None:
+    """Reject a solver tolerance that is not positive and finite; NaN fails
+    the comparison and is rejected too."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be positive and finite, got {tol}")

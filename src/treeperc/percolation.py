@@ -1,12 +1,18 @@
 """Monte Carlo exploration of the percolation cluster.
 
-Two exploration styles are provided on top of the lazy edge oracle:
+Every walk over the lazy edge oracle goes through one of three kernels:
 
-* a height-layered sweep (``explore_layers``) that records the occupation
-  count of each layer, and
-* the two-stage short-cluster / long-boundary sweep whose boundary pieces,
-  grouped by subtree proximity, reproduce the cluster as a branching process
-  over admissible-set shapes (``simulate_z_first``).
+* ``sweep_layers``, a height-layered sweep that yields each new layer with
+  the population of the k most recent layers and holds only those layers;
+  ``explore_layers`` (layer counts) and ``estimate_survival`` (survival
+  frequency at a depth) read it;
+* ``reach``, a depth-first walk over open short and long edges from the
+  root, with an optional height cut and an optional early stop on size; the
+  slab leaf count of ``coupling`` and the conditioned neighborhood sampler
+  ``conditioned_cluster_sample`` use it;
+* ``short_cluster`` / ``long_boundary``, the two-stage sweep whose boundary
+  pieces, grouped by subtree proximity, reproduce the cluster as a branching
+  process over admissible-set shapes (``simulate_z_first``, ``criteria_eval``).
 
 Closed-form expectations for the long-boundary count and the two-point short
 cluster are included for cross-checking the samplers.
@@ -17,10 +23,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import ConsistencyError, ParameterError, SizeCapError, check_probabilities
 from .rng import EdgeOracle
-from .tree import ROOT, TreeParams, slot_index, window_height, window_size
+from .tree import ROOT, TreeParams, slot_index, window_height, window_size, window_vertices
 
 DEFAULT_CLUSTER_CAP = 10**7
 
@@ -68,31 +75,150 @@ def make_oracle(params: TreeParams, perc: PercParams, seed: int, trial: int = 0)
     return EdgeOracle(params, perc.p, perc.q, seed, trial)
 
 
-def explore_layers(
-    params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
-) -> LayerStats:
-    """Reveal the cluster one height layer at a time.
+def sweep_layers(oracle: EdgeOracle):
+    """Reveal the root's cluster one height layer at a time, without end.
 
     A vertex of height n is in the cluster iff its parent is and the short
     edge between them is open, or n >= k and its k-th ancestor is and the
-    long edge is open.
+    long edge is open.  For n = 1, 2, ... yields ``(layer, population)``:
+    the set of cluster vertices at height n and the number of cluster
+    vertices at heights [n-k+1, n].  Only those k layers are held.
     """
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
-    k = params.k
-    layers: list[set] = [{ROOT}]
-    for n in range(1, n_max + 1):
+    k = oracle.params.k
+    window: list[set] = [set() for _ in range(k)]
+    window[0].add(ROOT)
+    for n in count(1):
         layer: set = set()
-        for u in layers[n - 1]:
+        for u in window[(n - 1) % k]:
             for j in oracle.open_short_children(u):
                 layer.add(u + (j,))
         if n >= k:
-            for u in layers[n - k]:
+            for u in window[n % k]:  # the height n-k layer, about to be evicted
                 for s in oracle.open_long_children(u):
                     layer.add(u + s)
-        layers.append(layer)
-    alive = any(layers[n] for n in range(max(0, n_max - k + 1), n_max + 1))
-    return LayerStats(x=[len(layer) for layer in layers], truncated_alive=alive)
+        window[n % k] = layer
+        yield layer, sum(len(s) for s in window)
+
+
+def explore_layers(
+    params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
+) -> LayerStats:
+    """Occupation counts of heights 0..n_max, and whether the cluster still
+    holds a vertex among the last k of them."""
+    if n_max < 0:
+        raise ParameterError("n_max must be >= 0")
+    x = [1]
+    population = 1
+    for layer, population in islice(sweep_layers(oracle), n_max):
+        x.append(len(layer))
+    return LayerStats(x=x, truncated_alive=population > 0)
+
+
+def open_children(oracle: EdgeOracle, u: tuple) -> list:
+    """Heads of the open short edges, then of the open long edges, out of u."""
+    return [u + (j,) for j in oracle.open_short_children(u)] + [
+        u + s for s in oracle.open_long_children(u)
+    ]
+
+
+def reach(
+    oracle: EdgeOracle, expand_below: int | None = None, stop_above: int | None = None
+) -> set:
+    """Vertices reachable from the root through open edges of either kind.
+
+    Depth-first.  With ``expand_below`` only vertices of lower height have
+    their out-edges followed; the set still holds the heads of those edges.
+    With ``stop_above`` the walk stops once the set holds more vertices than
+    that, so only a set larger than ``stop_above`` may be incomplete.
+    Raises ``SizeCapError`` past ``DEFAULT_CLUSTER_CAP`` vertices.
+    """
+    cluster = {ROOT}
+    stack = [ROOT]
+    while stack and (stop_above is None or len(cluster) <= stop_above):
+        u = stack.pop()
+        if expand_below is not None and len(u) >= expand_below:
+            continue
+        for v in open_children(oracle, u):
+            if v not in cluster:
+                cluster.add(v)
+                stack.append(v)
+                if len(cluster) > DEFAULT_CLUSTER_CAP:
+                    raise SizeCapError(
+                        f"cluster exceeded cap of {DEFAULT_CLUSTER_CAP} vertices"
+                    )
+    return cluster
+
+
+def _neighborhood_hash(cluster: set, edges, radius: int) -> str:
+    """Canonical label of the rooted radius-m ball of the cluster graph.
+
+    Edges are undirected for the metric.  Rooted-graph classes are separated
+    by a Weisfeiler-Lehman hash seeded with distance-from-root labels, which
+    distinguishes every pair arising at radius <= 2 on these graphs.
+    """
+    import networkx as nx  # only the conditioned sampler needs it
+
+    g = nx.Graph()
+    g.add_nodes_from(cluster)
+    g.add_edges_from(edges)
+    dists = nx.single_source_shortest_path_length(g, ROOT, cutoff=radius)
+    ball = g.subgraph(dists).copy()
+    nx.set_node_attributes(ball, dists, "dist")
+    return nx.weisfeiler_lehman_graph_hash(ball, node_attr="dist", iterations=4)
+
+
+def conditioned_cluster_sample(
+    params: TreeParams,
+    perc: PercParams,
+    size_threshold: int,
+    radius: int,
+    trials_budget: int,
+    seed: int,
+    min_acceptance: float = 1e-5,
+):
+    """Empirical law of the root's neighborhood in clusters larger than n.
+
+    Rejection sampling: a trial is accepted once its cluster is found to
+    hold more than ``size_threshold`` vertices (critical clusters are a.s.
+    finite, so rejected trials terminate).  The returned pmf is over
+    isomorphism classes of the rooted radius-``radius`` ball of the cluster
+    graph, both edge kinds undirected.  Raises when the budget is spent with
+    acceptance below ``min_acceptance``.
+    """
+    if not 0 <= radius <= 2:
+        raise ParameterError(f"neighborhood radius must lie in [0, 2], got {radius}")
+    if trials_budget < 1:
+        raise ParameterError("trials_budget must be >= 1")
+    # membership of a vertex depends only on edges above it, so the ball is
+    # determined by the cluster restricted to this many levels
+    local_height = radius * params.k
+    accepted: dict[str, int] = {}
+    n_accepted = 0
+    for trial in range(trials_budget):
+        oracle = make_oracle(params, perc, seed, trial)
+        if len(reach(oracle, stop_above=size_threshold)) <= size_threshold:
+            continue
+        n_accepted += 1
+        # the early stop above may leave shallow vertices unexplored, so the
+        # ball is recomputed by a complete height-restricted walk
+        local = {
+            v
+            for v in reach(oracle, expand_below=local_height + 1)
+            if len(v) <= local_height
+        }
+        edges = [
+            (u, v) for u in local for v in open_children(oracle, u) if v in local
+        ]
+        label = _neighborhood_hash(local, edges, radius)
+        accepted[label] = accepted.get(label, 0) + 1
+    rate = n_accepted / trials_budget
+    if n_accepted == 0 or rate < min_acceptance:
+        raise SizeCapError(
+            f"acceptance rate {rate:.2e} below {min_acceptance} after "
+            f"{trials_budget} trials"
+        )
+    pmf = {label: c / n_accepted for label, c in sorted(accepted.items())}
+    return pmf, rate
 
 
 def short_cluster(
@@ -183,8 +309,6 @@ def expand_admissible(
     cap: int = DEFAULT_CLUSTER_CAP,
 ):
     """One two-stage step: short cluster, then long boundary, then grouping."""
-    from .tree import window_vertices
-
     vertices = {b.base + rel for rel in window_vertices(b.rel_type, params)}
     cs = short_cluster(vertices, oracle, cap=cap)
     cl = long_boundary(cs, oracle)
@@ -229,25 +353,6 @@ def simulate_z_first(
     return pops
 
 
-def explore_full_cluster(
-    vertices, oracle: EdgeOracle, cap: int = DEFAULT_CLUSTER_CAP
-) -> set:
-    """All vertices reachable from a set through open edges of either kind."""
-    cluster = set(vertices)
-    frontier = list(cluster)
-    while frontier:
-        u = frontier.pop()
-        children = [u + (j,) for j in oracle.open_short_children(u)]
-        children += [u + s for s in oracle.open_long_children(u)]
-        for v in children:
-            if v not in cluster:
-                cluster.add(v)
-                frontier.append(v)
-                if len(cluster) > cap:
-                    raise SizeCapError(f"cluster exceeded cap of {cap} vertices")
-    return cluster
-
-
 def estimate_survival(
     params: TreeParams,
     perc: PercParams,
@@ -271,31 +376,15 @@ def estimate_survival(
         raise ParameterError("trials must be >= 1")
     if depth < params.k:
         raise ParameterError(f"depth must be >= k={params.k}")
-    k = params.k
     alive_count = 0
     for trial in range(trials):
         oracle = make_oracle(params, perc, seed, trial)
-        window = [set() for _ in range(k)]
-        window[0].add(ROOT)
-        alive = True
-        for n in range(1, depth + 1):
-            layer: set = set()
-            for u in window[(n - 1) % k]:
-                for j in oracle.open_short_children(u):
-                    layer.add(u + (j,))
-            if n >= k:
-                for u in window[n % k]:  # the height n-k layer, about to be evicted
-                    for s in oracle.open_long_children(u):
-                        layer.add(u + s)
-            window[n % k] = layer
-            population = sum(len(s) for s in window)
+        for _layer, population in islice(sweep_layers(oracle), depth):
             if population == 0:
-                alive = False
                 break
             if escape_population is not None and population >= escape_population:
                 break
-        if alive:
-            alive_count += 1
+        alive_count += population > 0
     freq = alive_count / trials
     se = math.sqrt(freq * (1.0 - freq) / trials)
     return freq, se

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, check_tolerance
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
@@ -97,6 +97,7 @@ def pf_eigen(
     continuation paths); the output does not depend on the starting point
     beyond the certified tolerance.
     """
+    check_tolerance(tol)
     matvec, rmatvec, n = _as_operator(matrix)
     nu0 = x0.nu if x0 is not None else None
     mu0 = x0.mu if x0 is not None else None

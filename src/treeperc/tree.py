@@ -56,11 +56,6 @@ class TreeParams:
         return self.d ** (self.k - 1)
 
 
-def window_slot_count(params: TreeParams) -> int:
-    """Cardinality of the window slab below a single vertex."""
-    return params.window_slots
-
-
 def height(v: tuple) -> int:
     return len(v)
 
@@ -76,10 +71,6 @@ def ancestor_at(v: tuple, m: int) -> tuple:
     if m < 0 or m > len(v):
         raise ValueError(f"cannot go up {m} levels from a height-{len(v)} vertex")
     return v[: len(v) - m]
-
-
-def concat(u: tuple, v: tuple) -> tuple:
-    return u + v
 
 
 def slot_index(u: tuple, params: TreeParams) -> int:

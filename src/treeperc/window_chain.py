@@ -30,9 +30,8 @@ from .tree import TreeParams, parent, slot_index, slot_vertex
 #: Enumerating a child-window law costs 2^(top slots); refuse beyond this.
 MAX_TOP_SLOTS = 16
 
-#: Bytes the count-level chain may hold: transition tables, the current and
-#: next generation, and the layer counts x.
-MAX_CHAIN_BYTES = 1 << 30
+#: Bytes an offspring-matrix build or a count-level chain run may hold.
+MAX_ARRAY_BYTES = 1 << 30
 
 
 class SparseOffspringMatrix:
@@ -65,9 +64,6 @@ class SparseOffspringMatrix:
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.csr.sum(axis=1)).ravel()
-
-    def to_mapping(self) -> dict[int, dict[int, float]]:
-        return {a: dict(self.row(a)) for a in range(1, self.n_types + 1)}
 
     def iter_entries(self):
         """Yield (A, B, rate) in deterministic row-major, column-sorted order."""
@@ -141,6 +137,22 @@ class ChildWindowLaw:
         return det[:, None] | self._top_windows, probs
 
 
+def _law_bytes(params: TreeParams) -> int:
+    """Estimated bytes of the child-window law enumerated over every
+    (window, child) pair, once as arrays and once as the copy built from
+    them: n_types * d * 2^t outcomes, 16 bytes each per copy."""
+    n_types = (1 << params.window_slots) - 1
+    return 32 * (n_types * params.d << params.n_top_slots)
+
+
+def _check_bytes(need: int, what: str) -> None:
+    if need > MAX_ARRAY_BYTES:
+        raise SizeCapError(
+            f"{what} needs about {need / 2**30:.1f} GiB, above the cap of "
+            f"{MAX_ARRAY_BYTES / 2**30:.1f} GiB"
+        )
+
+
 def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams) -> dict[int, float]:
     """Exact pmf over the child's window (0 encodes the empty window)."""
     if a <= 0:
@@ -190,9 +202,14 @@ def build_offspring_matrix(
 
     M(A, B) is the child-window law summed over the d children.  Rows are
     built ``chunk`` parent windows at a time, which bounds the law's
-    temporary (chunk, 2^t) arrays.
+    temporary (chunk, 2^t) arrays.  Raises ``SizeCapError`` before building
+    when the estimated memory exceeds ``MAX_ARRAY_BYTES``.
     """
     child_law = ChildWindowLaw(params, p, q)
+    _check_bytes(
+        _law_bytes(params),
+        f"the offspring matrix at (d={params.d}, k={params.k})",
+    )
     n_types = (1 << params.window_slots) - 1
     rows_parts, cols_parts, data_parts = [], [], []
     for start in range(1, n_types + 1, chunk):
@@ -300,7 +317,7 @@ def simulate_window_chain(
     ``initial`` may be a window bitmask (fixed initial type) or a pmf mapping
     windows to probabilities; default is the root-window law at parameter p.
     Raises ``SizeCapError`` before allocating when the estimated memory
-    exceeds ``MAX_CHAIN_BYTES``.
+    exceeds ``MAX_ARRAY_BYTES``.
     """
     if generations < 0:
         raise ParameterError("generations must be >= 0")
@@ -308,17 +325,13 @@ def simulate_window_chain(
         raise ParameterError("trials must be >= 1")
     child_law = ChildWindowLaw(params, p, q)
     n_types = (1 << params.window_slots) - 1
-    # the law's windows and probs for every (window, child) and their copies
-    # in the tables, then two generations and x
-    need = 32 * (n_types * params.d << params.n_top_slots) + 8 * trials * (
-        2 * n_types + generations + 1
+    # the law's arrays and their copies in the tables, then two generations
+    # and x
+    _check_bytes(
+        _law_bytes(params) + 8 * trials * (2 * n_types + generations + 1),
+        f"{trials} chain trials over {generations} generations at "
+        f"(d={params.d}, k={params.k})",
     )
-    if need > MAX_CHAIN_BYTES:
-        raise SizeCapError(
-            f"{trials} chain trials over {generations} generations at "
-            f"(d={params.d}, k={params.k}) need about {need / 2**30:.1f} GiB, "
-            f"above the cap of {MAX_CHAIN_BYTES / 2**30:.1f} GiB; use fewer trials"
-        )
     tables = _transition_tables(child_law)
 
     cur = np.zeros((trials, n_types), dtype=np.int64)

@@ -123,6 +123,62 @@ def test_limits_sub_regime(tmp_path):
     assert 0.0 <= tv <= 1.0
 
 
+# Byte-exact outputs of the earlier hand-written oracle walks; the shared walk
+# kernels in percolation must reveal the same clusters.
+CRITICAL_CSV = (
+    "# treeperc 0.1.0\n"
+    "# config: acceptance_rate=0.32 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q=0.158493649068987 radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
+    "# seed: 20240817\n"
+    "neighborhood_class,probability\n"
+    "29862a67825a096525a8286876a1d29c,0.03125\n"
+    "2d743d23e0edf74063bea6c6e2abf816,0.3125\n"
+    "4a323a974c700ac53fd693d4ce6ca9f2,0.020833333333333332\n"
+    "7fd7a2a64de15d554bb487d82fb3ad8d,0.020833333333333332\n"
+    "85eca55ecfd32074bfe202c8896891b6,0.4479166666666667\n"
+    "c16ed023ab293286f104f6f2f752482e,0.010416666666666666\n"
+    "c8aef8c7b66d5d2b6a46d49de54acc8a,0.15625\n"
+)
+
+DOMINANCE_CSV = (
+    "# treeperc 0.1.0\n"
+    "# config: command=dominance d=2 delta=0.05 dominates=True k=2 max_violation_sigma=2.3465415211226652 p=0.2 q=0.25 seed=20240817 trials=200\n"
+    "# seed: 20240817\n"
+    "threshold,surv_Z,se_Z,surv_Zhat,se_Zhat,violation_sigma\n"
+    "0,1.0,0.0,1.0,0.0,0.0\n"
+    "1,0.705,0.03224709289222828,0.63,0.034139420030223126,1.597055614224511\n"
+    "2,0.545,0.035211858797853886,0.45,0.03517811819867572,1.908656299142864\n"
+    "3,0.39,0.03448912872196107,0.28,0.03174901573277509,2.3465415211226652\n"
+    "4,0.27,0.03139267430468452,0.185,0.027456784225396828,2.0380850995869784\n"
+    "5,0.135,0.024163505540380516,0.1,0.021213203435596427,1.0885140208312087\n"
+    "6,0.1,0.021213203435596427,0.05,0.015411035007422441,1.9069251784911847\n"
+    "7,0.055,0.016120638945153507,0.03,0.012062338081814818,1.241685266216521\n"
+    "8,0.04,0.013856406460551017,0.02,0.009899494936611665,1.174440439029407\n"
+    "9,0.025,0.011039701082909808,0.01,0.007035623639735145,1.1458229725677067\n"
+    "10,0.01,0.007035623639735145,0.01,0.007035623639735145,0.0\n"
+    "11,0.01,0.007035623639735145,0.0,0.0,1.4213381090374029\n"
+    "12,0.005,0.004987484335815001,0.0,0.0,1.002509414234171\n"
+    "13,0.0,0.0,0.0,0.0,0.0\n"
+)
+
+
+def test_limits_critical_regime_pinned(tmp_path):
+    code, out = run(
+        tmp_path, "crit.csv", "limits", "--regime", "critical", "--d", "2", "--k", "2",
+        "--p", "0.2", "--trials", "300", "--size-threshold", "10",
+    )
+    assert code == 0
+    assert out.read_text() == CRITICAL_CSV
+
+
+def test_dominance_pinned(tmp_path):
+    code, out = run(
+        tmp_path, "dom.csv", "dominance", "--d", "2", "--k", "2", "--p", "0.2",
+        "--q", "0.25", "--delta", "0.05", "--trials", "200",
+    )
+    assert code == 0
+    assert out.read_text() == DOMINANCE_CSV
+
+
 def test_exit_code_usage(capsys):
     for argv in (
         ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "1:0:0.1"],
@@ -132,6 +188,19 @@ def test_exit_code_usage(capsys):
         ["matrix", "--d", "2", "--k", "2", "--p", "-0.5", "--q", "0.1"],
         ["survival", "--method", "chain", "--d", "2", "--k", "2", "--p", "1.5", "--q", "0.1"],
         ["survival", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--trials", "0"],
+        *(
+            ["qc-point", "--d", "2", "--k", "2", "--p", "0.2", "--tol", tol]
+            for tol in ("0", "-1", "nan", "inf")
+        ),
+        ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--tol", "0"],
+        ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3", "--tol", "0"],
+        # the default --horizon-low 15 lies beyond --horizon 10
+        ["limits", "--regime", "sub", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1",
+         "--trials", "50", "--horizon", "10"],
+        ["limits", "--regime", "sub", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1",
+         "--trials", "50", "--horizon-low", "-3"],
+        ["limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.2",
+         "--trials", "20", "--radius", "-1"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -155,6 +224,12 @@ def test_exit_code_cap(tmp_path):
     code = main([
         "qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:0.5:1e-30",
         "--out", str(tmp_path / "never.csv"),
+    ])
+    assert code == 3
+    # about 10^11 candidate matrix entries at (16,2), refused before the build
+    code = main([
+        "matrix", "--d", "16", "--k", "2", "--p", "0.01", "--q", "0.01",
+        "--out", str(tmp_path / "never.json"),
     ])
     assert code == 3
 

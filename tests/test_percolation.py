@@ -6,16 +6,18 @@ from treeperc.errors import ConsistencyError, ParameterError, SizeCapError
 from treeperc.percolation import (
     AdmissibleSet,
     PercParams,
+    _neighborhood_hash,
+    conditioned_cluster_sample,
     criteria_eval,
     decompose,
     estimate_survival,
     exact_long_boundary_mean,
     exact_mean_short_cluster_pair,
     expand_admissible,
-    explore_full_cluster,
     explore_layers,
     long_boundary,
     make_oracle,
+    reach,
     short_cluster,
     simulate_z_first,
 )
@@ -213,6 +215,12 @@ def test_estimate_survival_brackets():
     assert freq > 5 * se
 
 
+def test_estimate_survival_pinned():
+    # recorded from the earlier hand-written layer loop at the benchmark point
+    freq, se = estimate_survival(TreeParams(2, 3), PercParams(0.2, 0.0861), 300, 60, 7)
+    assert (freq, se) == (0.19666666666666666, 0.02294841235531621)
+
+
 def test_fkg_pair_survival():
     # dying from a two-vertex start is at least as likely as two
     # independent single starts both dying
@@ -285,3 +293,49 @@ def _rels(b):
     from treeperc.tree import window_vertices
 
     return window_vertices(b.rel_type, TP)
+
+
+def test_conditioned_sample_unconditioned_radius1():
+    # without conditioning, acceptance is certain and the radius-1 class
+    # frequencies refine the root out-degree law
+    tp = TP
+    p, q = 0.3, 0.1
+    pmf, rate = conditioned_cluster_sample(
+        tp, PercParams(p, q), 0, 1, 4000, 77
+    )
+    assert rate == 1.0
+    assert abs(sum(pmf.values()) - 1.0) < 1e-12
+    # the class of the isolated root has probability (1-p)^2 (1-q)^4
+    isolated = _neighborhood_hash({()}, [], 1)
+    expect = (1 - p) ** 2 * (1 - q) ** 4
+    se = math.sqrt(expect * (1 - expect) / 4000)
+    assert abs(pmf[isolated] - expect) < 4 * se
+
+
+def test_reach_cap(monkeypatch):
+    monkeypatch.setattr("treeperc.percolation.DEFAULT_CLUSTER_CAP", 50)
+    oracle = make_oracle(TP, PercParams(1.0, 1.0), 1)
+    with pytest.raises(SizeCapError):
+        reach(oracle)
+    # a height cut keeps the same walk under the cap
+    assert len(reach(oracle, expand_below=2)) == 1 + 2 + 4 + 8
+
+
+def test_conditioned_sample_budget_error():
+    with pytest.raises(SizeCapError):
+        conditioned_cluster_sample(TP, PercParams(0.0, 0.0), 5, 1, 50, 1)
+
+
+def test_conditioned_sample_stabilization_trend():
+    tp = TP
+    point_q = 0.1585  # near-critical long-edge probability for p = 0.2
+    perc = PercParams(0.2, point_q)
+    laws = {}
+    for n in (10, 50, 100):
+        laws[n], _ = conditioned_cluster_sample(tp, perc, n, 1, 6000, 13)
+
+    def tv(p1, p2):
+        keys = set(p1) | set(p2)
+        return 0.5 * sum(abs(p1.get(k, 0.0) - p2.get(k, 0.0)) for k in keys)
+
+    assert tv(laws[50], laws[100]) < tv(laws[10], laws[100])
