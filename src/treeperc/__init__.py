@@ -25,7 +25,7 @@ from .percolation import (
     short_cluster,
     simulate_z_first,
 )
-from .spectral import pf_eigen, pf_perturbation_check
+from .spectral import pf_eigen
 from .tree import TreeParams
 from .window_chain import (
     build_offspring_matrix,

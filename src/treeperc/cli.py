@@ -25,6 +25,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
     SizeCapError,
+    check_tolerance,
 )
 from .percolation import (
     PercParams,
@@ -98,10 +99,30 @@ def _json_scalar(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def emit(args, meta: dict, header: list[str], rows: list[list], out=None):
-    """Write one result table as CSV (commented metadata) or JSON."""
-    stream = out or (open(args.out, "w") if args.out != "-" else sys.stdout)
+def write_output(path: str, write) -> None:
+    """Call ``write(stream)`` on stdout for path '-'.  Otherwise write a temp
+    file beside ``path`` and rename it onto ``path`` once ``write`` returns,
+    so a run that fails partway leaves an existing file as it was."""
+    if path == "-":
+        write(sys.stdout)
+        return
+    import os
+
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
+        with open(tmp, "w") as stream:
+            write(stream)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def emit(args, meta: dict, header: list[str], rows: list[list]):
+    """Write one result table as CSV (commented metadata) or JSON."""
+
+    def write(stream):
         if args.format == "json":
             payload = {
                 "meta": meta,
@@ -118,9 +139,8 @@ def emit(args, meta: dict, header: list[str], rows: list[list], out=None):
             stream.write(",".join(header) + "\n")
             for row in rows:
                 stream.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if stream is not sys.stdout and out is None:
-            stream.close()
+
+    write_output(args.out, write)
 
 
 def cmd_qc_point(args):
@@ -242,29 +262,46 @@ def cmd_dominance(args):
 
 
 def cmd_matrix(args):
-    params = TreeParams(args.d, args.k)
-    matrix = build_offspring_matrix(params, args.p, args.q)
-    result = pf_eigen(matrix, tol=args.tol)
+    # iterate a bit past the requested tolerance so the certified residual
+    # still holds after cross-normalizing the two eigenvectors
+    tol = 0.25 * args.tol
+    check_tolerance(tol)
+    matrix = build_offspring_matrix(TreeParams(args.d, args.k), args.p, args.q)
+    transpose = matrix.csr.T.tocsr()
+    right = pf_eigen(matrix, tol=tol)
+    left = pf_eigen(transpose, tol=tol)
+    rho = right.rho
+    mu = left.nu / left.nu.sum()  # left vector sums to one
+    nu = right.nu
+    scale = mu @ nu
+    if scale > 0:
+        nu = nu / scale  # mu . nu = 1
+    residual = max(
+        float(np.abs(op.dot(v) - rho * v).max() / max(np.abs(v).max(), 1e-300))
+        for op, v in ((transpose, mu), (matrix.csr, nu))
+    )
     if args.dump:
-        with open(args.dump, "w") as fh:
+
+        def write(fh):
             fh.write(f"# treeperc {__version__}\n")
             fh.write(f"# config: d={args.d} k={args.k} p={_fmt(args.p)} q={_fmt(args.q)}\n")
             fh.write("row_window_hex,col_window_hex,rate\n")
             for a, b, rate in matrix.iter_entries():
                 fh.write(f"{a:x},{b:x},{_fmt(rate)}\n")
-    meta = _meta(args)
+
+        write_output(args.dump, write)
     emit(
         args,
-        meta,
+        _meta(args),
         ["rho", "residual", "iterations", "n_types", "nnz", "mu_max", "nu_max"],
         [[
-            result.rho,
-            result.residual,
-            result.iterations,
+            rho,
+            residual,
+            right.iterations + left.iterations,
             matrix.n_types,
             int(matrix.csr.nnz),
-            float(result.mu.max()),
-            float(result.nu.max()),
+            float(mu.max()),
+            float(nu.max()),
         ]],
     )
 

@@ -57,19 +57,20 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
     return max(0.0, (1.0 - params.d * p) / params.d**params.k)
 
 
-def qc(
-    p: float,
-    params: TreeParams,
-    tol: float = DEFAULT_Q_TOL,
-    rho_tol: float | None = None,
-) -> CurvePoint:
-    """Critical long-edge probability at short-edge probability p."""
+def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
+    """Critical long-edge probability at short-edge probability p.
+
+    Bisects the sign of rho(p, q) - 1 in q until the bracket is at most
+    ``tol`` wide.  Each step needs only rho, so it runs a right-only Perron
+    solve, warm-started from the previous step's right vector;
+    ``rho_residual`` is that solve's eigen-residual.
+    """
     check_probabilities(p=p)
     check_tolerance(tol)
-    if rho_tol is None:
-        # the eigenvalue only has to resolve sign changes of rho - 1 on the
-        # q-scale of tol; the slope drho/dq near the root is of order d^k / k
-        rho_tol = tol * params.d**params.k / (10.0 * params.k)
+    # the eigenvalue only has to resolve sign changes of rho - 1 on the
+    # q-scale of tol; the slope drho/dq near the root is of order d^k / k
+    solve_tol = tol * params.d**params.k / (10.0 * params.k)
+    check_tolerance(solve_tol)
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
         return CurvePoint(
@@ -79,8 +80,8 @@ def qc(
     # q = 0 is subcritical a priori for p < 1/d (short edges alone cannot
     # percolate), and its offspring matrix can be nilpotent, which degenerates
     # power iteration; the lower bracket endpoint is therefore not evaluated.
-    rho_hi = rho(p, hi, params, tol=rho_tol)
-    if rho_hi < 1.0 - 10.0 * rho_tol:
+    rho_hi = rho(p, hi, params, tol=solve_tol)
+    if rho_hi < 1.0 - 10.0 * solve_tol:
         raise ConsistencyError(
             f"rho(p={p}, q=d^-k) = {rho_hi} < 1: no supercritical bracket endpoint"
         )
@@ -88,8 +89,8 @@ def qc(
     warm = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        result = rho_result(p, mid, params, tol=rho_tol, x0=warm)
-        warm = result
+        result = rho_result(p, mid, params, tol=solve_tol, x0=warm)
+        warm = result.nu
         if result.rho > 1.0:
             hi = mid
         else:

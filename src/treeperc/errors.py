@@ -41,8 +41,14 @@ def check_probabilities(**probs: float) -> None:
         raise ParameterError(f"probabilities must lie in [0, 1], got {got}")
 
 
+#: Smallest solver tolerance accepted.  Power iteration certifies residuals
+#: down to about 1e-14 on small dense and window-chain matrices; below the
+#: floor it would only spin towards its iteration budget.
+MIN_TOL = 1e-13
+
+
 def check_tolerance(tol: float) -> None:
-    """Reject a solver tolerance that is not positive and finite; NaN fails
+    """Reject a solver tolerance below ``MIN_TOL`` or not finite; NaN fails
     the comparison and is rejected too."""
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
+    if not MIN_TOL <= tol < math.inf:
+        raise ParameterError(f"tolerance must lie in [{MIN_TOL}, inf), got {tol}")

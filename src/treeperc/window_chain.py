@@ -51,20 +51,6 @@ class SparseOffspringMatrix:
     def n_types(self) -> int:
         return self.csr.shape[0]
 
-    def rate(self, a: int, b: int) -> float:
-        return float(self.csr[a - 1, b - 1])
-
-    def row(self, a: int) -> list[tuple[int, float]]:
-        """Entries (B, M(A,B)) of one row, sorted by column window."""
-        sl = slice(self.csr.indptr[a - 1], self.csr.indptr[a])
-        return [
-            (int(j) + 1, float(v))
-            for j, v in zip(self.csr.indices[sl], self.csr.data[sl])
-        ]
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.csr.sum(axis=1)).ravel()
-
     def iter_entries(self):
         """Yield (A, B, rate) in deterministic row-major, column-sorted order."""
         coo = self.csr.tocoo()

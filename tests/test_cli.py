@@ -1,9 +1,12 @@
 import json
+import signal
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from treeperc.cli import main, parse_grid
+from treeperc.cli import main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
+from treeperc.window_chain import SparseOffspringMatrix
 
 
 def run(tmp_path, name, *argv):
@@ -95,6 +98,59 @@ def test_matrix_summary_and_dump(tmp_path):
         a, b, rate = body.split(",")
         assert 1 <= int(a, 16) <= 7 and 0 <= int(b, 16) <= 7
         assert float(rate) > 0
+
+
+def test_matrix_pinned(tmp_path):
+    # rho, iterations and sizes must match bit for bit; mu_max and nu_max
+    # come out of a cross-normalization and must match to 1e-12
+    code, out = run(
+        tmp_path, "m.json", "matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
+    )
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["rho"] == 1.1898192770418226
+    assert (row["iterations"], row["n_types"], row["nnz"]) == (128, 7, 33)
+    assert row["residual"] <= 0.25e-12
+    assert row["mu_max"] == pytest.approx(0.32909467493103073, rel=1e-12)
+    assert row["nu_max"] == pytest.approx(2.0044419515323852, rel=1e-12)
+
+
+def test_write_output_failure_keeps_target(tmp_path):
+    target = tmp_path / "result.csv"
+    target.write_bytes(b"old contents\n")
+
+    def failing(stream):
+        stream.write("partial row\n")
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError):
+        write_output(str(target), failing)
+    assert target.read_bytes() == b"old contents\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["result.csv"]
+    write_output(str(target), lambda stream: stream.write("new\n"))
+    assert target.read_text() == "new\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["result.csv"]
+
+
+def test_matrix_dump_failure_keeps_target(tmp_path, monkeypatch):
+    dump = tmp_path / "m.csv"
+    dump.write_bytes(b"previous dump\n")
+    entries = SparseOffspringMatrix.iter_entries
+
+    def failing_entries(self):
+        for n, entry in enumerate(entries(self)):
+            if n == 5:
+                raise OSError("disk full")
+            yield entry
+
+    monkeypatch.setattr(SparseOffspringMatrix, "iter_entries", failing_entries)
+    with pytest.raises(OSError):
+        run(
+            tmp_path, "m.json", "matrix", "--d", "2", "--k", "2",
+            "--p", "0.2", "--q", "0.25", "--dump", str(dump),
+        )
+    assert dump.read_bytes() == b"previous dump\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.csv"]
 
 
 def test_criteria_reports_confidence_interval(tmp_path):
@@ -190,10 +246,16 @@ def test_exit_code_usage(capsys):
         ["survival", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--trials", "0"],
         *(
             ["qc-point", "--d", "2", "--k", "2", "--p", "0.2", "--tol", tol]
-            for tol in ("0", "-1", "nan", "inf")
+            for tol in ("0", "-1", "nan", "inf", "1e-300")
         ),
-        ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--tol", "0"],
-        ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3", "--tol", "0"],
+        *(
+            ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--tol", tol]
+            for tol in ("0", "1e-300")
+        ),
+        *(
+            ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3", "--tol", tol]
+            for tol in ("0", "1e-300")
+        ),
         # the default --horizon-low 15 lies beyond --horizon 10
         ["limits", "--regime", "sub", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1",
          "--trials", "50", "--horizon", "10"],
@@ -239,3 +301,59 @@ def test_missing_subcommand_is_argparse_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Values for p, q and grid ends: the edge cases plus any probability.
+VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5"]) | st.floats(
+    0.0, 1.0
+).map(repr)
+# Grid steps stay coarse enough that a valid grid holds a few points.
+STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
+TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
+# One exact solve at (3,3) takes seconds and about 0.4 GB, so the commands
+# that build the mean matrix or the chain tables draw from the cheaper sizes.
+OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
+ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
+EXAMPLE_SECONDS = 10
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["qc-point", "qc-curve", "matrix", "survival"]))
+    method = draw(st.sampled_from(["chain", "direct"])) if command == "survival" else None
+    d, k = draw(st.sampled_from(ALL_SIZES if method == "direct" else OPERATOR_SIZES))
+    argv = [command, f"--d={d}", f"--k={k}"]
+    if command == "qc-curve":
+        argv.append(f"--p-grid={draw(VALUES)}:{draw(VALUES)}:{draw(STEPS)}")
+    else:
+        argv.append(f"--p={draw(VALUES)}")
+    if command in ("matrix", "survival"):
+        argv.append(f"--q={draw(VALUES)}")
+    if command == "survival":
+        argv += [f"--method={method}", f"--trials={draw(st.integers(-1, 50))}"]
+    else:
+        argv.append(f"--tol={draw(TOLS)}")
+    return argv
+
+
+class ExampleTimeout(Exception):
+    pass
+
+
+def _timeout(signum, frame):
+    raise ExampleTimeout(f"example ran longer than {EXAMPLE_SECONDS} s")
+
+
+@settings(max_examples=40, deadline=EXAMPLE_SECONDS * 1000)
+@given(cli_argvs())
+def test_cli_exit_codes_property(argv):
+    # the deadline only judges examples that return; the alarm ends a hang
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        code = main(argv + ["--out=-"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4), argv

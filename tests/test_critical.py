@@ -9,7 +9,7 @@ from treeperc.critical import (
     rho,
     s_star,
 )
-from treeperc.errors import ConsistencyError
+from treeperc.errors import ConsistencyError, ParameterError
 from treeperc.tree import TreeParams
 
 TP = TreeParams(2, 2)
@@ -53,6 +53,32 @@ def test_qc_interior_point_and_mc_bracket():
     # the tight 0.01 bound needs 1e5 trials; at this scale just separate them
     assert below < 0.02
     assert above > 5 * se
+
+
+# Exact (q_c, bisection_width): the root finder's output must not depend on
+# which Perron vectors each of its solves computes.
+QC_PINS = [
+    (2, 3, 0.0, 0.12499999997089617, 5.820766091346741e-11),
+    (2, 3, 0.2, 0.07614860995090567, 5.820766091346741e-11),
+    (2, 3, 0.45, 0.013842319982359186, 5.820766091346741e-11),
+    (3, 2, 0.3, 0.01224195944248802, 5.1740143419687357e-11),
+]
+
+
+@pytest.mark.parametrize("d, k, p, q_c, width", QC_PINS)
+def test_qc_pinned(d, k, p, q_c, width):
+    point = qc(p, TreeParams(d, k))
+    assert (point.q_c, point.bisection_width) == (q_c, width)
+    # the reported residual is the right-vector one, within the rho tolerance
+    assert 0.0 < point.rho_residual <= 1e-10 * d**k / (10.0 * k)
+
+
+def test_qc_rejects_tolerance_below_floor():
+    # tol itself passes the floor at 1e-13, but the derived rho tolerance
+    # tol * d^k / (10 k) = 2e-14 does not; p above 1/d is refused as well
+    for p, tol in ((0.2, 1e-13), (0.2, 1e-300), (0.6, 1e-300)):
+        with pytest.raises(ParameterError):
+            qc(p, TP, tol=tol)
 
 
 def test_qc_rho_brackets():

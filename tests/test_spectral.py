@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from treeperc.errors import ParameterError
-from treeperc.spectral import pf_eigen, pf_perturbation_check
+from treeperc.errors import MIN_TOL, ParameterError
+from treeperc.spectral import pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
 
@@ -36,10 +36,33 @@ def test_normalizations_and_residual():
     rng = np.random.default_rng(7)
     a = rng.random((12, 12))
     res = pf_eigen(a, tol=1e-12)
-    assert res.residual <= 1e-12
-    assert res.mu.sum() == pytest.approx(1.0, abs=1e-10)
-    assert float(res.mu @ res.nu) == pytest.approx(1.0, abs=1e-10)
-    assert (res.mu > 0).all() and (res.nu > 0).all()
+    left = pf_eigen(a.T, tol=1e-12)
+    assert res.residual <= 1e-12 and left.residual <= 1e-12
+    assert left.rho == pytest.approx(res.rho, abs=1e-10)
+    assert res.nu.sum() == pytest.approx(1.0, abs=1e-10)
+    assert left.nu.sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(left.nu @ a - res.rho * left.nu).max() <= 1e-10
+    assert (left.nu > 0).all() and (res.nu > 0).all()
+
+
+def test_warm_start_reaches_same_pair():
+    rng = np.random.default_rng(5)
+    a = rng.random((10, 10))
+    cold = pf_eigen(a, tol=1e-12)
+    warm = pf_eigen(a + 0.01, tol=1e-12, x0=cold.nu)
+    again = pf_eigen(a + 0.01, tol=1e-12)
+    assert warm.rho == pytest.approx(again.rho, abs=1e-10)
+    assert np.abs(warm.nu - again.nu).max() <= 1e-10
+    # a vector of the wrong shape falls back to the uniform start
+    assert pf_eigen(a, tol=1e-12, x0=np.ones(3)).rho == cold.rho
+
+
+def test_tolerance_floor():
+    a = np.array([[1.0, 0.4], [0.3, 0.8]])
+    assert pf_eigen(a, tol=MIN_TOL).residual <= MIN_TOL
+    for tol in (MIN_TOL / 2, 1e-300, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            pf_eigen(a, tol=tol)
 
 
 def test_rejects_negative_entries():
@@ -76,39 +99,12 @@ def test_dense_oracle_agreement():
         assert pf_eigen(a).rho == pytest.approx(float(abs(expect)), abs=1e-9)
 
 
-def test_perturbation_zero():
-    a = np.array([[1.0, 0.4], [0.3, 0.8]])
-    before, after, first = pf_perturbation_check(a, np.zeros((2, 2)))
-    assert after == before
-    assert first == 0.0
-
-
-def test_perturbation_first_order_2x2():
-    # exact eigenvalues of [[a, b], [c, d]] as the oracle
-    a = np.array([[1.0, 0.5], [0.5, 0.7]])
-    eps = 1e-6
-    e = np.zeros((2, 2))
-    e[0, 0] = eps
-    before, after, first = pf_perturbation_check(a, e)
-    tr, det = a.trace(), np.linalg.det(a)
-    exact_before = (tr + math.sqrt(tr * tr - 4 * det)) / 2
-    assert before == pytest.approx(exact_before, abs=1e-10)
-    assert 0.0 < after - before < 2 * eps
-    assert (after - before) / first == pytest.approx(1.0, rel=0.1)
-
-
-def test_perturbation_window_matrix_strict_increase():
-    m = build_offspring_matrix(TreeParams(2, 2), 0.2, 0.15)
-    bump = sparse.csr_matrix(([0.01], ([0], [0])), shape=m.csr.shape)
-    before, after, first = pf_perturbation_check(m, bump)
-    assert after > before
-    assert first > 0.0
-
-
 def test_bitwise_reproducibility():
     rng = np.random.default_rng(3)
     a = rng.random((15, 15))
     r1 = pf_eigen(a)
     r2 = pf_eigen(a)
-    assert r1.rho == r2.rho
-    assert (r1.mu == r2.mu).all() and (r1.nu == r2.nu).all()
+    l1 = pf_eigen(a.T)
+    l2 = pf_eigen(a.T)
+    assert r1.rho == r2.rho and l1.rho == l2.rho
+    assert (l1.nu == l2.nu).all() and (r1.nu == r2.nu).all()

@@ -200,21 +200,22 @@ def test_law_rejects_bad_probabilities():
 def test_build_matrix_hand_example():
     m = build_offspring_matrix(TP22, 0.0, 1.0)
     top_pair = 0b110
-    assert m.rate(1, top_pair) == pytest.approx(2.0)
-    assert m.rate(top_pair, 1) == pytest.approx(2.0)
-    assert m.rate(1, 1) == 0.0
+    # row/column index w - 1 holds window w
+    assert m.csr[0, top_pair - 1] == pytest.approx(2.0)
+    assert m.csr[top_pair - 1, 0] == pytest.approx(2.0)
+    assert m.csr[0, 0] == 0.0
 
 
 def test_row_masses_bounded_by_d():
     for tp, p, q in [(TP22, 0.3, 0.2), (TP32, 0.5, 0.1), (TP23, 0.2, 0.4)]:
         m = build_offspring_matrix(tp, p, q)
-        sums = m.row_sums()
+        sums = np.asarray(m.csr.sum(axis=1)).ravel()
         assert (sums <= tp.d + 1e-12).all()
     # equality iff children are a.s. nonempty, e.g. the full window at p=1
-    m = build_offspring_matrix(TP22, 1.0, 0.5)
-    assert m.row_sums()[-1] == pytest.approx(2.0)
+    sums = np.asarray(build_offspring_matrix(TP22, 1.0, 0.5).csr.sum(axis=1)).ravel()
+    assert sums[-1] == pytest.approx(2.0)
     # while the row of {o} keeps a deficit: both top slots can stay closed
-    assert m.row_sums()[0] == pytest.approx(2.0 * (1.0 - 0.25))
+    assert sums[0] == pytest.approx(2.0 * (1.0 - 0.25))
 
 
 @pytest.mark.parametrize("tp", [TP22, TP32])
@@ -224,7 +225,8 @@ def test_root_weight_consistency(tp):
     p, q = 0.4, 0.15
     m = build_offspring_matrix(tp, p, q)
     for a in (1, 2, 5, (1 << tp.window_slots) - 1):
-        via_matrix = sum(rate for b, rate in m.row(a) if b & 1)
+        # column j holds window B = j + 1, which contains the root iff j is even
+        via_matrix = m.csr[a - 1].toarray().ravel()[::2].sum()
         direct = 0.0
         for i in range(1, tp.d + 1):
             pmf = child_window_dist(a, i, p, q, tp)
@@ -240,7 +242,9 @@ def test_matrix_matches_child_dist_rates():
             for w, pr in child_window_dist(a, i, 0.3, 0.2, TP22).items():
                 if w:
                     expect[w] = expect.get(w, 0.0) + pr
-        assert expect == pytest.approx(dict(m.row(a)), abs=1e-14)
+        row = m.csr.getrow(a - 1)
+        got = {int(j) + 1: float(v) for j, v in zip(row.indices, row.data)}
+        assert expect == pytest.approx(got, abs=1e-14)
 
 
 def test_simulate_trivial_cases():
