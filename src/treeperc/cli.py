@@ -119,6 +119,16 @@ def write_output(path: str, write) -> None:
         raise
 
 
+def check_output_path(path: str | None) -> None:
+    """Reject a directory, or a file in a missing directory, as output path."""
+    import os
+
+    if path not in (None, "-") and (
+        os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")
+    ):
+        raise ParameterError(f"output path {path!r} is a directory or lies in a missing one")
+
+
 def emit(args, meta: dict, header: list[str], rows: list[list]):
     """Write one result table as CSV (commented metadata) or JSON."""
 
@@ -429,6 +439,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_output_path(args.out)
+        check_output_path(getattr(args, "dump", None))
         args.func(args)
     except (SizeCapError, FeasibilityError) as exc:
         print(f"treeperc: {exc}", file=sys.stderr)

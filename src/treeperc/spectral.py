@@ -7,7 +7,8 @@ dominant eigenvalue shifts by exactly one.  Convergence is certified by the
 eigen-residual on the *unshifted* matrix, not by iterate distance.
 
 The solve is one-sided; the left Perron pair is the same solve on the
-transpose.
+transpose.  A nilpotent matrix (as at p = q = 0) stalls the iteration, so a
+solve still running at ``NILPOTENCY_CHECK_AT`` steps checks for one once.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .errors import NonConvergenceError, ParameterError, check_tolerance
 DEFAULT_TOL = 1e-12
 #: Iteration budget.  Each step contracts the error by about
 #: (1 + |lambda_2|) / (1 + rho); window-chain solves near rho = 1 take tens of
-#: iterations.  A matrix whose rho is far below one (nilpotent at p = q = 0)
-#: contracts barely or not at all and spends the budget.
+#: iterations.  A matrix whose rho is far below one contracts barely and can
+#: spend the budget.
 MAX_ITER = 10**5
+#: Window-chain solves that converge take a few hundred steps at most.
+NILPOTENCY_CHECK_AT = 1000
 #: Iterations between residual checks.
 CHECK_EVERY = 8
 
@@ -37,22 +40,38 @@ class SpectralResult:
     iterations: int
 
 
-def _as_operator(matrix):
-    """Return (matvec, n) for a dense array, scipy sparse matrix, or an object
-    exposing ``csr`` (the window-chain offspring matrix)."""
+def _as_matrix(matrix):
+    """Return a CSR matrix or a dense array for a dense array, scipy sparse
+    matrix, or an object exposing ``csr`` (the window-chain offspring matrix)."""
     if hasattr(matrix, "csr"):
         matrix = matrix.csr
     if sparse.issparse(matrix):
         matrix = matrix.tocsr()
         if (matrix.data < 0).any():
             raise ParameterError("matrix must be entrywise nonnegative")
-        return matrix.dot, matrix.shape[0]
+        return matrix
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParameterError("matrix must be square")
     if (arr < 0).any():
         raise ParameterError("matrix must be entrywise nonnegative")
-    return arr.dot, arr.shape[0]
+    return arr
+
+
+def _null_vector_if_nilpotent(mat):
+    """M v = 0 for v the indicator of the empty columns, summing to one, if
+    the nonzero pattern has no cycle (M is nilpotent); else None.  Peels empty
+    columns, and the rows of the same index, until none is left; entries are
+    left over exactly when the pattern has a cycle."""
+    pattern = sparse.csr_matrix(mat != 0)
+    in_degree = np.bincount(pattern.indices, minlength=pattern.shape[0])
+    sources = in_degree == 0
+    frontier = np.flatnonzero(sources)
+    while frontier.size:
+        targets = pattern[frontier].indices
+        np.subtract.at(in_degree, targets, 1)
+        frontier = np.unique(targets[in_degree[targets] == 0])
+    return None if in_degree.any() else sources / sources.sum()
 
 
 def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> SpectralResult:
@@ -65,7 +84,8 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
     point beyond the certified tolerance.
     """
     check_tolerance(tol)
-    apply_fn, n = _as_operator(matrix)
+    mat = _as_matrix(matrix)
+    apply_fn, n = mat.dot, mat.shape[0]
     if x0 is not None and x0.shape == (n,) and x0.sum() > 0 and (x0 >= 0).all():
         # blend in the uniform vector: a warm start with structural zeros must
         # not confine the iteration to an invariant subspace
@@ -82,6 +102,8 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
             res = float(np.abs(mv - rho * v).max() / np.abs(v).max())
             if res <= tol:
                 return SpectralResult(rho=rho, nu=v, residual=res, iterations=it)
+        if it == NILPOTENCY_CHECK_AT and (null := _null_vector_if_nilpotent(mat)) is not None:
+            return SpectralResult(rho=0.0, nu=null, residual=0.0, iterations=it)
     raise NonConvergenceError(
         f"power iteration did not reach tolerance {tol} in {MAX_ITER} iterations "
         f"(last residual {res:.3e}); the matrix may be reducible with a "

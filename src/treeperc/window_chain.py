@@ -13,10 +13,13 @@ window ``A`` factorizes:
 
 These are exactly the edges a height-layered exploration has not queried
 before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
-of this law, vectorised over parent windows.  The exact pmf
-(``child_window_dist``), the sparse mean offspring matrix over all nonempty
-windows (``build_offspring_matrix``) and the transition tables of the
-count-level simulation (``simulate_window_chain``) are all read from it.
+of this law, vectorised over parent windows, and the exact pmf
+(``child_window_dist``) reads it directly.  Over all nonempty parent windows,
+the law of one child is one CSR block (``_law_block``): row ``A - 1`` holds
+the outcome windows of positive probability as columns, with column 0 the
+empty window.  The sparse mean offspring matrix (``build_offspring_matrix``)
+is the sum of the d blocks, and the count-level simulation
+(``simulate_window_chain``) samples their rows.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ MAX_TOP_SLOTS = 16
 
 #: Bytes an offspring-matrix build or a count-level chain run may hold.
 MAX_ARRAY_BYTES = 1 << 30
+
+#: Total population at which a count-level chain run stops.
+POPULATION_CAP = 10**8
 
 
 class SparseOffspringMatrix:
@@ -124,9 +130,9 @@ class ChildWindowLaw:
 
 
 def _law_bytes(params: TreeParams) -> int:
-    """Estimated bytes of the child-window law enumerated over every
-    (window, child) pair, once as arrays and once as the copy built from
-    them: n_types * d * 2^t outcomes, 16 bytes each per copy."""
+    """Estimated bytes of the d law blocks: n_types * d * 2^t outcomes, 32
+    bytes each, which covers one child's law arrays while they become its
+    block together with the blocks (or their running sum) already built."""
     n_types = (1 << params.window_slots) - 1
     return 32 * (n_types * params.d << params.n_top_slots)
 
@@ -181,46 +187,36 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
     return pmf
 
 
-def build_offspring_matrix(
-    params: TreeParams, p: float, q: float, *, chunk: int = 2048
-) -> SparseOffspringMatrix:
+def _law_block(child_law: ChildWindowLaw, child: int) -> sparse.csr_matrix:
+    """The law of child ``child`` over every nonempty parent window, as an
+    (n_types, n_types + 1) CSR matrix: row A - 1, column w is the probability
+    of window w, and column 0 the empty window.  The law's rows are already
+    fixed-width CSR rows with increasing columns; zero outcomes are dropped."""
+    n_types = (1 << child_law.params.window_slots) - 1
+    windows, probs = child_law(np.arange(1, n_types + 1, dtype=np.int64), child)
+    width = windows.shape[1]
+    block = sparse.csr_matrix(
+        (probs.ravel(), windows.ravel(), np.arange(0, n_types * width + 1, width)),
+        shape=(n_types, n_types + 1),
+    )
+    block.eliminate_zeros()
+    return block
+
+
+def build_offspring_matrix(params: TreeParams, p: float, q: float) -> SparseOffspringMatrix:
     """Exact mean offspring matrix over all 2^W - 1 nonempty windows.
 
-    M(A, B) is the child-window law summed over the d children.  Rows are
-    built ``chunk`` parent windows at a time, which bounds the law's
-    temporary (chunk, 2^t) arrays.  Raises ``SizeCapError`` before building
-    when the estimated memory exceeds ``MAX_ARRAY_BYTES``.
+    M(A, B) is the child-window law summed over the d children: the running
+    sum of the law blocks, one block at a time, without the empty-window
+    column.  Raises ``SizeCapError`` before building when the estimated
+    memory exceeds ``MAX_ARRAY_BYTES``.
     """
     child_law = ChildWindowLaw(params, p, q)
-    _check_bytes(
-        _law_bytes(params),
-        f"the offspring matrix at (d={params.d}, k={params.k})",
-    )
-    n_types = (1 << params.window_slots) - 1
-    rows_parts, cols_parts, data_parts = [], [], []
-    for start in range(1, n_types + 1, chunk):
-        a = np.arange(start, min(start + chunk, n_types + 1), dtype=np.int64)
-        for i in range(1, params.d + 1):
-            windows, probs = child_law(a, i)
-            keep = (windows > 0) & (probs > 0.0)
-            rows, _ = np.nonzero(keep)
-            # int32 suffices (MAX_WINDOW_BITS is 20) and is the index type
-            # scipy stores, so the COO build makes no wider copy
-            rows_parts.append((rows + (start - 1)).astype(np.int32))
-            cols_parts.append((windows[keep] - 1).astype(np.int32))
-            data_parts.append(probs[keep])
-
-    coo = sparse.coo_matrix(
-        (
-            np.concatenate(data_parts),
-            (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-        ),
-        shape=(n_types, n_types),
-    )
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return SparseOffspringMatrix(params, p, q, csr)
+    _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
+    total = _law_block(child_law, 1)
+    for i in range(2, params.d + 1):
+        total = total + _law_block(child_law, i)
+    return SparseOffspringMatrix(params, p, q, total[:, 1:])
 
 
 def chain_survival(
@@ -230,7 +226,6 @@ def chain_survival(
     depth: int,
     trials: int,
     rng: np.random.Generator,
-    initial=None,
     batch: int = 20000,
 ):
     """Survival frequency of the cluster at a given depth, with binomial SE.
@@ -246,35 +241,12 @@ def chain_survival(
         raise ParameterError(f"depth must be >= k={params.k}")
     generations = depth - params.k + 1
     alive = 0
-    done = 0
-    while done < trials:
+    for done in range(0, trials, batch):
         n = min(batch, trials - done)
-        final, _ = simulate_window_chain(
-            params, p, q, rng, generations, trials=n, initial=initial
-        )
+        final, _ = simulate_window_chain(params, p, q, rng, generations, trials=n)
         alive += int((final.sum(axis=1) > 0).sum())
-        done += n
     freq = alive / trials
     return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
-
-
-def _transition_tables(child_law: ChildWindowLaw):
-    """Per parent window A (list index A-1), one entry per child: the
-    outcome windows of positive probability, in increasing order, as
-    ``(columns of the nonempty outcomes, nonempty mask, probabilities)``.
-    """
-    a = np.arange(1, 1 << child_law.params.window_slots, dtype=np.int64)
-    laws = [child_law(a, i) for i in range(1, child_law.params.d + 1)]
-    tables = []
-    for r in range(len(a)):
-        per_child = []
-        for windows, probs in laws:
-            keep = probs[r] > 0.0
-            outcomes = windows[r, keep]
-            live = outcomes > 0
-            per_child.append((outcomes[live] - 1, live, probs[r, keep]))
-        tables.append(per_child)
-    return tables
 
 
 def simulate_window_chain(
@@ -284,15 +256,14 @@ def simulate_window_chain(
     rng: np.random.Generator,
     generations: int,
     trials: int = 1,
-    initial=None,
-    population_cap: int = 10**8,
 ):
     """Simulate the window chain for many independent trials at once.
 
     Offspring are aggregated per type with multinomial draws, which is the
     exact law of summed i.i.d. child windows, so the cost per generation does
-    not grow with the population size.  Only the current and the next
-    generation are held in memory.
+    not grow with the population size.  The draws for a parent type and a
+    child read that type's row of the child's law block.  Only the current
+    and the next generation are held in memory.
 
     Returns ``(final_counts, x)`` where ``final_counts`` has shape
     (trials, 2^W - 1) with the per-type populations of the last generation
@@ -300,10 +271,10 @@ def simulate_window_chain(
     individuals per generation whose window contains the root, i.e. the
     height-layer occupation counts of the underlying cluster.
 
-    ``initial`` may be a window bitmask (fixed initial type) or a pmf mapping
-    windows to probabilities; default is the root-window law at parameter p.
+    The initial type is drawn from the root-window law at parameter p.
     Raises ``SizeCapError`` before allocating when the estimated memory
-    exceeds ``MAX_ARRAY_BYTES``.
+    exceeds ``MAX_ARRAY_BYTES``, and once the total population exceeds
+    ``POPULATION_CAP``.
     """
     if generations < 0:
         raise ParameterError("generations must be >= 0")
@@ -311,43 +282,37 @@ def simulate_window_chain(
         raise ParameterError("trials must be >= 1")
     child_law = ChildWindowLaw(params, p, q)
     n_types = (1 << params.window_slots) - 1
-    # the law's arrays and their copies in the tables, then two generations
-    # and x
+    # the law blocks, then two generations and x
     _check_bytes(
         _law_bytes(params) + 8 * trials * (2 * n_types + generations + 1),
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
-    tables = _transition_tables(child_law)
+    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
 
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)
     x = np.empty((trials, generations + 1), dtype=np.int64)
-    if initial is None:
-        initial = initial_window_dist(params, p)
-    if isinstance(initial, int):
-        cur[:, initial - 1] = 1
-    else:
-        support = np.array(sorted(initial), dtype=np.int64)
-        pvals = np.array([initial[w] for w in support])
-        pvals = pvals / pvals.sum()
-        drawn = support[rng.choice(len(support), size=trials, p=pvals)]
-        for w in np.unique(drawn):
-            cur[drawn == w, w - 1] = 1
+    support, pvals = map(np.array, zip(*sorted(initial_window_dist(params, p).items())))
+    drawn = support[rng.choice(len(support), size=trials, p=pvals / pvals.sum())]
+    cur[np.arange(trials), drawn - 1] = 1
     # windows holding the root are the odd bitmasks, i.e. the even columns
     x[:, 0] = cur[:, 0::2].sum(axis=1)
 
     for gen in range(generations):
         nxt.fill(0)
-        for a in np.flatnonzero(cur.any(axis=0)) + 1:
-            n_parents = cur[:, a - 1]
-            for cols, live, pvals in tables[a - 1]:
-                draws = rng.multinomial(n_parents, pvals)
-                nxt[:, cols] += draws[:, live]
+        for row in np.flatnonzero(cur.any(axis=0)):
+            n_parents = cur[:, row]
+            for block in blocks:
+                s, e = block.indptr[row], block.indptr[row + 1]
+                draws = rng.multinomial(n_parents, block.data[s:e])
+                outcomes = block.indices[s:e]
+                live = outcomes > 0
+                nxt[:, outcomes[live] - 1] += draws[:, live]
         total = int(nxt.sum())
-        if total > population_cap:
+        if total > POPULATION_CAP:
             raise SizeCapError(
-                f"population {total} exceeds cap {population_cap} at generation {gen + 1}"
+                f"population {total} exceeds cap {POPULATION_CAP} at generation {gen + 1}"
             )
         cur, nxt = nxt, cur
         x[:, gen + 1] = cur[:, 0::2].sum(axis=1)

@@ -235,7 +235,8 @@ def test_dominance_pinned(tmp_path):
     assert out.read_text() == DOMINANCE_CSV
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
     for argv in (
         ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "1:0:0.1"],
         ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:inf:0.1"],
@@ -263,10 +264,17 @@ def test_exit_code_usage(capsys):
          "--trials", "50", "--horizon-low", "-3"],
         ["limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.2",
          "--trials", "20", "--radius", "-1"],
+        # output paths that cannot be written are refused before computing
+        ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", missing],
+        ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", str(tmp_path)],
+        ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--dump", str(tmp_path)],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("treeperc: ") and err.count("\n") == 1, (argv, err)
+        if "--out" in argv or "--dump" in argv:
+            assert repr(argv[-1]) in err, (argv, err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_cap(tmp_path):

@@ -65,6 +65,27 @@ def test_tolerance_floor():
             pf_eigen(a, tol=tol)
 
 
+def test_nilpotent_dense_upper_triangular():
+    a = np.triu(np.random.default_rng(2).random((6, 6)) + 0.1, k=1)
+    res = pf_eigen(a)
+    assert (res.rho, res.residual) == (0.0, 0.0)
+    # only the first column is empty, so the null vector is e_1
+    assert res.nu.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert np.abs(a @ res.nu).max() == 0.0
+    # one cycle, here a self-loop, makes it an ordinary solve again
+    a[3, 3] = 0.5
+    assert pf_eigen(a).rho == pytest.approx(0.5, abs=1e-10)
+
+
+def test_nilpotent_window_matrix():
+    m = build_offspring_matrix(TreeParams(2, 2), 0.0, 0.0)
+    res = pf_eigen(m)
+    assert (res.rho, res.residual) == (0.0, 0.0)
+    assert res.nu.sum() == pytest.approx(1.0, abs=1e-15) and (res.nu >= 0).all()
+    assert np.abs(m.csr @ res.nu).max() == 0.0
+    assert pf_eigen(m.csr.T).rho == 0.0
+
+
 def test_rejects_negative_entries():
     with pytest.raises(ParameterError):
         pf_eigen([[1.0, -0.5], [0.0, 1.0]])

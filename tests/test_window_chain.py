@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, explore_layers, make_oracle
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
+    _law_bytes,
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
@@ -187,6 +190,104 @@ def test_matrix_matches_scalar_reference(tp, p, q):
     assert np.abs(m - dense).max() <= 1e-15
 
 
+# sha256 of the mean matrix's CSR indptr, indices and data bytes, recorded
+# from the per-chunk COO assembly that the law blocks replaced
+CSR_SHA256 = {
+    ((2, 2), 0.0, 0.0): (
+        "272c06cff073e73c0604bef1707b24db80531d7b4327bee59f30395ba6f9f165",
+        "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        "c361da6e6fe97119d62c8b137be88b405d8a8a7d6990d8ee85b5024088f587dc",
+    ),
+    ((2, 2), 0.25, 0.03): (
+        "dfb8051a13ae61fde91f504b71d47c05785397a9afebe4ffdaaf8aa2545c99f0",
+        "efade3b6d723e5f87ebc6e97e9195e941b4237d3a2281c5a42e85c35ca3b3d4a",
+        "e1ce67243d1be7f23a7940ff6fb20444e0cf8832a3332d76dd27805e46cb0b79",
+    ),
+    ((2, 2), 1.0, 0.5): (
+        "b00069b942b5edf4adf777040f916874e77d1012f8f86df6f5c28620e7efee33",
+        "4d2f3312e0e3b394bed66f319ea7ebc516e158e2d6bf81411569fa6411b57479",
+        "32af337baf1127317a0f9e69b8a84fb904d8f1ad403a9440586bdf612b281c6f",
+    ),
+    ((2, 2), 0.1, 1.0): (
+        "242eb8ecb9aa7ddef1326c11e96a764528dd7edead2160867c6e8db6b444b9a8",
+        "dfde1b472cefb2faaf8bd599bc01c3b494327b4f485c27cb68f503023daa1c9f",
+        "3731b2d49eddebbec01977548de96a370126f22ac8dcadcffd1d05b50b9519bc",
+    ),
+    ((2, 3), 0.0, 0.0): (
+        "f019da1ef33c84f92e6632963d589c2eea5414cbd8f42809b3dd8c9b75600ade",
+        "138baaa9bb7ee0af08f003dc56d31c2d5aa69dcd5aaed9b3b38d0c10775338d5",
+        "f8c36afcffac205c16234daa160e15c98eda879595bb1e56f6740e82594bdf81",
+    ),
+    ((2, 3), 0.25, 0.03): (
+        "bdd2bfc550a5ac431276852e94047080077a6e00638f064ccf599535d582ae2b",
+        "c6345a88f311c15c3f56e7a5f0a0f95f09612472f508a150a19888c9590ae705",
+        "b6cdaf04591b6eef144534065020bee290949542c210a81213379a4b7f16a73a",
+    ),
+    ((2, 3), 1.0, 0.5): (
+        "e24016fa05c7bb9995f8e56c24176a2e5b8b1ff180f56939ceaba3eebb50bc5f",
+        "d8c444d124e027b3c0392e6d7d6fe39dc92e783edafc2f36b3f43ecbee4f4a6e",
+        "17b4d10854e61950b22ebacf7a3d0cdaaa20cb13cc2f44afb81c6403a13ececd",
+    ),
+    ((2, 3), 0.1, 1.0): (
+        "32d7f0affe531ff02abd771542a500c1eaafdeebf7aaa5ce01f7f0c4cbda09f6",
+        "a8202579280c95c4957e9d3297bff1a206dc98e97bb08f28ca2057a80507c92b",
+        "1135cbb4b3c7ece584d86833bbd361f9e17663597e2f661f7d95e74cb7409854",
+    ),
+    ((3, 2), 0.0, 0.0): (
+        "51aac7a5128abd07e97b0610749e6365b1010e57b453e299c75758a5fc0930cf",
+        "d4817aa5497628e7c77e6b606107042bbba3130888c5f47a375e6179be789fbb",
+        "ca8dbac2b784d2b0a39c3ad7e54897d6a990b759026cee82a4fe734f8bef5c13",
+    ),
+    ((3, 2), 0.25, 0.03): (
+        "692666a95175f87d2754d1c6e2072d00f525661f8fea5bcf95ef71000c01a3dd",
+        "c829eb2d2aade761f9d7adc38f10cb1e1265b3efb124661db300ef525999ed7b",
+        "addad7c96c65abba6067017a455b9fd0ac056f556181a98b91f2426b054e6fba",
+    ),
+    ((3, 2), 1.0, 0.5): (
+        "dd39fb2b2153c43a4a830799ad188a1cf58ad03c7333ce1110231e0ad0c49b7f",
+        "5ed61bddf11f07b4524d6097269e0ce58e39ba0648b84260e43e771376ad2f16",
+        "086f05044846dab079d4a4320e652af834ae7a52b03e2ccb6b135ef4a72e365e",
+    ),
+    ((3, 2), 0.1, 1.0): (
+        "37d31a3f8b1cd08848c504e0b48f9b5a281b3656932eac2d21689e7e80098d8f",
+        "289ffdcd40c282b6378da0f3cd8962ba7b0e4daf2e2ee51acc8619a1bf93fced",
+        "7be5c08232f3ff9eb46a93c69f6dbafa01585c6d57cc053c5272ef07ac968274",
+    ),
+    ((2, 4), 0.25, 0.03): (
+        "eb0619a4522fbe555ffabc10370408a96d21939b35fd0b5341212918db210834",
+        "45e132999d5d816b6714c90abbf0b37f632482d4b97e18513ae546f547e83887",
+        "36e0e78ff83f9691cd57c4eed996db8542b4ffe5ec03bc924b0420d4e16ce970",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", list(CSR_SHA256))
+def test_matrix_csr_pinned(point):
+    (d, k), p, q = point
+    csr = build_offspring_matrix(TreeParams(d, k), p, q).csr
+    assert csr.has_canonical_format
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (csr.indptr, csr.indices, csr.data))
+    assert got == CSR_SHA256[point]
+
+
+def test_law_bytes_bounds_traced_peak():
+    # the estimate behind both memory caps covers the matrix build and the
+    # chain's law blocks
+    tp = TreeParams(3, 3)
+    runs = (
+        lambda: build_offspring_matrix(tp, 0.2, 0.05),
+        lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _law_bytes(tp)
+
+
 def test_law_rejects_bad_probabilities():
     for p, q in [(1.5, 0.1), (-0.5, 0.1), (0.2, math.nan), (0.2, 1.0000001)]:
         with pytest.raises(ParameterError):
@@ -248,17 +349,19 @@ def test_matrix_matches_child_dist_rates():
 
 
 def test_simulate_trivial_cases():
+    # at p = 0 every trial starts from the root-window law's point mass {o}
     rng = np.random.default_rng(0)
-    _, x = simulate_window_chain(TP22, 0.0, 0.0, rng, 4, trials=8, initial=1)
+    _, x = simulate_window_chain(TP22, 0.0, 0.0, rng, 4, trials=8)
     assert (x[:, 0] == 1).all() and (x[:, 1:] == 0).all()
-    _, x = simulate_window_chain(TP22, 0.0, 1.0, rng, 4, trials=8, initial=1)
+    _, x = simulate_window_chain(TP22, 0.0, 1.0, rng, 4, trials=8)
     assert (x == [1, 0, 4, 0, 16]).all()
 
 
-def test_simulate_population_cap():
+def test_simulate_population_cap(monkeypatch):
+    monkeypatch.setattr("treeperc.window_chain.POPULATION_CAP", 10**4)
     rng = np.random.default_rng(0)
     with pytest.raises(SizeCapError):
-        simulate_window_chain(TP22, 1.0, 1.0, rng, 30, trials=4, population_cap=10**4)
+        simulate_window_chain(TP22, 1.0, 1.0, rng, 30, trials=4)
 
 
 def test_simulate_memory_cap_before_allocating():
@@ -292,10 +395,11 @@ def test_chain_outputs_pinned():
 
 def test_chain_survival_trivial():
     rng = np.random.default_rng(1)
-    freq, se = chain_survival(TP22, 0.0, 0.0, 10, 500, rng, initial=1)
+    # p = q = 0: the root-window law is the point mass {o}, which has no
+    # offspring
+    freq, se = chain_survival(TP22, 0.0, 0.0, 10, 500, rng)
     assert freq == 0.0
-    # from the root-window law, p=1 starts at the full window and lives on
-    # (a fixed start at {o} would instead condition the short edges closed)
+    # p = 1 starts at the full window and lives on
     freq, _ = chain_survival(TP22, 1.0, 0.0, 10, 500, rng)
     assert freq == 1.0
 
