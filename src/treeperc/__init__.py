@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .coupling import (
     HatConfig,
-    PhiMap,
     dominance_test,
     explore_hat_to_C,
     finite_coupling,

@@ -66,13 +66,6 @@ def parent(v: tuple) -> tuple:
     return v[:-1]
 
 
-def ancestor_at(v: tuple, m: int) -> tuple:
-    """Ancestor of v obtained by stripping the last m digits."""
-    if m < 0 or m > len(v):
-        raise ValueError(f"cannot go up {m} levels from a height-{len(v)} vertex")
-    return v[: len(v) - m]
-
-
 def slot_index(u: tuple, params: TreeParams) -> int:
     """Breadth-first slot of a window vertex: slot(o)=0, slot(u.j)=d*slot(u)+j."""
     if len(u) >= params.k:

@@ -14,15 +14,20 @@ window ``A`` factorizes:
 These are exactly the edges a height-layered exploration has not queried
 before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
 of this law, vectorised over parent windows, and the exact pmf
-(``child_window_dist``) reads it directly.  Over all nonempty parent windows,
-the law of one child is one CSR block (``_law_block``): row ``A - 1`` holds
-the outcome windows of positive probability as columns, with column 0 the
-empty window.  The sparse mean offspring matrix (``build_offspring_matrix``)
-is the sum of the d blocks, and the count-level simulation
-(``simulate_window_chain``) samples their rows.
+(``child_window_dist``) reads it directly.  Over a set of parent windows,
+the law of one child is one CSR block (``_law_block``): one row per parent,
+and a column map collects the outcomes of positive probability into columns,
+column 0 the empty window.  The sparse mean offspring matrix
+(``build_offspring_matrix``) is the sum of the d blocks.  Over all nonempty
+windows, with window w as column w, it is the full matrix, and the
+count-level simulation (``simulate_window_chain``) samples the rows of its
+blocks.  Over one representative per window orbit (``window_orbits``), with
+the orbit ids as columns, it is the lumped quotient that ``critical`` solves.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -41,10 +46,12 @@ POPULATION_CAP = 10**8
 
 
 class SparseOffspringMatrix:
-    """Mean offspring rates M(A, B) over nonempty windows, stored row-sparse.
+    """Mean offspring rates M(A, B) over nonempty types, stored row-sparse.
 
-    Windows are encoded as bitmask integers in [1, 2^W); row/column index
-    ``w - 1`` corresponds to window ``w``.
+    A type is a window or a window orbit.  Windows are encoded as bitmask
+    integers in [1, 2^W), and orbits by their ids in [1, n_orbits) from
+    ``window_orbits``; row/column index ``i - 1`` names window or orbit
+    ``i``.
     """
 
     def __init__(self, params: TreeParams, p: float, q: float, csr: sparse.csr_matrix):
@@ -89,6 +96,14 @@ def _child_slot_maps(params: TreeParams):
     return low_targets, top_sources
 
 
+def _check_top_slots(params: TreeParams) -> None:
+    if params.n_top_slots > MAX_TOP_SLOTS:
+        raise SizeCapError(
+            f"a child-window law has 2^{params.n_top_slots} outcomes; "
+            f"(d={params.d}, k={params.k}) exceeds the enumeration cap"
+        )
+
+
 class ChildWindowLaw:
     """One-step law of the window of child ``i`` given parent windows ``A``.
 
@@ -102,11 +117,7 @@ class ChildWindowLaw:
 
     def __init__(self, params: TreeParams, p: float, q: float):
         check_probabilities(p=p, q=q)
-        if params.n_top_slots > MAX_TOP_SLOTS:
-            raise SizeCapError(
-                f"a child-window law has 2^{params.n_top_slots} outcomes; "
-                f"(d={params.d}, k={params.k}) exceeds the enumeration cap"
-            )
+        _check_top_slots(params)
         self.params = params
         self.p = p
         self.q = q
@@ -129,18 +140,54 @@ class ChildWindowLaw:
         return det[:, None] | self._top_windows, probs
 
 
-def _law_bytes(params: TreeParams) -> int:
-    """Estimated bytes of the d law blocks: n_types * d * 2^t outcomes, 32
-    bytes each, which covers one child's law arrays while they become its
-    block together with the blocks (or their running sum) already built."""
-    n_types = (1 << params.window_slots) - 1
-    return 32 * (n_types * params.d << params.n_top_slots)
+@lru_cache(maxsize=None)
+def window_orbits(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit id of every window bitmask in [0, 2^W), and one representative
+    per nonempty orbit.
+
+    Two windows share an orbit iff a slab automorphism maps one onto the
+    other, i.e. iff they are isomorphic as bit-labelled rooted trees.  Ids are
+    canonical codes built bottom-up (Aho, Hopcroft & Ullman, 1974): a vertex's
+    code is (its bit, the sorted codes of its children), numbered over all
+    vertices of one height at once, so the empty window has id 0.
+    ``reps[j]`` is the smallest window of orbit ``j + 1``.  Both arrays are
+    read-only and computed once per (d, k).  Only law blocks use them, so
+    sizes whose law cannot be enumerated are refused before the table.
+    """
+    _check_top_slots(params)
+    d, n = params.d, 1 << params.window_slots
+    # bits[w, s] is slot s of window w, one byte each
+    as_bytes = np.arange(n, dtype="<u4").view(np.uint8).reshape(n, 4)
+    bits = np.unpackbits(as_bytes, axis=1, count=params.window_slots, bitorder="little")
+    lo, hi = params.top_slot_base, params.window_slots
+    codes, n_codes = bits[:, lo:hi], 2  # a top slot's code is its bit
+    while lo > 0:
+        lo, hi = (lo - 1) // d, lo  # one height nearer the root; slot s has children d*s+1..d*s+d
+        children = np.sort(codes.reshape(n, hi - lo, d), axis=2)
+        key = bits[:, lo:hi].astype(np.int64)
+        for c in range(d):  # mixed radix, below 2^21 at every admissible size
+            key = key * n_codes + children[:, :, c]
+        ids, codes = np.unique(key.ravel(), return_inverse=True)
+        codes = codes.reshape(key.shape)
+        n_codes = len(ids)
+    orbit = codes[:, 0]
+    reps = np.unique(orbit, return_index=True)[1][1:]
+    orbit.flags.writeable = reps.flags.writeable = False
+    return orbit, reps
+
+
+def _law_bytes(params: TreeParams, n_rows: int) -> int:
+    """Estimated bytes of the d law blocks over ``n_rows`` parent windows:
+    the 8 * 2^W-byte column map, and n_rows * d * 2^t outcomes at 32 bytes
+    each, which covers one child's law arrays while they become its block
+    together with the blocks (or their running sum) already built."""
+    return (8 << params.window_slots) + 32 * (n_rows * params.d << params.n_top_slots)
 
 
 def _check_bytes(need: int, what: str) -> None:
     if need > MAX_ARRAY_BYTES:
         raise SizeCapError(
-            f"{what} needs about {need / 2**30:.1f} GiB, above the cap of "
+            f"{what} needs about {need / 2**30:.2f} GiB, above the cap of "
             f"{MAX_ARRAY_BYTES / 2**30:.1f} GiB"
         )
 
@@ -187,35 +234,53 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
     return pmf
 
 
-def _law_block(child_law: ChildWindowLaw, child: int) -> sparse.csr_matrix:
-    """The law of child ``child`` over every nonempty parent window, as an
-    (n_types, n_types + 1) CSR matrix: row A - 1, column w is the probability
-    of window w, and column 0 the empty window.  The law's rows are already
-    fixed-width CSR rows with increasing columns; zero outcomes are dropped."""
-    n_types = (1 << child_law.params.window_slots) - 1
-    windows, probs = child_law(np.arange(1, n_types + 1, dtype=np.int64), child)
+def _full_space(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty window as a row, and window w as column w."""
+    cols = np.arange(1 << params.window_slots, dtype=np.int64)
+    return cols[1:], cols
+
+
+def _law_block(child_law: ChildWindowLaw, child: int, rows: np.ndarray, cols: np.ndarray):
+    """The law of child ``child`` given each parent window in ``rows``, as a
+    CSR matrix with one row per entry of ``rows``: column ``cols[w]`` holds
+    the summed probability of all outcome windows w it collects, and column
+    ``cols[0] = 0`` the empty window.  Over the full space (``_full_space``)
+    the law's rows are already fixed-width CSR rows with increasing columns
+    and nothing is summed.  Zero outcomes are dropped."""
+    windows, probs = child_law(rows, child)
+    windows = cols[windows]  # from here on, the outcomes' columns
     width = windows.shape[1]
     block = sparse.csr_matrix(
-        (probs.ravel(), windows.ravel(), np.arange(0, n_types * width + 1, width)),
-        shape=(n_types, n_types + 1),
+        (probs.ravel(), windows.ravel(), np.arange(0, len(rows) * width + 1, width)),
+        shape=(len(rows), int(cols.max()) + 1),
     )
+    block.sum_duplicates()
     block.eliminate_zeros()
     return block
 
 
-def build_offspring_matrix(params: TreeParams, p: float, q: float) -> SparseOffspringMatrix:
-    """Exact mean offspring matrix over all 2^W - 1 nonempty windows.
+def build_offspring_matrix(
+    params: TreeParams, p: float, q: float, rows=None, cols=None
+) -> SparseOffspringMatrix:
+    """Exact mean offspring matrix M(A, B), the child-window law summed over
+    the d children: the running sum of the law blocks, one block at a time,
+    without the empty-window column.
 
-    M(A, B) is the child-window law summed over the d children: the running
-    sum of the law blocks, one block at a time, without the empty-window
-    column.  Raises ``SizeCapError`` before building when the estimated
-    memory exceeds ``MAX_ARRAY_BYTES``.
+    By default (``_full_space``) it spans all 2^W - 1 nonempty windows.  With
+    ``rows`` the orbit representatives and ``cols`` the orbit table of
+    ``window_orbits`` it is the orbit quotient M_L(O, O') = sum over B
+    in O' of M(rep O, B).  Raises ``SizeCapError`` before building when the
+    estimated memory exceeds ``MAX_ARRAY_BYTES``.
     """
     child_law = ChildWindowLaw(params, p, q)
-    _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
-    total = _law_block(child_law, 1)
+    if rows is None:
+        rows, cols = _full_space(params)
+    _check_bytes(
+        _law_bytes(params, len(rows)), f"the offspring matrix at (d={params.d}, k={params.k})"
+    )
+    total = _law_block(child_law, 1, rows, cols)
     for i in range(2, params.d + 1):
-        total = total + _law_block(child_law, i)
+        total = total + _law_block(child_law, i, rows, cols)
     return SparseOffspringMatrix(params, p, q, total[:, 1:])
 
 
@@ -284,11 +349,12 @@ def simulate_window_chain(
     n_types = (1 << params.window_slots) - 1
     # the law blocks, then two generations and x
     _check_bytes(
-        _law_bytes(params) + 8 * trials * (2 * n_types + generations + 1),
+        _law_bytes(params, n_types) + 8 * trials * (2 * n_types + generations + 1),
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
-    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
+    space = _full_space(params)
+    blocks = [_law_block(child_law, i, *space) for i in range(1, params.d + 1)]
 
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)

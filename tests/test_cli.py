@@ -318,8 +318,10 @@ VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5
 # Grid steps stay coarse enough that a valid grid holds a few points.
 STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
 TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
-# One exact solve at (3,3) takes seconds and about 0.4 GB, so the commands
-# that build the mean matrix or the chain tables draw from the cheaper sizes.
+# `matrix` and `survival --method chain` build the full window matrix or the
+# chain's law blocks, which at (3,3) take seconds and about 0.4 GB, so they
+# draw from the cheaper sizes.  The q_c commands solve on the 239 window
+# orbits at (3,3), which costs milliseconds per solve, and draw from all sizes.
 OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
 ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
 EXAMPLE_SECONDS = 10
@@ -329,7 +331,8 @@ EXAMPLE_SECONDS = 10
 def cli_argvs(draw):
     command = draw(st.sampled_from(["qc-point", "qc-curve", "matrix", "survival"]))
     method = draw(st.sampled_from(["chain", "direct"])) if command == "survival" else None
-    d, k = draw(st.sampled_from(ALL_SIZES if method == "direct" else OPERATOR_SIZES))
+    full_space = command == "matrix" or method == "chain"
+    d, k = draw(st.sampled_from(OPERATOR_SIZES if full_space else ALL_SIZES))
     argv = [command, f"--d={d}", f"--k={k}"]
     if command == "qc-curve":
         argv.append(f"--p-grid={draw(VALUES)}:{draw(VALUES)}:{draw(STEPS)}")

@@ -10,7 +10,9 @@ from treeperc.critical import (
     s_star,
 )
 from treeperc.errors import ConsistencyError, ParameterError
+from treeperc.spectral import pf_eigen
 from treeperc.tree import TreeParams
+from treeperc.window_chain import build_offspring_matrix
 
 TP = TreeParams(2, 2)
 
@@ -23,11 +25,31 @@ def test_rho_boundary_values():
 def test_rho_q_zero_matches_dense_eigensolve():
     # with long edges closed the chain only shifts windows around; the
     # spectral radius is pd, computed here by brute force on the 7x7 matrix
-    from treeperc.window_chain import build_offspring_matrix
-
     m = build_offspring_matrix(TP, 0.3, 0.0).csr.toarray()
     brute = max(abs(np.linalg.eigvals(m)))
     assert brute == pytest.approx(0.3 * 2, abs=1e-12)
+
+
+# (d, k, p, q): near and away from q_c, and at the corners of the square
+RHO_POINTS = [
+    (d, k, p, q)
+    for d, k in [(2, 2), (2, 3), (3, 2)]
+    for p, q in [(0.0, 0.3), (0.2, 0.1), (0.25, 1.0), (1.0, 0.0), (0.1, 0.05)]
+] + [
+    (3, 3, 0.1, 0.03),
+    (3, 3, 0.3, 0.5),
+    (2, 4, 0.25, 0.0315),
+    (2, 4, 0.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("d, k, p, q", RHO_POINTS)
+def test_quotient_rho_matches_full_rho(d, k, p, q):
+    # rho solves the orbit quotient; the full window matrix has the same
+    # Perron root
+    tp, tol = TreeParams(d, k), 1e-12
+    full = pf_eigen(build_offspring_matrix(tp, p, q), tol=tol)
+    assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
 
 
 def test_qc_known_endpoint():

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from treeperc.errors import OutOfSlabError, ParameterError
 from treeperc.tree import (
     TreeParams,
-    ancestor_at,
     height,
     long_selector,
     long_selector_index,
@@ -40,7 +39,6 @@ def test_params_counts():
 def test_basic_addressing():
     assert height(()) == 0
     assert parent((1, 2)) == (1,)
-    assert ancestor_at((1, 2, 1), 2) == (1,)
     with pytest.raises(ValueError):
         parent(())
 

@@ -15,6 +15,7 @@ from treeperc.window_chain import (
     child_window_dist,
     initial_window_dist,
     simulate_window_chain,
+    window_orbits,
 )
 
 TP22 = TreeParams(2, 2)
@@ -270,22 +271,52 @@ def test_matrix_csr_pinned(point):
     assert got == CSR_SHA256[point]
 
 
+def quotient_matrix(tp, p, q):
+    orbit, reps = window_orbits(tp)
+    return build_offspring_matrix(tp, p, q, rows=reps, cols=orbit)
+
+
 def test_law_bytes_bounds_traced_peak():
-    # the estimate behind both memory caps covers the matrix build and the
-    # chain's law blocks
+    # the estimate behind both memory caps covers the full and the quotient
+    # build, the latter with its orbit table computed inside the trace, and
+    # the chain's law blocks
     tp = TreeParams(3, 3)
+    n_types = (1 << tp.window_slots) - 1
+    n_orbits = 239
+
+    def quotient():
+        window_orbits.cache_clear()
+        quotient_matrix(tp, 0.2, 0.05)
+
     runs = (
-        lambda: build_offspring_matrix(tp, 0.2, 0.05),
-        lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0),
+        (lambda: build_offspring_matrix(tp, 0.2, 0.05), n_types),
+        (quotient, n_orbits),
+        (lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0), n_types),
     )
-    for run in runs:
+    for run, n_rows in runs:
         tracemalloc.start()
         try:
             run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= _law_bytes(tp)
+        assert peak <= _law_bytes(tp, n_rows)
+
+
+@pytest.mark.parametrize("tp", [TP22, TP23, TP32])
+@pytest.mark.parametrize("p, q", [(0.0, 0.2), (0.3, 0.2), (1.0, 0.0), (0.3, 1.0), (0.2, 0.0861)])
+def test_quotient_is_lumped_full_matrix(tp, p, q):
+    # every member of an orbit has, summed over each orbit's columns, the
+    # quotient row of the orbit's representative
+    orbit, reps = window_orbits(tp)
+    n_types, n_orbits = (1 << tp.window_slots) - 1, len(reps)
+    full = build_offspring_matrix(tp, p, q).csr.toarray()
+    lumped = quotient_matrix(tp, p, q)
+    assert lumped.n_types == n_orbits and lumped.csr.has_canonical_format
+    collect = np.zeros((n_types, n_orbits))
+    collect[np.arange(n_types), orbit[1:] - 1] = 1.0
+    expect = lumped.csr.toarray()[orbit[1:] - 1]
+    assert np.abs(full @ collect - expect).max() <= 1e-15
 
 
 def test_law_rejects_bad_probabilities():
@@ -417,3 +448,83 @@ def test_mean_x1_matches_direct_exploration():
     direct_mean = tot / trials
     se = math.hypot(float(x[:, 1].std()) / math.sqrt(trials), 0.02)
     assert abs(chain_mean - direct_mean) < 3 * max(se, 0.02)
+
+
+def swap_subtrees(tp, at, a, b):
+    """The window map of the slab automorphism that swaps the subtrees below
+    children ``at + (a,)`` and ``at + (b,)``, as an array over all windows."""
+    windows = np.arange(1 << tp.window_slots, dtype=np.int64)
+    image = np.zeros_like(windows)
+    h = len(at)
+    for s in range(tp.window_slots):
+        v = slot_vertex(s, tp)
+        if len(v) > h and v[:h] == at and v[h] in (a, b):
+            v = v[:h] + (a + b - v[h],) + v[h + 1 :]
+        image |= (windows >> s & 1) << slot_index(v, tp)
+    return image
+
+
+def swap_generators(tp):
+    """Adjacent child swaps below every vertex of height <= k-2; together
+    they generate the slab's automorphism group."""
+    return [
+        swap_subtrees(tp, slot_vertex(s, tp), a, a + 1)
+        for s in range(tp.top_slot_base)
+        for a in range(1, tp.d)
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, k, nonempty", [(2, 2, 5), (2, 3, 41), (3, 2, 7), (3, 3, 239), (2, 4, 1805)]
+)
+def test_window_orbit_counts(d, k, nonempty):
+    tp = TreeParams(d, k)
+    orbit, reps = window_orbits(tp)
+    assert orbit.shape == (1 << tp.window_slots,) and orbit[0] == 0
+    # f(0) = 2, f(h) = 2 C(f(h-1) + d - 1, d) orbits of height-h subtrees
+    f = 2
+    for _ in range(k - 1):
+        f = 2 * math.comb(f + d - 1, d)
+    assert len(reps) == nonempty == f - 1
+    # reps[j] is the smallest window of orbit j + 1
+    assert (orbit[reps] == np.arange(1, nonempty + 1)).all()
+    first = np.unique(orbit, return_index=True)[1]
+    assert (reps == first[1:]).all()
+    assert not orbit.flags.writeable and not reps.flags.writeable
+
+
+def test_window_orbits_refuse_sizes_without_a_law():
+    # 2^17 top-slot outcomes: no law block can use the table, so it is not built
+    with pytest.raises(SizeCapError):
+        window_orbits(TreeParams(17, 2))
+
+
+@pytest.mark.parametrize("tp", [TP23, TreeParams(2, 4)])
+def test_window_orbits_invariant_under_swaps(tp):
+    orbit, _ = window_orbits(tp)
+    root_swap = swap_subtrees(tp, (), 1, 2)
+    depth1_swap = swap_subtrees(tp, (1,), 1, 2)
+    assert (orbit[root_swap] == orbit).all()
+    assert (orbit[depth1_swap] == orbit).all()
+    # both move windows: {(1,)} to {(2,)}, and {(1,1)} to {(1,2)}
+    assert root_swap[1 << 1] == 1 << 2
+    assert depth1_swap[1 << 3] == 1 << 4
+
+
+@pytest.mark.parametrize("tp", [TP22, TP23, TP32, TreeParams(3, 3)])
+def test_window_orbits_are_automorphism_orbits(tp):
+    # label each window by the smallest window reachable under the
+    # generators: the orbit partition found by brute force
+    label = np.arange(1 << tp.window_slots)
+    generators = swap_generators(tp)
+    while True:
+        nxt = label
+        for g in generators:
+            nxt = np.minimum(nxt, nxt[g])
+        if (nxt == label).all():
+            break
+        label = nxt
+    orbit, reps = window_orbits(tp)
+    assert len(np.unique(label)) == len(reps) + 1
+    # the two labellings determine each other
+    assert (label == label[np.concatenate([[0], reps])][orbit]).all()
