@@ -22,7 +22,6 @@ from .percolation import (
     explore_layers,
     long_boundary,
     short_cluster,
-    simulate_z_first,
 )
 from .spectral import pf_eigen
 from .tree import TreeParams

@@ -174,6 +174,8 @@ def cmd_qc_curve(args):
 
 
 def cmd_asymptotics(args):
+    if args.k_min > args.k_max:
+        raise ParameterError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     rows = asymptotics_table(
         args.p, range(args.k_min, args.k_max + 1), args.d, tol=args.tol
     )
@@ -200,6 +202,8 @@ def cmd_survival(args):
 
 def cmd_limits(args):
     params = TreeParams(args.d, args.k)
+    if args.regime != "critical" and args.q is None:
+        raise ParameterError(f"--regime {args.regime} needs --q")
     if args.regime != "critical" and args.horizon < 0:
         raise ParameterError(f"--horizon must be >= 0, got {args.horizon}")
     if args.regime == "super":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import FeasibilityError, ParameterError, check_probabilities
 from .percolation import reach
 from .rng import EdgeOracle, derive_trial_seed
-from .tree import TreeParams, long_selector, long_selector_index
+from .tree import TreeParams, long_selector
 
 
 class PhiMap:
@@ -50,28 +50,6 @@ class PhiMap:
         if self.is_long_digit(j):
             return long_selector(j - self.params.d - 1, self.params)
         return (j,)
-
-    def phi_inv(self, block: tuple) -> int:
-        """Cover digit of a single digit or a k-digit block."""
-        if len(block) == 1:
-            j = block[0]
-            if not 1 <= j <= self.params.d:
-                raise ParameterError(f"digit {j} outside [1, {self.params.d}]")
-            return j
-        if len(block) == self.params.k:
-            return self.params.d + 1 + long_selector_index(block, self.params)
-        raise ParameterError(f"block length must be 1 or k, got {len(block)}")
-
-    def map(self, vhat: tuple) -> tuple:
-        out: tuple = ()
-        for j in vhat:
-            out += self.phi(j)
-        return out
-
-    def image_height(self, vhat: tuple) -> int:
-        """Height of the image: short digits weigh 1, long digits weigh k."""
-        k, d = self.params.k, self.params.d
-        return sum(k if j > d else 1 for j in vhat)
 
 
 def leaf_band(params: TreeParams) -> tuple[int, int]:
@@ -134,9 +112,6 @@ class HatConfig:
         self._memo[vhat] = out
         return out
 
-    def is_open(self, vhat: tuple, digit: int) -> bool:
-        return digit in self.open_digits(vhat)
-
 
 def omega_bar(params: TreeParams) -> HatConfig:
     """The distinguished configuration: all root edges open, subtrees under
@@ -194,7 +169,6 @@ class HatExploration:
 
     vertices: set  # constructed subgraph of the two-range slab
     edges: set  # (tail, head) pairs, both edge kinds
-    hat_explored: set  # cover vertices visited without conflict
     conflicts: set  # cover vertices whose image was already present
 
     def leaf_count(self, params: TreeParams) -> int:
@@ -205,25 +179,28 @@ class HatExploration:
 def explore_hat_to_C(params: TreeParams, config: HatConfig) -> HatExploration:
     """Build a two-range subgraph from a cover configuration.
 
-    Alternating rounds: short closure from the root, a long round from
-    everything explored, a short closure from the long round's additions, and
-    a final long round.  A cover vertex whose image is already present is a
-    conflict: its edge is added but its subtree is never explored.  The
-    construction leaves the cover cluster's law intact on the explored part
-    while its image never double-counts a slab vertex, which forces the leaf
-    count of the image to be at most the cover cluster's.
+    Four closures, each over the open edges of one kind: short edges from the
+    root, long edges from everything explored, short edges from the vertices
+    the long closure added, and long edges from the vertices that closure
+    added.  A cover vertex whose image is already present is a conflict: its
+    edge is added but its subtree is never explored.  The construction leaves
+    the cover cluster's law intact on the explored part while its image never
+    double-counts a slab vertex, which forces the leaf count of the image to
+    be at most the cover cluster's.
     """
     phi_map = config.phi_map
     d, k = params.d, params.k
     cut = 2 * params.k
     c_vertices = {()}
     c_edges: set = set()
-    hat_explored = {()}
+    explored = {()}  # cover vertices visited without conflict
     conflicts: set = set()
     # cover vertices carried as (path, image height, image vertex)
     root = ((), 0, ())
 
-    def short_closure(frontier):
+    def closure(frontier, long: bool):
+        """Depth-first walk from ``frontier`` over open long edges, or over
+        open short edges; returns the cover vertices it added."""
         added = []
         stack = list(frontier)
         while stack:
@@ -231,35 +208,10 @@ def explore_hat_to_C(params: TreeParams, config: HatConfig) -> HatExploration:
             if w >= cut:
                 continue
             for j in config.open_digits(u):
-                if j > d:
+                if (j > d) != long:
                     continue
                 v = u + (j,)
-                if v in hat_explored or v in conflicts:
-                    continue
-                head_img = img + (j,)
-                c_edges.add((img, head_img))
-                if head_img in c_vertices:
-                    conflicts.add(v)
-                    continue
-                c_vertices.add(head_img)
-                hat_explored.add(v)
-                node = (v, w + 1, head_img)
-                added.append(node)
-                stack.append(node)
-        return added
-
-    def long_round(frontier):
-        added = []
-        stack = list(frontier)
-        while stack:
-            u, w, img = stack.pop()
-            if w >= cut:
-                continue
-            for j in config.open_digits(u):
-                if j <= d:
-                    continue
-                v = u + (j,)
-                if v in hat_explored or v in conflicts:
+                if v in explored or v in conflicts:
                     continue
                 head_img = img + phi_map.phi(j)
                 c_edges.add((img, head_img))
@@ -267,22 +219,17 @@ def explore_hat_to_C(params: TreeParams, config: HatConfig) -> HatExploration:
                     conflicts.add(v)
                     continue
                 c_vertices.add(head_img)
-                hat_explored.add(v)
-                node = (v, w + k, head_img)
+                explored.add(v)
+                node = (v, w + (k if long else 1), head_img)
                 added.append(node)
                 stack.append(node)
         return added
 
-    step1 = short_closure([root])
-    step2 = long_round([root] + step1)
-    step3 = short_closure(step2)
-    long_round(step3)
-    return HatExploration(
-        vertices=c_vertices,
-        edges=c_edges,
-        hat_explored=hat_explored,
-        conflicts=conflicts,
-    )
+    step1 = closure([root], long=False)
+    step2 = closure([root] + step1, long=True)
+    step3 = closure(step2, long=False)
+    closure(step3, long=True)
+    return HatExploration(vertices=c_vertices, edges=c_edges, conflicts=conflicts)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, check_probabilities, check_tolerance
+from .errors import ConsistencyError, ParameterError, check_probabilities, check_tolerance
 from .spectral import pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix, window_orbits
@@ -136,7 +136,10 @@ def s_star(p: float, d: int) -> float:
 def asymptotics_table(
     p: float, k_values, d: int, tol: float = 1e-9
 ) -> list[AsymptoticsRow]:
-    """Rescaled residuals of q_c against the two-term large-k expansion."""
+    """Rescaled residuals of q_c against the two-term large-k expansion,
+    which needs p^2 d < 1."""
+    if p * p * d >= 1.0:
+        raise ParameterError(f"the expansion needs p^2 d < 1, got p={p}, d={d}")
     target = s_star(p, d)
     rows = []
     for k in k_values:

@@ -12,7 +12,8 @@ Every walk over the lazy edge oracle goes through one of three kernels:
   ``conditioned_cluster_sample`` use it;
 * ``short_cluster`` / ``long_boundary``, the two-stage sweep whose boundary
   pieces, grouped by subtree proximity, reproduce the cluster as a branching
-  process over admissible-set shapes (``simulate_z_first``, ``criteria_eval``).
+  process over admissible-set shapes (``expand_admissible`` takes one step
+  of it, ``criteria_eval`` two).
 
 Closed-form expectations for the long-boundary count and the two-point short
 cluster are included for cross-checking the samplers.
@@ -21,7 +22,6 @@ cluster are included for cross-checking the samplers.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -48,7 +48,6 @@ class LayerStats:
     """Per-height occupation counts of the explored cluster."""
 
     x: list[int]
-    truncated_alive: bool
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,13 @@ def sweep_layers(oracle: EdgeOracle):
 def explore_layers(
     params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
 ) -> LayerStats:
-    """Occupation counts of heights 0..n_max, and whether the cluster still
-    holds a vertex among the last k of them."""
+    """Occupation counts of heights 0..n_max."""
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
     x = [1]
-    population = 1
-    for layer, population in islice(sweep_layers(oracle), n_max):
+    for layer, _population in islice(sweep_layers(oracle), n_max):
         x.append(len(layer))
-    return LayerStats(x=x, truncated_alive=population > 0)
+    return LayerStats(x=x)
 
 
 def open_children(oracle: EdgeOracle, u: tuple) -> list:
@@ -189,6 +186,8 @@ def conditioned_cluster_sample(
         raise ParameterError(f"neighborhood radius must lie in [0, 2], got {radius}")
     if trials_budget < 1:
         raise ParameterError("trials_budget must be >= 1")
+    if size_threshold < 0:
+        raise ParameterError(f"size_threshold must be >= 0, got {size_threshold}")
     # membership of a vertex depends only on edges above it, so the ball is
     # determined by the cluster restricted to this many levels
     local_height = radius * params.k
@@ -313,44 +312,6 @@ def expand_admissible(
     cs = short_cluster(vertices, oracle, cap=cap)
     cl = long_boundary(cs, oracle)
     return cs, cl, decompose(cl, params)
-
-
-def simulate_z_first(
-    initial: AdmissibleSet,
-    oracle: EdgeOracle,
-    params: TreeParams,
-    generations: int,
-    cap: int = DEFAULT_CLUSTER_CAP,
-    keep_sets: bool = False,
-):
-    """Run the admissible-set branching exploration for a fixed horizon.
-
-    Returns a list of per-generation type counts (Counter over window
-    bitmasks).  With ``keep_sets`` the admissible sets and short clusters of
-    every generation are returned as well, which allows pathwise comparison
-    against a direct exploration of the same realization.
-    """
-    if generations < 0:
-        raise ParameterError("generations must be >= 0")
-    gen_sets = [[initial]]
-    short_clusters = []
-    for _ in range(generations):
-        nxt = []
-        stage_clusters = []
-        for b in gen_sets[-1]:
-            cs, _cl, pieces = expand_admissible(b, oracle, params, cap=cap)
-            stage_clusters.append(cs)
-            nxt.extend(pieces)
-        short_clusters.append(stage_clusters)
-        gen_sets.append(nxt)
-    pops = [Counter(b.rel_type for b in gen) for gen in gen_sets]
-    if keep_sets:
-        # short clusters of the final generation complete the disjoint union
-        short_clusters.append(
-            [expand_admissible(b, oracle, params, cap=cap)[0] for b in gen_sets[-1]]
-        )
-        return pops, gen_sets, short_clusters
-    return pops
 
 
 def estimate_survival(

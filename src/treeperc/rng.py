@@ -109,8 +109,3 @@ class EdgeOracle:
         self._long_memo[v] = out
         return out
 
-    def short_edge_open(self, v: tuple, j: int) -> bool:
-        return j in self.open_short_children(v)
-
-    def long_edge_open(self, v: tuple, s: tuple) -> bool:
-        return s in self.open_long_children(v)

@@ -56,10 +56,6 @@ class TreeParams:
         return self.d ** (self.k - 1)
 
 
-def height(v: tuple) -> int:
-    return len(v)
-
-
 def parent(v: tuple) -> tuple:
     if not v:
         raise ValueError("the root has no parent")
@@ -118,14 +114,6 @@ def window_vertices(bits: int, params: TreeParams) -> list[tuple]:
     return [slot_vertex(i, params) for i in range(params.window_slots) if bits >> i & 1]
 
 
-def vertices_to_window(vertices, params: TreeParams) -> int:
-    """Inverse of :func:`window_vertices`."""
-    bits = 0
-    for u in vertices:
-        bits |= 1 << slot_index(u, params)
-    return bits
-
-
 def long_selector(index: int, params: TreeParams) -> tuple:
     """The index-th element of [d]^k in lexicographic order (0-based index)."""
     if not 0 <= index < params.n_long_children:
@@ -136,14 +124,3 @@ def long_selector(index: int, params: TreeParams) -> tuple:
         index //= params.d
     return tuple(reversed(digits))
 
-
-def long_selector_index(s: tuple, params: TreeParams) -> int:
-    """Inverse of :func:`long_selector`."""
-    if len(s) != params.k:
-        raise ValueError(f"long selector must have length k={params.k}")
-    index = 0
-    for digit in s:
-        if not 1 <= digit <= params.d:
-            raise ValueError(f"digit {digit} outside [1, {params.d}]")
-        index = index * params.d + digit - 1
-    return index

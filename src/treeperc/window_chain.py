@@ -54,10 +54,7 @@ class SparseOffspringMatrix:
     ``i``.
     """
 
-    def __init__(self, params: TreeParams, p: float, q: float, csr: sparse.csr_matrix):
-        self.params = params
-        self.p = p
-        self.q = q
+    def __init__(self, csr: sparse.csr_matrix):
         self.csr = csr
 
     @property
@@ -281,7 +278,7 @@ def build_offspring_matrix(
     total = _law_block(child_law, 1, rows, cols)
     for i in range(2, params.d + 1):
         total = total + _law_block(child_law, i, rows, cols)
-    return SparseOffspringMatrix(params, p, q, total[:, 1:])
+    return SparseOffspringMatrix(total[:, 1:])
 
 
 def chain_survival(
@@ -358,7 +355,7 @@ def simulate_window_chain(
 
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)
-    x = np.empty((trials, generations + 1), dtype=np.int64)
+    x = np.zeros((trials, generations + 1), dtype=np.int64)
     support, pvals = map(np.array, zip(*sorted(initial_window_dist(params, p).items())))
     drawn = support[rng.choice(len(support), size=trials, p=pvals / pvals.sum())]
     cur[np.arange(trials), drawn - 1] = 1
@@ -382,4 +379,6 @@ def simulate_window_chain(
             )
         cur, nxt = nxt, cur
         x[:, gen + 1] = cur[:, 0::2].sum(axis=1)
+        if total == 0:
+            break  # extinct in every trial: later generations stay empty
     return cur, x

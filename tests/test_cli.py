@@ -1,5 +1,6 @@
 import json
 import signal
+import time
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -79,6 +80,19 @@ def test_survival_direct_method_runs(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["rows"][0]["frequency"] < 0.1
+
+
+def test_survival_chain_stops_at_extinction(tmp_path):
+    # the trial dies within a few generations; the run must not step through
+    # the remaining ten million empty ones
+    start = time.perf_counter()
+    code, out = run(
+        tmp_path, "s.json", "survival", "--method", "chain", "--d", "2", "--k", "2",
+        "--p", "0.2", "--q", "0.1", "--depth", "10000000", "--trials", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out.read_text())["rows"][0]["frequency"] == 0.0
 
 
 def test_matrix_summary_and_dump(tmp_path):
@@ -264,6 +278,16 @@ def test_exit_code_usage(capsys, tmp_path):
          "--trials", "50", "--horizon-low", "-3"],
         ["limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.2",
          "--trials", "20", "--radius", "-1"],
+        ["limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.2",
+         "--trials", "20", "--size-threshold", "-5"],
+        *(
+            ["limits", "--regime", regime, "--d", "2", "--k", "2", "--p", "0.2",
+             "--trials", "20", "--horizon", "5", "--horizon-low", "2"]
+            for regime in ("super", "sub")
+        ),
+        # the two-term expansion needs p^2 d < 1, and the k range must be nonempty
+        ["asymptotics", "--d", "2", "--p", "0.8", "--k-min", "2", "--k-max", "3"],
+        ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "4", "--k-max", "2"],
         # output paths that cannot be written are refused before computing
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", missing],
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", str(tmp_path)],
@@ -318,10 +342,11 @@ VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5
 # Grid steps stay coarse enough that a valid grid holds a few points.
 STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
 TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
-# `matrix` and `survival --method chain` build the full window matrix or the
-# chain's law blocks, which at (3,3) take seconds and about 0.4 GB, so they
-# draw from the cheaper sizes.  The q_c commands solve on the 239 window
-# orbits at (3,3), which costs milliseconds per solve, and draw from all sizes.
+# `matrix`, `survival --method chain` and `limits` build the full window
+# matrix or the chain's law blocks, which at (3,3) take seconds and about
+# 0.4 GB, so they draw from the cheaper sizes.  The q_c commands solve on the
+# 239 window orbits at (3,3), which costs milliseconds per solve, and draw
+# from all sizes.
 OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
 ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
 EXAMPLE_SECONDS = 10
@@ -329,19 +354,36 @@ EXAMPLE_SECONDS = 10
 
 @st.composite
 def cli_argvs(draw):
-    command = draw(st.sampled_from(["qc-point", "qc-curve", "matrix", "survival"]))
+    command = draw(
+        st.sampled_from(["qc-point", "qc-curve", "matrix", "survival", "limits", "asymptotics"])
+    )
     method = draw(st.sampled_from(["chain", "direct"])) if command == "survival" else None
-    full_space = command == "matrix" or method == "chain"
+    full_space = command in ("matrix", "limits") or method == "chain"
     d, k = draw(st.sampled_from(OPERATOR_SIZES if full_space else ALL_SIZES))
+    if command == "asymptotics":
+        # k ranges over the sizes above, and may be empty or start below 2
+        return [
+            command, f"--d={d}", f"--p={draw(VALUES)}", f"--k-min={draw(st.integers(1, 3))}",
+            f"--k-max={draw(st.integers(1, 3))}", f"--tol={draw(TOLS)}",
+        ]
     argv = [command, f"--d={d}", f"--k={k}"]
+    if command == "limits":
+        argv.append(f"--regime={draw(st.sampled_from(['super', 'sub']))}")
     if command == "qc-curve":
         argv.append(f"--p-grid={draw(VALUES)}:{draw(VALUES)}:{draw(STEPS)}")
     else:
         argv.append(f"--p={draw(VALUES)}")
-    if command in ("matrix", "survival"):
+    # limits sometimes omits --q, which both of its chain regimes need
+    if command in ("matrix", "survival") or command == "limits" and draw(st.booleans()):
         argv.append(f"--q={draw(VALUES)}")
     if command == "survival":
         argv += [f"--method={method}", f"--trials={draw(st.integers(-1, 50))}"]
+    elif command == "limits":
+        argv += [
+            f"--trials={draw(st.integers(-1, 50))}",
+            f"--horizon={draw(st.integers(-1, 10))}",
+            f"--horizon-low={draw(st.integers(-1, 10))}",
+        ]
     else:
         argv.append(f"--tol={draw(TOLS)}")
     return argv
@@ -355,7 +397,7 @@ def _timeout(signum, frame):
     raise ExampleTimeout(f"example ran longer than {EXAMPLE_SECONDS} s")
 
 
-@settings(max_examples=40, deadline=EXAMPLE_SECONDS * 1000)
+@settings(max_examples=60, deadline=EXAMPLE_SECONDS * 1000)
 @given(cli_argvs())
 def test_cli_exit_codes_property(argv):
     # the deadline only judges examples that return; the alarm ends a hang

@@ -1,8 +1,9 @@
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from treeperc.coupling import (
     HatConfig,
@@ -23,31 +24,6 @@ from treeperc.tree import TreeParams
 TP = TreeParams(2, 2)
 
 
-def cover_digits(tp):
-    return st.lists(
-        st.integers(1, tp.d + tp.n_long_children), min_size=0, max_size=5
-    ).map(tuple)
-
-
-@settings(max_examples=60, deadline=None)
-@given(cover_digits(TP))
-def test_phi_round_trip_and_height(vhat):
-    pm = PhiMap(TP)
-    img = pm.map(vhat)
-    # decode blockwise and compare
-    decoded = []
-    pos = 0
-    for j in vhat:
-        block = pm.phi(j)
-        assert img[pos : pos + len(block)] == block
-        decoded.append(pm.phi_inv(block))
-        pos += len(block)
-    assert tuple(decoded) == vhat
-    assert pos == len(img) == pm.image_height(vhat)
-    # image height dominates cover height
-    assert pm.image_height(vhat) >= len(vhat)
-
-
 def test_phi_edge_kinds():
     pm = PhiMap(TreeParams(2, 3))
     # short digits append one digit, long digits append a k-block
@@ -57,15 +33,16 @@ def test_phi_edge_kinds():
         assert len(pm.phi(j)) == 3
     with pytest.raises(ParameterError):
         pm.phi(11)
-    with pytest.raises(ParameterError):
-        pm.phi_inv((1, 2))
 
 
 def test_phi_long_order_is_lexicographic():
-    pm = PhiMap(TP)
-    blocks = [pm.phi(TP.d + 1 + m) for m in range(TP.n_long_children)]
-    assert blocks == sorted(blocks)
-    assert blocks[0] == (1, 1) and blocks[-1] == (2, 2)
+    # the d short digits map to single digits, then the long digits to
+    # [d]^k in lexicographic order
+    for tp in (TP, TreeParams(2, 3), TreeParams(3, 2)):
+        pm = PhiMap(tp)
+        blocks = [pm.phi(j) for j in range(1, pm.n_digits + 1)]
+        digits = range(1, tp.d + 1)
+        assert blocks == [(j,) for j in digits] + list(itertools.product(digits, repeat=tp.k))
 
 
 def test_leaf_band_and_count():
@@ -88,12 +65,12 @@ def test_leaf_count_closed_and_full():
 
 def test_omega_bar_membership_rules():
     cfg = omega_bar(TP)
-    assert cfg.is_open((), 1)  # root short edge
-    assert cfg.is_open((), 4)  # root long edge
-    assert cfg.is_open((3,), 5)  # anything under a long root child
-    assert cfg.is_open((1,), 2)  # short edge to cover height 2 = k
-    assert not cfg.is_open((1,), 4)  # long edge under a short root child
-    assert not cfg.is_open((1, 2), 1)  # head would sit at cover height 3 > k
+    assert 1 in cfg.open_digits(())  # root short edge
+    assert 4 in cfg.open_digits(())  # root long edge
+    assert 5 in cfg.open_digits((3,))  # anything under a long root child
+    assert 2 in cfg.open_digits((1,))  # short edge to cover height 2 = k
+    assert 4 not in cfg.open_digits((1,))  # long edge under a short root child
+    assert 1 not in cfg.open_digits((1, 2))  # head would sit at cover height 3 > k
 
 
 def test_omega_bar_leaf_counts():
@@ -133,6 +110,23 @@ def test_explore_image_heights_within_slab():
     for tail, head in expl.edges:
         assert len(tail) < lo
         assert len(head) - len(tail) in (1, TP.k)
+
+
+def test_explore_pinned():
+    # sha256 of the sorted output over fixed configurations, recorded from
+    # the earlier implementation with separate short and long rounds
+    h = hashlib.sha256()
+    for tp in (TP, TreeParams(2, 3), TreeParams(3, 2)):
+        configs = [omega_bar(tp)] + [
+            HatConfig.random(tp, p, q, seed)
+            for seed in range(20)
+            for p, q in ((0.3, 0.05), (0.5, 0.3), (0.7, 0.6))
+        ]
+        for cfg in configs:
+            expl = explore_hat_to_C(tp, cfg)
+            for part in (expl.vertices, expl.edges, expl.conflicts):
+                h.update(repr(sorted(part)).encode())
+    assert h.hexdigest() == "33f3c9264f60de04e68a46a98fff35defc4291a0538abcb645c547b5ee483936"
 
 
 def test_pathwise_leaf_inequality():

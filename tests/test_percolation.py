@@ -19,7 +19,6 @@ from treeperc.percolation import (
     make_oracle,
     reach,
     short_cluster,
-    simulate_z_first,
 )
 from treeperc.tree import ROOT, TreeParams
 
@@ -35,7 +34,6 @@ def test_explore_layers_trivial():
     oracle = make_oracle(TP, PercParams(0.0, 0.0), 1)
     stats = explore_layers(TP, PercParams(0, 0), oracle, 4)
     assert stats.x == [1, 0, 0, 0, 0]
-    assert not stats.truncated_alive
 
     oracle = make_oracle(TP, PercParams(1.0, 0.0), 1)
     stats = explore_layers(TP, PercParams(1, 0), oracle, 3)
@@ -44,7 +42,6 @@ def test_explore_layers_trivial():
     oracle = make_oracle(TP, PercParams(0.0, 1.0), 1)
     stats = explore_layers(TP, PercParams(0, 1), oracle, 4)
     assert stats.x == [1, 0, 4, 0, 16]
-    assert stats.truncated_alive
 
 
 def test_layer_death_after_k_empty_layers():
@@ -168,14 +165,18 @@ def test_disjoint_union_matches_direct_cluster():
     for t in range(40):
         oracle = make_oracle(tp, perc, 53, t)
         gens = 3
-        pops, gen_sets, scs = simulate_z_first(
-            AdmissibleSet(ROOT, 1), oracle, tp, gens, keep_sets=True
-        )
+        # generations 0..gens of admissible sets; each set's short cluster
+        # is one piece of the union
         union = set()
-        clusters = [c for stage in scs for c in stage]
-        for c in clusters:
-            assert not union & c  # pairwise disjoint
-            union |= c
+        generation = [AdmissibleSet(ROOT, 1)]
+        for _ in range(gens + 1):
+            pieces = []
+            for b in generation:
+                cs, _cl, children = expand_admissible(b, oracle, tp)
+                assert not union & cs  # pairwise disjoint
+                union |= cs
+                pieces += children
+            generation = pieces
         # direct: breadth-first search counting long edges used
         from collections import deque
 
@@ -266,7 +267,7 @@ def test_determinism_across_runs():
     perc = PercParams(0.33, 0.21)
     a = explore_layers(TP, perc, make_oracle(TP, perc, 5, 3), 10)
     b = explore_layers(TP, perc, make_oracle(TP, perc, 5, 3), 10)
-    assert a.x == b.x and a.truncated_alive == b.truncated_alive
+    assert a.x == b.x
 
 
 def test_criteria_eval_trivial_zero_q():

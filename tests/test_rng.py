@@ -51,8 +51,8 @@ def test_trials_differ_and_seeds_differ():
 
 def test_membership_wrappers():
     o = EdgeOracle(TP, 1.0, 1.0, 5)
-    assert o.short_edge_open((), 1) and o.short_edge_open((), 2)
-    assert o.long_edge_open((1,), (2, 2))
+    assert o.open_short_children(()) == (1, 2)
+    assert (2, 2) in o.open_long_children((1,))
     closed = EdgeOracle(TP, 0.0, 0.0, 5)
     assert closed.open_short_children(()) == ()
     assert closed.open_long_children(()) == ()

@@ -1,17 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from treeperc.errors import OutOfSlabError, ParameterError
 from treeperc.tree import (
     TreeParams,
-    height,
     long_selector,
-    long_selector_index,
     parent,
     slot_height,
     slot_index,
     slot_vertex,
-    vertices_to_window,
     window_height,
     window_size,
     window_vertices,
@@ -37,7 +36,6 @@ def test_params_counts():
 
 
 def test_basic_addressing():
-    assert height(()) == 0
     assert parent((1, 2)) == (1,)
     with pytest.raises(ValueError):
         parent(())
@@ -55,18 +53,12 @@ def test_slot_round_trip(tp, data):
     assert slot_height(i, tp) == h
 
 
-@given(params_strategy, st.data())
-def test_long_selector_round_trip(tp, data):
-    i = data.draw(st.integers(0, tp.n_long_children - 1))
-    s = long_selector(i, tp)
-    assert len(s) == tp.k
-    assert long_selector_index(s, tp) == i
-
-
 def test_long_selector_order_is_lexicographic():
-    tp = TreeParams(2, 2)
-    sels = [long_selector(i, tp) for i in range(4)]
-    assert sels == sorted(sels) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for tp in (TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 2)):
+        sels = [long_selector(i, tp) for i in range(tp.n_long_children)]
+        assert sels == list(itertools.product(range(1, tp.d + 1), repeat=tp.k))
+        with pytest.raises(ValueError):
+            long_selector(tp.n_long_children, tp)
 
 
 def test_slot_rejects_out_of_slab():
@@ -81,6 +73,6 @@ def test_slot_rejects_out_of_slab():
 def test_window_round_trip(tp, data):
     bits = data.draw(st.integers(1, (1 << tp.window_slots) - 1))
     verts = window_vertices(bits, tp)
-    assert vertices_to_window(verts, tp) == bits
+    assert sum(1 << slot_index(v, tp) for v in verts) == bits
     assert window_size(bits) == len(verts)
     assert window_height(bits, tp) == max(len(v) for v in verts)
