@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeperc.coupling import (
     HatConfig,
@@ -22,6 +23,34 @@ from treeperc.rng import EdgeOracle
 from treeperc.tree import TreeParams
 
 TP = TreeParams(2, 2)
+
+
+def cover_digits(tp):
+    return st.lists(
+        st.integers(1, tp.d + tp.n_long_children), min_size=0, max_size=5
+    ).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_digits(TP))
+def test_phi_round_trip_and_height(vhat):
+    pm = PhiMap(TP)
+    # phi is injective, so a block decodes to the one cover digit it came from
+    inverse = {pm.phi(j): j for j in range(1, pm.n_digits + 1)}
+    assert len(inverse) == pm.n_digits
+    img = sum((pm.phi(j) for j in vhat), ())
+    # blocks have length 1 (short) or k (long); decode blockwise and compare
+    decoded = []
+    pos = 0
+    for j in vhat:
+        block = pm.phi(j)
+        assert img[pos : pos + len(block)] == block
+        decoded.append(inverse[block])
+        pos += len(block)
+    assert tuple(decoded) == vhat
+    assert pos == len(img)
+    # image height dominates cover height
+    assert len(img) >= len(vhat)
 
 
 def test_phi_edge_kinds():

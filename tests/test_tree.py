@@ -53,6 +53,19 @@ def test_slot_round_trip(tp, data):
     assert slot_height(i, tp) == h
 
 
+@given(params_strategy, st.data())
+def test_long_selector_round_trip(tp, data):
+    i = data.draw(st.integers(0, tp.n_long_children - 1))
+    s = long_selector(i, tp)
+    assert len(s) == tp.k
+    assert all(1 <= digit <= tp.d for digit in s)
+    # read s back as a base-d numeral with digits 1..d
+    index = 0
+    for digit in s:
+        index = index * tp.d + digit - 1
+    assert index == i
+
+
 def test_long_selector_order_is_lexicographic():
     for tp in (TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 2)):
         sels = [long_selector(i, tp) for i in range(tp.n_long_children)]
