@@ -9,6 +9,11 @@ eigen-residual on the *unshifted* matrix, not by iterate distance.
 The solve is one-sided; the left Perron pair is the same solve on the
 transpose.  A nilpotent matrix (as at p = q = 0) stalls the iteration, so a
 solve still running at ``NILPOTENCY_CHECK_AT`` steps checks for one once.
+A unit shift contracts the error by only about 1/(1 + rho) per step when rho
+is far below one, so a solve that passes the check and is not nilpotent
+shifts by its current Rayleigh estimate instead: any positive shift keeps the
+immunity to periodicity, and one of the order of rho restores a contraction
+that does not depend on the scale of M.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from .errors import NonConvergenceError, ParameterError, check_tolerance
 
 DEFAULT_TOL = 1e-12
 #: Iteration budget.  Each step contracts the error by about
-#: (1 + |lambda_2|) / (1 + rho); window-chain solves near rho = 1 take tens of
-#: iterations.  A matrix whose rho is far below one contracts barely and can
-#: spend the budget.
+#: (s + |lambda_2|) / (s + rho) for the shift s; window-chain solves near
+#: rho = 1 take tens of iterations.
 MAX_ITER = 10**5
-#: Window-chain solves that converge take a few hundred steps at most.
+#: Window-chain solves near rho = 1 converge within a few hundred steps; one
+#: still running here checks for a nilpotent matrix and then rescales its shift.
 NILPOTENCY_CHECK_AT = 1000
 #: Iterations between residual checks.
 CHECK_EVERY = 8
@@ -92,8 +97,11 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
         v = 0.9 * (x0 / x0.sum()) + 0.1 / n
     else:
         v = np.full(n, 1.0 / n)
+    shift = 1.0
     for it in range(1, MAX_ITER + 1):
-        w = apply_fn(v) + v  # shifted iterate; reductions stay in fixed order
+        # shifted iterate, the unit shift without a multiply; reductions stay
+        # in fixed order
+        w = apply_fn(v) + (v if shift == 1.0 else shift * v)
         v = w / w.sum()
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             mv = apply_fn(v)
@@ -102,8 +110,10 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
             res = float(np.abs(mv - rho * v).max() / np.abs(v).max())
             if res <= tol:
                 return SpectralResult(rho=rho, nu=v, residual=res, iterations=it)
-        if it == NILPOTENCY_CHECK_AT and (null := _null_vector_if_nilpotent(mat)) is not None:
-            return SpectralResult(rho=0.0, nu=null, residual=0.0, iterations=it)
+        if it == NILPOTENCY_CHECK_AT:
+            if (null := _null_vector_if_nilpotent(mat)) is not None:
+                return SpectralResult(rho=0.0, nu=null, residual=0.0, iterations=it)
+            shift = max(rho, np.finfo(float).tiny)
     raise NonConvergenceError(
         f"power iteration did not reach tolerance {tol} in {MAX_ITER} iterations "
         f"(last residual {res:.3e}); the matrix may be reducible with a "

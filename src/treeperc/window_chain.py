@@ -21,8 +21,9 @@ column 0 the empty window.  The sparse mean offspring matrix
 (``build_offspring_matrix``) is the sum of the d blocks.  Over all nonempty
 windows, with window w as column w, it is the full matrix, and the
 count-level simulation (``simulate_window_chain``) samples the rows of its
-blocks.  Over one representative per window orbit (``window_orbits``), with
-the orbit ids as columns, it is the lumped quotient that ``critical`` solves.
+blocks, each row only for the trials that hold its type.  Over one
+representative per window orbit (``window_orbits``), with the orbit ids as
+columns, it is the lumped quotient that ``critical`` solves.
 """
 
 from __future__ import annotations
@@ -324,7 +325,11 @@ def simulate_window_chain(
     Offspring are aggregated per type with multinomial draws, which is the
     exact law of summed i.i.d. child windows, so the cost per generation does
     not grow with the population size.  The draws for a parent type and a
-    child read that type's row of the child's law block.  Only the current
+    child read that type's row of the child's law block, and run only over
+    the trials that hold that type.  numpy's multinomial returns zeros for
+    n = 0 without reading the bit generator, so this consumes the stream
+    exactly as drawing over all trials would: the outputs and the generator
+    state after the call are those of the all-trials loop.  Only the current
     and the next generation are held in memory.
 
     Returns ``(final_counts, x)`` where ``final_counts`` has shape
@@ -365,13 +370,14 @@ def simulate_window_chain(
     for gen in range(generations):
         nxt.fill(0)
         for row in np.flatnonzero(cur.any(axis=0)):
-            n_parents = cur[:, row]
+            holders = np.flatnonzero(cur[:, row])
+            n_parents = cur[holders, row]
             for block in blocks:
                 s, e = block.indptr[row], block.indptr[row + 1]
                 draws = rng.multinomial(n_parents, block.data[s:e])
                 outcomes = block.indices[s:e]
                 live = outcomes > 0
-                nxt[:, outcomes[live] - 1] += draws[:, live]
+                nxt[holders[:, None], outcomes[live] - 1] += draws[:, live]
         total = int(nxt.sum())
         if total > POPULATION_CAP:
             raise SizeCapError(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from treeperc.errors import MIN_TOL, ParameterError
-from treeperc.spectral import pf_eigen
+from treeperc.spectral import NILPOTENCY_CHECK_AT, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
 
@@ -84,6 +84,19 @@ def test_nilpotent_window_matrix():
     assert res.nu.sum() == pytest.approx(1.0, abs=1e-15) and (res.nu >= 0).all()
     assert np.abs(m.csr @ res.nu).max() == 0.0
     assert pf_eigen(m.csr.T).rho == 0.0
+
+
+@pytest.mark.parametrize("p, q", [(2e-5, 0.0), (1e-7, 0.0), (0.0, 1e-9)])
+def test_rho_far_below_one_converges(p, q):
+    # rho of order 1e-7 to 1e-4 and not nilpotent: past the nilpotency check
+    # the solve shifts by its Rayleigh estimate, not by one, and both the
+    # matrix and its transpose reach the tolerance on the unshifted matrix
+    m = build_offspring_matrix(TreeParams(2, 2), p, q)
+    for mat in (m.csr, m.csr.T.tocsr()):
+        res = pf_eigen(mat, tol=1e-12)
+        assert res.iterations > NILPOTENCY_CHECK_AT
+        assert 0.0 < res.rho < 1e-4 and res.residual <= 1e-12
+        assert np.abs(mat @ res.nu - res.rho * res.nu).max() / res.nu.max() <= 1e-12
 
 
 def test_rejects_negative_entries():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 from treeperc.errors import ParameterError, SizeCapError
-from treeperc.percolation import PercParams, explore_layers, make_oracle
+from treeperc.percolation import PercParams, estimate_survival, explore_layers, make_oracle
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
+    ChildWindowLaw,
+    _full_space,
+    _law_block,
     _law_bytes,
     build_offspring_matrix,
     chain_survival,
@@ -411,6 +415,87 @@ def test_simulate_returns_last_generation_and_layer_counts():
     assert (x[:, -1] == final[:, 0::2].sum(axis=1)).all()
 
 
+def reference_simulate(params, p, q, rng, generations, trials=1):
+    """The count-level chain with every occupied type drawing its offspring
+    for all trials at once, those holding none of it included (n = 0)."""
+    child_law = ChildWindowLaw(params, p, q)
+    space = _full_space(params)
+    blocks = [_law_block(child_law, i, *space) for i in range(1, params.d + 1)]
+    n_types = (1 << params.window_slots) - 1
+    cur = np.zeros((trials, n_types), dtype=np.int64)
+    nxt = np.zeros_like(cur)
+    x = np.zeros((trials, generations + 1), dtype=np.int64)
+    support, pvals = map(np.array, zip(*sorted(initial_window_dist(params, p).items())))
+    drawn = support[rng.choice(len(support), size=trials, p=pvals / pvals.sum())]
+    cur[np.arange(trials), drawn - 1] = 1
+    x[:, 0] = cur[:, 0::2].sum(axis=1)
+    for gen in range(generations):
+        nxt.fill(0)
+        for row in np.flatnonzero(cur.any(axis=0)):
+            for block in blocks:
+                s, e = block.indptr[row], block.indptr[row + 1]
+                draws = rng.multinomial(cur[:, row], block.data[s:e])
+                outcomes = block.indices[s:e]
+                live = outcomes > 0
+                nxt[:, outcomes[live] - 1] += draws[:, live]
+        cur, nxt = nxt, cur
+        x[:, gen + 1] = cur[:, 0::2].sum(axis=1)
+        if not cur.any():
+            break
+    return cur, x
+
+
+def chain_run(simulate, tp, p, q, seed, generations, trials):
+    """``(final, x, next)``: a chain run and the generator's next draw after it."""
+    rng = np.random.default_rng(seed)
+    final, x = simulate(tp, p, q, rng, generations, trials=trials)
+    return final, x, int(rng.integers(2**63))
+
+
+# sha256 over (final, x, next draw) of every run in
+# test_simulate_matches_all_trials_reference, recorded from the all-trials loop
+CHAIN_SHA256 = {
+    ((2, 2), 0.0, 0.0): "817209ee5109ed55cc0e4e9f7acc41b9469c5dce240d63dfdad914576ea3d63e",
+    ((2, 2), 0.2, 0.1): "54fa18a920a0931fe192a31cd7d7c2ef1559a32a634d3e83bf775dc5db8bc7a0",
+    ((2, 2), 0.2, 0.3): "8d93311dc294f5a02ee3627d3bcee2e17ee12294454f78b458f0cc51b6f4e0c5",
+    ((2, 3), 0.0, 0.0): "9b252e3265eb6741abfe1555b47fb9cdbfdf583fdaa039040f73878dd8c1a1da",
+    ((2, 3), 0.2, 0.05): "0873a4be08e900103bd8ccbb3c3c0c80611414e8fcac7c0403d7a6305da570ec",
+    ((2, 3), 0.2, 0.15): "99db87d42ea9eb652cea9cd99456d8c9f98f2b7515d8af3416a6e44185505358",
+    ((3, 2), 0.0, 0.0): "8f58518be40593510a831d2c9a5f3bb2f45cab106a65ede100e1474a38cdeea9",
+    ((3, 2), 0.2, 0.03): "cf9a743aa478804cd8c29b2200810a87b51a9507e3176d74f3c37cb5e35453c8",
+    ((3, 2), 0.2, 0.12): "38c32f14b3292acb71b154ebf74a06d22ff030d0a185a8f3c78705c08f5ab43b",
+}
+
+
+@pytest.mark.parametrize("point", list(CHAIN_SHA256))
+def test_simulate_matches_all_trials_reference(point):
+    # extinct, subcritical and supercritical points: the draws, the generator
+    # state after the run and so the outputs are those of the all-trials loop
+    (d, k), p, q = point
+    tp = TreeParams(d, k)
+    digest = hashlib.sha256()
+    for trials, generations, seed in itertools.product((1, 50, 3000), (0, 8), (0, 1, 2)):
+        final, x, after = chain_run(simulate_window_chain, tp, p, q, seed, generations, trials)
+        ref_final, ref_x, ref_after = chain_run(
+            reference_simulate, tp, p, q, seed, generations, trials
+        )
+        assert final.dtype == x.dtype == np.int64
+        assert np.array_equal(final, ref_final) and np.array_equal(x, ref_x)
+        assert after == ref_after
+        digest.update(final.tobytes() + x.tobytes() + after.to_bytes(8, "little"))
+    assert digest.hexdigest() == CHAIN_SHA256[point]
+
+
+def test_chain_survival_stream_position_pinned():
+    # criterion 4's pattern: the second estimate reads the generator where
+    # the first left it; recorded from the all-trials loop
+    rng = np.random.default_rng(2024)
+    below = chain_survival(TP22, 0.2, 0.138, 60, 2000, rng)
+    above = chain_survival(TP22, 0.2, 0.178, 60, 2000, rng)
+    assert below == (0.0045, 0.0014966211945579282)
+    assert above == (0.184, 0.008664409962599876)
+
+
 def test_chain_outputs_pinned():
     # recorded from the scalar-law implementation this module replaced; the
     # transition tables are bitwise equal, so the draws are too
@@ -433,6 +518,38 @@ def test_chain_survival_trivial():
     # p = 1 starts at the full window and lives on
     freq, _ = chain_survival(TP22, 1.0, 0.0, 10, 500, rng)
     assert freq == 1.0
+
+
+def exact_survival(params, p, q, depth):
+    """P(alive at ``depth``) in the sense of ``chain_survival``, from the
+    offspring pgf on window orbits.  Entry A of e_j is the probability that
+    the chain started from one individual of orbit A is extinct after j
+    generations.  The d child windows are independent given the parent, so
+    e_j = prod_i (block_i @ [1, e_{j-1}]), with e_0 = 0 and column 0 of each
+    quotient law block the empty window."""
+    orbit, reps = window_orbits(params)
+    child_law = ChildWindowLaw(params, p, q)
+    blocks = [_law_block(child_law, i, reps, orbit) for i in range(1, params.d + 1)]
+    extinct = np.zeros(len(reps))
+    for _ in range(depth - params.k + 1):
+        s = np.concatenate([[1.0], extinct])
+        extinct = np.prod([block @ s for block in blocks], axis=0)
+    start = initial_window_dist(params, p)
+    return 1.0 - sum(pr * extinct[orbit[a] - 1] for a, pr in start.items())
+
+
+@pytest.mark.parametrize(
+    "tp, p, q, expect", [(TP23, 0.2, 0.0861, 0.185286), (TP22, 0.2, 0.18, 0.203135)]
+)
+def test_survival_estimates_match_exact_pgf(tp, p, q, expect):
+    exact = exact_survival(tp, p, q, 60)
+    assert exact == pytest.approx(expect, abs=5e-7)
+    estimates = (
+        chain_survival(tp, p, q, 60, 4000, np.random.default_rng(11)),
+        estimate_survival(tp, PercParams(p, q), 1000, 60, 13),
+    )
+    for freq, se in estimates:
+        assert abs(freq - exact) < 4 * se
 
 
 def test_mean_x1_matches_direct_exploration():
