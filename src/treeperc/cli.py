@@ -277,7 +277,8 @@ def cmd_dominance(args):
 
 def cmd_matrix(args):
     # iterate a bit past the requested tolerance so the certified residual
-    # still holds after cross-normalizing the two eigenvectors
+    # still holds after cross-normalizing the two eigenvectors; where rho is
+    # too badly conditioned for that, the two solves disagree and it is refused
     tol = 0.25 * args.tol
     check_tolerance(tol)
     matrix = build_offspring_matrix(TreeParams(args.d, args.k), args.p, args.q)
@@ -294,6 +295,13 @@ def cmd_matrix(args):
         float(np.abs(op.dot(v) - rho * v).max() / max(np.abs(v).max(), 1e-300))
         for op, v in ((transpose, mu), (matrix.csr, nu))
     )
+    if residual > args.tol:
+        raise NonConvergenceError(
+            f"the left and right Perron solves agree only to residual {residual:.3e}, "
+            f"above tolerance {args.tol}: rho is too badly conditioned here for it",
+            residual=residual,
+            iterations=right.iterations + left.iterations,
+        )
     if args.dump:
 
         def write(fh):

@@ -11,9 +11,16 @@ transpose.  A nilpotent matrix (as at p = q = 0) stalls the iteration, so a
 solve still running at ``NILPOTENCY_CHECK_AT`` steps checks for one once.
 A unit shift contracts the error by only about 1/(1 + rho) per step when rho
 is far below one, so a solve that passes the check and is not nilpotent
-shifts by its current Rayleigh estimate instead: any positive shift keeps the
-immunity to periodicity, and one of the order of rho restores a contraction
-that does not depend on the scale of M.
+shifts by its current Rayleigh estimate instead, where that is below one:
+any positive shift keeps the immunity to periodicity, and one of the order
+of rho restores a contraction that does not depend on the scale of M.
+
+The certificate is a residual, a backward error: ``nu`` is an exact
+eigenvector of a matrix within about ``tol`` of M.  Where the Perron root is
+badly conditioned (left and right vectors nearly orthogonal, as for the
+near-rank-one window matrices at tiny p) that does not pin ``rho`` to
+``tol``; comparing the left and right solves, as the ``matrix`` command
+does, shows it.
 """
 
 from __future__ import annotations
@@ -99,9 +106,8 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
         v = np.full(n, 1.0 / n)
     shift = 1.0
     for it in range(1, MAX_ITER + 1):
-        # shifted iterate, the unit shift without a multiply; reductions stay
-        # in fixed order
-        w = apply_fn(v) + (v if shift == 1.0 else shift * v)
+        # shifted iterate; reductions stay in fixed order
+        w = apply_fn(v) + shift * v
         v = w / w.sum()
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             mv = apply_fn(v)
@@ -113,7 +119,8 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
         if it == NILPOTENCY_CHECK_AT:
             if (null := _null_vector_if_nilpotent(mat)) is not None:
                 return SpectralResult(rho=0.0, nu=null, residual=0.0, iterations=it)
-            shift = max(rho, np.finfo(float).tiny)
+            # only ever lower the shift: above one it would slow the solve
+            shift = min(1.0, max(rho, np.finfo(float).tiny))
     raise NonConvergenceError(
         f"power iteration did not reach tolerance {tol} in {MAX_ITER} iterations "
         f"(last residual {res:.3e}); the matrix may be reducible with a "

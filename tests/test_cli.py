@@ -2,12 +2,14 @@ import json
 import signal
 import time
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from treeperc.cli import main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
-from treeperc.window_chain import SparseOffspringMatrix
+from treeperc.tree import TreeParams
+from treeperc.window_chain import SparseOffspringMatrix, build_offspring_matrix
 
 
 def run(tmp_path, name, *argv):
@@ -127,6 +129,28 @@ def test_matrix_pinned(tmp_path):
     assert row["residual"] <= 0.25e-12
     assert row["mu_max"] == pytest.approx(0.32909467493103073, rel=1e-12)
     assert row["nu_max"] == pytest.approx(2.0044419515323852, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, q, expect", [(0.2, 0.25, 0), (0.0, 1e-9, 0), (0.1, 0.0, 4), (2e-5, 0.0, 4), (1e-7, 0.0, 4)]
+)
+def test_matrix_prints_rho_only_when_certified(tmp_path, capsys, p, q, expect):
+    # at q = 0 the (2,2) matrix is near rank one and its Perron root badly
+    # conditioned: the left and right solves each meet their residual but
+    # disagree on rho (by 4e-7 at p = 1e-7, where rho is 2e-7), so the
+    # command exits 4; a printed rho lies within tol of the dense eigenvalue
+    code, out = run(
+        tmp_path, "m.json", "matrix", "--d", "2", "--k", "2", "--p", str(p), "--q", str(q),
+    )
+    assert code == expect
+    if code == 0:
+        row = json.loads(out.read_text())["rows"][0]
+        dense = build_offspring_matrix(TreeParams(2, 2), p, q).csr.toarray()
+        assert row["residual"] <= 1e-12
+        assert abs(row["rho"] - max(np.linalg.eigvals(dense).real)) <= 1e-12
+    else:
+        assert not out.exists()
+        assert "agree only to residual" in capsys.readouterr().err
 
 
 def test_write_output_failure_keeps_target(tmp_path):

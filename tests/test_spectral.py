@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -94,9 +95,30 @@ def test_rho_far_below_one_converges(p, q):
     m = build_offspring_matrix(TreeParams(2, 2), p, q)
     for mat in (m.csr, m.csr.T.tocsr()):
         res = pf_eigen(mat, tol=1e-12)
-        assert res.iterations > NILPOTENCY_CHECK_AT
-        assert 0.0 < res.rho < 1e-4 and res.residual <= 1e-12
+        assert res.iterations > NILPOTENCY_CHECK_AT and res.residual <= 1e-12
         assert np.abs(mat @ res.nu - res.rho * res.nu).max() / res.nu.max() <= 1e-12
+        # the residual is a backward error: rho lies within the root's
+        # condition number times it of the dense eigenvalue, which at q = 0
+        # (a near-rank-one matrix with kappa up to 1.7e7) is far from tol
+        dense = mat.toarray()
+        rho = max(np.linalg.eigvals(dense).real)
+        vals, left, right = scipy.linalg.eig(dense, left=True, right=True)
+        i = np.argmax(vals.real)
+        x, y = right[:, i].real, left[:, i].real
+        kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(y @ x)
+        eta = np.linalg.norm(dense @ res.nu - res.rho * res.nu) / np.linalg.norm(res.nu)
+        assert abs(res.rho - rho) <= 2 * kappa * eta
+
+
+def test_slow_solve_above_one_keeps_unit_shift():
+    # rho > 1 and lambda_2 close to it: the solve runs past the nilpotency
+    # check, keeps its unit shift (a shift of rho would slow it to 2944
+    # steps) and takes the iterates of the unit-shift loop bit for bit
+    a = np.array([[2.0, 0.01], [0.01, 1.98]])
+    res = pf_eigen(a, tol=1e-12)
+    assert res.iterations == 2456 > NILPOTENCY_CHECK_AT
+    assert res.rho == float.fromhex("0x1.0087bac0850f0p+1")
+    assert res.rho == pytest.approx(1.99 + math.sqrt(2e-4), abs=1e-12)
 
 
 def test_rejects_negative_entries():
