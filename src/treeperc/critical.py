@@ -20,6 +20,15 @@ The quotient M_L(O, O') = sum over B in O' of M(rep O, B) has the same
 Perron root: a nonnegative eigenvector of M_L lifts, constant on orbits, to
 one of M with the same eigen-residual, and M's left Perron vector summed
 over orbits is one of M_L.  At (d, k) = (2, 4) that is 1805 types, not 32767.
+
+The quotient's rows come from counts, not from the 2^(d^(k-1)) top-slot
+subsets of a child window.  Swapping two top slots below one bottom vertex
+(height k-2) is itself a slab automorphism, so a child window's orbit
+depends only on its deterministic low part and the number of set top slots
+below each of the d^(k-2) bottom vertices, which are independent Binomial(d,
+pi) counts; summing the count vectors' probabilities into their windows'
+orbit columns gives M_L exactly (``window_chain._count_layout``).  At (2, 4)
+that is 81 outcomes per child and row, not 256.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, ParameterError, check_probabilities, check_tolerance
 from .spectral import pf_eigen
 from .tree import TreeParams
-from .window_chain import build_offspring_matrix, window_orbits
+from .window_chain import build_offspring_matrix
 
 DEFAULT_Q_TOL = 1e-10
 #: p within this distance above 1/d short-circuits to q_c = 0.
@@ -62,9 +71,7 @@ def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
 
 def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12, x0=None):
     """Perron solve of the orbit quotient; ``nu`` is indexed by nonempty orbit."""
-    orbit, reps = window_orbits(params)
-    matrix = build_offspring_matrix(params, p, q, rows=reps, cols=orbit)
-    return pf_eigen(matrix, tol=tol, x0=x0)
+    return pf_eigen(build_offspring_matrix(params, p, q, quotient=True), tol=tol, x0=x0)
 
 
 def branching_lower_bound(p: float, params: TreeParams) -> float:

@@ -14,21 +14,31 @@ window ``A`` factorizes:
 These are exactly the edges a height-layered exploration has not queried
 before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
 of this law, vectorised over parent windows, and the exact pmf
-(``child_window_dist``) reads it directly.  Over a set of parent windows,
-the law of one child is one CSR block (``_law_block``): one row per parent,
-and a column map collects the outcomes of positive probability into columns,
-column 0 the empty window.  The sparse mean offspring matrix
-(``build_offspring_matrix``) is the sum of the d blocks.  Over all nonempty
-windows, with window w as column w, it is the full matrix, and the
-count-level simulation (``simulate_window_chain``) samples the rows of its
-blocks, each row only for the trials that hold its type.  Over one
-representative per window orbit (``window_orbits``), with the orbit ids as
-columns, it is the lumped quotient that ``critical`` solves.
+(``child_window_dist``) reads it directly.  Over all nonempty parent
+windows, the law of one child is one CSR block (``_law_block``), window w as
+column w and column 0 the empty window.  The sparse mean offspring matrix
+(``build_offspring_matrix``) is the sum of the d blocks, and the count-level
+simulation (``simulate_window_chain``) samples the rows of the blocks, each
+row only for the trials that hold its type.
+
+``critical`` solves the quotient of that matrix over window orbits
+(``window_orbits``), one representative per orbit as its row, and reads
+the quotient's law from counts.  Swapping two top slots below the same
+bottom vertex v (a height-(k-2) slot) is a slab automorphism that fixes
+every other slot, so the orbit of a child window depends only on its
+deterministic low part and on how many top slots are set below each v.
+Those counts are independent Binomial(d, pi_v), with pi_v the top-slot
+probability above, so a child has (d+1)^m outcomes per parent row, not
+2^(dm), for m = d^(k-2) bottom vertices; each count vector stands for the
+window that sets the first slots below each v.  Everything but the binomial
+pmfs is computed once per (d, k) (``_count_layout``).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -94,6 +104,22 @@ def _child_slot_maps(params: TreeParams):
     return low_targets, top_sources
 
 
+def _low_part(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The deterministic slots of height <= k-2 of one child's window, for
+    each parent window in ``a``: slot j is bit ``targets[j]`` of the parent."""
+    det = np.zeros_like(a)
+    for j, tgt in enumerate(targets):
+        det |= (a >> tgt & 1) << j
+    return det
+
+
+def _open_prob(p: float, q: float, a, b):
+    """Probability that a top slot is set: the short edge from its parent
+    (in the window iff ``a``) or the long edge from the base (in the window
+    iff ``b``) is open."""
+    return 1.0 - (1.0 - p * a) * (1.0 - q * b)
+
+
 def _check_top_slots(params: TreeParams) -> None:
     if params.n_top_slots > MAX_TOP_SLOTS:
         raise SizeCapError(
@@ -127,13 +153,11 @@ class ChildWindowLaw:
     def __call__(self, a: np.ndarray, child: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= child <= self.params.d:
             raise ParameterError(f"child digit {child} outside [1, {self.params.d}]")
-        det = np.zeros_like(a)
-        for j, tgt in enumerate(self._low_targets[child - 1]):
-            det |= (a >> tgt & 1) << j
+        det = _low_part(a, self._low_targets[child - 1])
         b = a & 1
         probs = np.ones((len(a), 1))
         for src in self._top_sources[child - 1]:
-            pi = (1.0 - (1.0 - self.p * (a >> src & 1)) * (1.0 - self.q * b))[:, None]
+            pi = _open_prob(self.p, self.q, a >> src & 1, b)[:, None]
             probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=1)
         return det[:, None] | self._top_windows, probs
 
@@ -174,11 +198,12 @@ def window_orbits(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
     return orbit, reps
 
 
-def _law_bytes(params: TreeParams, n_rows: int) -> int:
-    """Estimated bytes of the d law blocks over ``n_rows`` parent windows:
-    the 8 * 2^W-byte column map, and n_rows * d * 2^t outcomes at 32 bytes
-    each, which covers one child's law arrays while they become its block
-    together with the blocks (or their running sum) already built."""
+def _law_bytes(params: TreeParams) -> int:
+    """Estimated bytes of the d law blocks over all 2^W - 1 nonempty parent
+    windows: the 8 * 2^W-byte row array, and d * 2^t outcomes per row at 32
+    bytes each, which covers one child's law arrays while they become its
+    block together with the blocks (or their running sum) already built."""
+    n_rows = (1 << params.window_slots) - 1
     return (8 << params.window_slots) + 32 * (n_rows * params.d << params.n_top_slots)
 
 
@@ -232,53 +257,150 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
     return pmf
 
 
-def _full_space(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every nonempty window as a row, and window w as column w."""
-    cols = np.arange(1 << params.window_slots, dtype=np.int64)
-    return cols[1:], cols
-
-
-def _law_block(child_law: ChildWindowLaw, child: int, rows: np.ndarray, cols: np.ndarray):
-    """The law of child ``child`` given each parent window in ``rows``, as a
-    CSR matrix with one row per entry of ``rows``: column ``cols[w]`` holds
-    the summed probability of all outcome windows w it collects, and column
-    ``cols[0] = 0`` the empty window.  Over the full space (``_full_space``)
-    the law's rows are already fixed-width CSR rows with increasing columns
-    and nothing is summed.  Zero outcomes are dropped."""
+def _law_block(child_law: ChildWindowLaw, child: int):
+    """The law of child ``child`` given each nonempty parent window, as a CSR
+    matrix with window w as row w - 1 and as column w, column 0 the empty
+    window.  The law's rows are already fixed-width CSR rows with increasing
+    columns, so nothing is summed.  Zero outcomes are dropped."""
+    rows = np.arange(1, 1 << child_law.params.window_slots, dtype=np.int64)
     windows, probs = child_law(rows, child)
-    windows = cols[windows]  # from here on, the outcomes' columns
     width = windows.shape[1]
     block = sparse.csr_matrix(
         (probs.ravel(), windows.ravel(), np.arange(0, len(rows) * width + 1, width)),
-        shape=(len(rows), int(cols.max()) + 1),
+        shape=(len(rows), len(rows) + 1),
     )
-    block.sum_duplicates()
     block.eliminate_zeros()
     return block
 
 
+def _n_orbits(params: TreeParams) -> int:
+    """Number of nonempty window orbits: a height-0 subtree has f(0) = 2
+    orbits (its bit), and a height-h one f(h) = 2 C(f(h-1) + d - 1, d) (its
+    bit, and a multiset of d child orbits)."""
+    f = 2
+    for _ in range(params.k - 1):
+        f = 2 * math.comb(f + params.d - 1, params.d)
+    return f - 1
+
+
+def _quotient_bytes(params: TreeParams) -> int:
+    """Estimated bytes of the orbit quotient: ``window_orbits`` with W + 80m
+    bytes per window (its slot bits, and the codes of the m bottom vertices
+    while they are sorted), and the count layout (``_count_layout``) with d
+    * n_orbits * (d+1)^m outcomes at 48 bytes each, which covers its sort
+    while it is built and one evaluation afterwards."""
+    m = params.n_top_slots // params.d
+    outcomes = params.d * _n_orbits(params) * (params.d + 1) ** m
+    return ((params.window_slots + 80 * m) << params.window_slots) + 48 * outcomes
+
+
+def _count_pmf(d: int, key_rows: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Probability of every count vector (columns) given each row of
+    ``key_rows``: below each bottom vertex v the count of set top slots is
+    Binomial(d, pi_v), independently over v, where pi_v is the top-slot
+    probability of ``ChildWindowLaw`` for the (parent bit, base bit) pair
+    ``key % 2, key // 2``."""
+    s = np.arange(d + 1)
+    pi = _open_prob(p, q, np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))[:, None]
+    pmf = np.array([math.comb(d, j) for j in s]) * pi**s * (1.0 - pi) ** (d - s)
+    probs = np.ones((len(key_rows), 1))
+    for v in range(key_rows.shape[1]):
+        probs = (probs[:, :, None] * pmf[key_rows[:, v]][:, None, :]).reshape(len(key_rows), -1)
+    return probs
+
+
+class _CountLayout(NamedTuple):
+    """The (p, q)-free part of the orbit quotient's law.
+
+    Outcome (i, r, j) is child i + 1 of orbit representative ``reps[r]``
+    with count vector j.  Its orbit column is ``cols[i, r, j]``, 0 the empty
+    window, and its probability is entry j of the ``_count_pmf`` row of
+    ``key_rows[key_ids[i, r]]``, that row's (parent bit + 2 * base bit) per
+    bottom vertex.  ``collect`` maps the flattened pmf rows to the entries
+    of the summed matrix, whose CSR pattern is ``indices``/``indptr``: for C
+    = (d+1)^m count vectors, entry (e, u * C + j) counts the outcomes with
+    key row u and count vector j that land on entry e.
+    """
+
+    key_rows: np.ndarray
+    key_ids: np.ndarray
+    cols: np.ndarray
+    collect: sparse.csr_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _count_layout(params: TreeParams) -> _CountLayout:
+    """Count layout of the orbit quotient's law, computed once per (d, k)
+    after its memory estimate is checked.  Count vector j sets, below bottom
+    vertex v (the height-(k-2) slots in slot order), its first ``counts[j,
+    v]`` top slots, one window of the orbit of every window with these
+    counts; v = 0 is j's most significant base-(d+1) digit.  All arrays are
+    read-only."""
+    _check_bytes(_quotient_bytes(params), f"the orbit quotient at (d={params.d}, k={params.k})")
+    orbit, reps = window_orbits(params)
+    d, n, m = params.d, len(reps), params.n_top_slots // params.d
+    counts = np.indices((d + 1,) * m).reshape(m, -1).T
+    canonical = (((1 << counts) - 1) << (params.top_slot_base + d * np.arange(m))).sum(axis=1)
+    low_targets, top_sources = _child_slot_maps(params)
+    cols = np.empty((d, n, len(canonical)), dtype=np.int32)
+    keys = np.empty((d, n, m), dtype=np.int64)
+    for i in range(d):
+        cols[i] = orbit[_low_part(reps, low_targets[i])[:, None] | canonical]
+        # the d top slots below a bottom vertex share their source
+        keys[i] = (reps[:, None] >> top_sources[i][::d] & 1) + 2 * (reps[:, None] & 1)
+    key_rows, key_ids = np.unique(keys.reshape(d * n, m), axis=0, return_inverse=True)
+    key_ids = key_ids.reshape(d, n)
+    # (key row, count vector) of every outcome; at p = q = 1/2 the count pmf
+    # is positive except where pi_v = 0 for all (p, q), so this keeps the
+    # outcomes of positive probability somewhere, those of nonempty windows
+    width = len(canonical) * len(key_rows)
+    src = key_ids[..., None] * len(canonical) + np.arange(len(canonical))
+    live = (cols > 0) & (_count_pmf(d, key_rows, 0.5, 0.5).ravel()[src] > 0.0)
+    # row r, orbit column c > 0 is entry r * n + c - 1
+    entry = np.arange(n)[:, None] * n + cols - 1
+    pairs, multiplicity = np.unique((entry * width + src)[live], return_counts=True)
+    del src, live, entry
+    entries, first = np.unique(pairs // width, return_index=True)
+    collect = sparse.csr_matrix(
+        (multiplicity.astype(float), pairs % width, np.append(first, len(pairs))),
+        shape=(len(entries), width),
+    )
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+    indices = entries % n
+    for array in (key_rows, key_ids, cols, indices, indptr, collect.data, collect.indices, collect.indptr):
+        array.flags.writeable = False
+    return _CountLayout(key_rows, key_ids, cols, collect, indices, indptr)
+
+
 def build_offspring_matrix(
-    params: TreeParams, p: float, q: float, rows=None, cols=None
+    params: TreeParams, p: float, q: float, quotient: bool = False
 ) -> SparseOffspringMatrix:
     """Exact mean offspring matrix M(A, B), the child-window law summed over
-    the d children: the running sum of the law blocks, one block at a time,
-    without the empty-window column.
+    the d children, without the empty-window column.
 
-    By default (``_full_space``) it spans all 2^W - 1 nonempty windows.  With
-    ``rows`` the orbit representatives and ``cols`` the orbit table of
-    ``window_orbits`` it is the orbit quotient M_L(O, O') = sum over B
-    in O' of M(rep O, B).  Raises ``SizeCapError`` before building when the
-    estimated memory exceeds ``MAX_ARRAY_BYTES``.
+    By default it spans all 2^W - 1 nonempty windows: the running sum of the
+    law blocks, one block at a time.  With ``quotient`` it is the orbit
+    quotient M_L(O, O') = sum over B in O' of M(rep O, B): the count law's
+    pmf rows (``_count_pmf``), collected into the cached pattern of
+    ``_count_layout``.
+    Raises ``SizeCapError`` before building when the estimated memory
+    exceeds ``MAX_ARRAY_BYTES``.
     """
+    if quotient:
+        check_probabilities(p=p, q=q)
+        layout = _count_layout(params)
+        n = len(layout.indptr) - 1
+        data = layout.collect @ _count_pmf(params.d, layout.key_rows, p, q).ravel()
+        csr = sparse.csr_matrix((data, layout.indices, layout.indptr), shape=(n, n), copy=True)
+        csr.eliminate_zeros()
+        return SparseOffspringMatrix(csr)
     child_law = ChildWindowLaw(params, p, q)
-    if rows is None:
-        rows, cols = _full_space(params)
-    _check_bytes(
-        _law_bytes(params, len(rows)), f"the offspring matrix at (d={params.d}, k={params.k})"
-    )
-    total = _law_block(child_law, 1, rows, cols)
+    _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
+    total = _law_block(child_law, 1)
     for i in range(2, params.d + 1):
-        total = total + _law_block(child_law, i, rows, cols)
+        total = total + _law_block(child_law, i)
     return SparseOffspringMatrix(total[:, 1:])
 
 
@@ -351,12 +473,11 @@ def simulate_window_chain(
     n_types = (1 << params.window_slots) - 1
     # the law blocks, then two generations and x
     _check_bytes(
-        _law_bytes(params, n_types) + 8 * trials * (2 * n_types + generations + 1),
+        _law_bytes(params) + 8 * trials * (2 * n_types + generations + 1),
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
-    space = _full_space(params)
-    blocks = [_law_block(child_law, i, *space) for i in range(1, params.d + 1)]
+    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
 
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)

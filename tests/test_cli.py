@@ -45,6 +45,28 @@ def test_qc_point_json(tmp_path):
     assert payload["meta"]["config"]["d"] == 2
 
 
+
+def test_qc_point_pinned_d2k4(tmp_path):
+    code, out = run(
+        tmp_path, "point.json", "qc-point", "--d", "2", "--k", "4", "--p", "0.25", "--tol", "1e-4"
+    )
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert (row["qc"], row["bisection_width"]) == (0.031524658203125, 6.103515625e-05)
+
+
+def test_qc_point_d16k2_runs(tmp_path):
+    # 2^16 top-slot subsets per child window, but 17 count vectors
+    code, out = run(
+        tmp_path, "point.json", "qc-point", "--d", "16", "--k", "2", "--p", "0.01", "--tol", "1e-6"
+    )
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    # the gap (3.5e-7) is below tol here, so the midpoint may fall under the
+    # lower bound; the bisection bracket may not
+    assert row["lower_bound"] < row["qc"] + 0.5 * row["bisection_width"]
+    assert row["qc"] <= 16.0**-2
+
 def test_qc_curve_csv_layout(tmp_path):
     code, out = run(
         tmp_path, "curve.csv", "qc-curve", "--d", "2", "--k", "2",

@@ -52,6 +52,22 @@ def test_quotient_rho_matches_full_rho(d, k, p, q):
     assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
 
 
+
+def test_quotient_rho_matches_full_rho_at_large_d():
+    # (10, 2): 2047 windows with 2^10 top-slot outcomes each against 21
+    # orbits with 11 count vectors
+    tp, tol = TreeParams(10, 2), 1e-12
+    for p, q in [(0.01, 0.004), (0.05, 0.02)]:
+        full = pf_eigen(build_offspring_matrix(tp, p, q), tol=tol)
+        assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
+
+
+def test_qc_strict_gap_at_d16():
+    # the gap at (16, 2), p = 0.01 is about 3.5e-7: resolved at tol 1e-9
+    point = qc(0.01, TreeParams(16, 2), tol=1e-9)
+    assert point.lower_bound < point.q_c <= 16.0**-2
+    assert point.gap > 10 * point.bisection_width
+
 def test_qc_known_endpoint():
     point = qc(0.0, TP)
     assert point.q_c == pytest.approx(0.25, abs=1e-9)

@@ -5,15 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, estimate_survival, explore_layers, make_oracle
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
     ChildWindowLaw,
-    _full_space,
+    _count_layout,
+    _count_pmf,
     _law_block,
     _law_bytes,
+    _n_orbits,
+    _quotient_bytes,
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
@@ -276,35 +280,97 @@ def test_matrix_csr_pinned(point):
 
 
 def quotient_matrix(tp, p, q):
-    orbit, reps = window_orbits(tp)
-    return build_offspring_matrix(tp, p, q, rows=reps, cols=orbit)
+    return build_offspring_matrix(tp, p, q, quotient=True)
+
+
+def orbit_block(cols, probs):
+    """CSR block with one row per orbit representative: column c holds the
+    summed probability of the row's outcomes of orbit column c, column 0
+    the empty window."""
+    n, width = cols.shape
+    block = sparse.csr_matrix(
+        (probs.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)),
+        shape=(n, n + 1),
+        copy=True,
+    )
+    block.sum_duplicates()
+    return block
+
+
+def reference_orbit_block(params, p, q, child):
+    """Child ``child``'s quotient law block by enumeration: every one of the
+    2^t top-slot subsets of each representative's child window, collected
+    into the window's orbit column."""
+    orbit, reps = window_orbits(params)
+    windows, probs = ChildWindowLaw(params, p, q)(reps, child)
+    return orbit_block(orbit[windows], probs)
+
+
+def count_law_block(params, p, q, child):
+    """Child ``child``'s quotient law block read from the count law."""
+    layout = _count_layout(params)
+    pmf = _count_pmf(params.d, layout.key_rows, p, q)
+    return orbit_block(layout.cols[child - 1], pmf[layout.key_ids[child - 1]])
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2)])
+def test_count_law_blocks_match_subset_enumeration(d, k):
+    # each child's block entrywise, and the quotient matrix as their sum
+    # without the empty column
+    tp = TreeParams(d, k)
+    for p, q in itertools.product((0.0, 0.2, 1.0), (0.0, 0.05, 0.5, 1.0)):
+        total = 0
+        for i in range(1, d + 1):
+            block = count_law_block(tp, p, q, i)
+            assert abs(block - reference_orbit_block(tp, p, q, i)).max() <= 1e-15
+            total = total + block
+        quotient = quotient_matrix(tp, p, q).csr
+        assert quotient.has_canonical_format and quotient.nnz == total[:, 1:].count_nonzero()
+        assert abs(quotient - total[:, 1:]).max() <= 1e-15
 
 
 def test_law_bytes_bounds_traced_peak():
-    # the estimate behind both memory caps covers the full and the quotient
-    # build, the latter with its orbit table computed inside the trace, and
-    # the chain's law blocks
+    # the estimates behind the memory caps cover the full build, the chain's
+    # law blocks and the quotient build, the latter with its orbit table and
+    # count layout computed inside the trace
     tp = TreeParams(3, 3)
-    n_types = (1 << tp.window_slots) - 1
-    n_orbits = 239
 
     def quotient():
         window_orbits.cache_clear()
+        _count_layout.cache_clear()
         quotient_matrix(tp, 0.2, 0.05)
 
     runs = (
-        (lambda: build_offspring_matrix(tp, 0.2, 0.05), n_types),
-        (quotient, n_orbits),
-        (lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0), n_types),
+        (lambda: build_offspring_matrix(tp, 0.2, 0.05), _law_bytes(tp)),
+        (lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0), _law_bytes(tp)),
+        (quotient, _quotient_bytes(tp)),
     )
-    for run, n_rows in runs:
+    for run, estimate in runs:
         tracemalloc.start()
         try:
             run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= _law_bytes(tp, n_rows)
+        assert peak <= estimate
+
+
+def test_quotient_memory_cap_before_allocating(monkeypatch):
+    # a cap just below the estimate refuses the quotient before its orbit
+    # table (8 bytes per window) or its count layout exists
+    tp = TreeParams(2, 4)
+    monkeypatch.setattr("treeperc.window_chain.MAX_ARRAY_BYTES", _quotient_bytes(tp) - 1)
+    window_orbits.cache_clear()
+    _count_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            quotient_matrix(tp, 0.2, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << tp.window_slots
+    assert window_orbits.cache_info().currsize == _count_layout.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("tp", [TP22, TP23, TP32])
@@ -419,8 +485,7 @@ def reference_simulate(params, p, q, rng, generations, trials=1):
     """The count-level chain with every occupied type drawing its offspring
     for all trials at once, those holding none of it included (n = 0)."""
     child_law = ChildWindowLaw(params, p, q)
-    space = _full_space(params)
-    blocks = [_law_block(child_law, i, *space) for i in range(1, params.d + 1)]
+    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
     n_types = (1 << params.window_slots) - 1
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)
@@ -526,10 +591,9 @@ def exact_survival(params, p, q, depth):
     the chain started from one individual of orbit A is extinct after j
     generations.  The d child windows are independent given the parent, so
     e_j = prod_i (block_i @ [1, e_{j-1}]), with e_0 = 0 and column 0 of each
-    quotient law block the empty window."""
+    count-law block the empty window."""
     orbit, reps = window_orbits(params)
-    child_law = ChildWindowLaw(params, p, q)
-    blocks = [_law_block(child_law, i, reps, orbit) for i in range(1, params.d + 1)]
+    blocks = [count_law_block(params, p, q, i) for i in range(1, params.d + 1)]
     extinct = np.zeros(len(reps))
     for _ in range(depth - params.k + 1):
         s = np.concatenate([[1.0], extinct])
@@ -602,7 +666,7 @@ def test_window_orbit_counts(d, k, nonempty):
     f = 2
     for _ in range(k - 1):
         f = 2 * math.comb(f + d - 1, d)
-    assert len(reps) == nonempty == f - 1
+    assert len(reps) == nonempty == f - 1 == _n_orbits(tp)
     # reps[j] is the smallest window of orbit j + 1
     assert (orbit[reps] == np.arange(1, nonempty + 1)).all()
     first = np.unique(orbit, return_index=True)[1]
