@@ -173,8 +173,9 @@ def window_orbits(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
     code is (its bit, the sorted codes of its children), numbered over all
     vertices of one height at once, so the empty window has id 0.
     ``reps[j]`` is the smallest window of orbit ``j + 1``.  Both arrays are
-    read-only and computed once per (d, k).  Only law blocks use them, so
-    sizes whose law cannot be enumerated are refused before the table.
+    read-only and computed once per (d, k).  Sizes beyond ``MAX_TOP_SLOTS``
+    are refused before the table, although the count layout that uses it
+    does not enumerate the 2^t top-slot subsets.
     """
     _check_top_slots(params)
     d, n = params.d, 1 << params.window_slots
