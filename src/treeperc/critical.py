@@ -16,19 +16,20 @@ has the law of child i's window under A, mapped by t.  Hence the mean
 number of children with windows in an orbit O' is the same for every parent
 window of an orbit O: M is lumpable over orbits (Kemeny & Snell, *Finite
 Markov Chains*, 1960, section 6.3; Buchholz, J. Appl. Probab. 31, 1994).
-The quotient M_L(O, O') = sum over B in O' of M(rep O, B) has the same
-Perron root: a nonnegative eigenvector of M_L lifts, constant on orbits, to
-one of M with the same eigen-residual, and M's left Perron vector summed
-over orbits is one of M_L.  At (d, k) = (2, 4) that is 1805 types, not 32767.
+The quotient M_L(O, O') = sum over B in O' of M(A, B), for any A in O, has
+the same Perron root: a nonnegative eigenvector of M_L lifts, constant on
+orbits, to one of M with the same eigen-residual, and M's left Perron
+vector summed over orbits is one of M_L.  At (d, k) = (2, 4) that is 1805
+types, not 32767.
 
-The quotient's rows come from counts, not from the 2^(d^(k-1)) top-slot
-subsets of a child window.  Swapping two top slots below one bottom vertex
-(height k-2) is itself a slab automorphism, so a child window's orbit
-depends only on its deterministic low part and the number of set top slots
-below each of the d^(k-2) bottom vertices, which are independent Binomial(d,
-pi) counts; summing the count vectors' probabilities into their windows'
-orbit columns gives M_L exactly (``window_chain._count_layout``).  At (2, 4)
-that is 81 outcomes per child and row, not 256.
+The quotient is built in orbit space alone (``window_chain._orbit_codes``
+and ``_count_layout``).  An orbit is coded per level by its bit and the
+sorted orbits of its d child subtrees, and child i's law depends only on
+the parent's root bit and its i-th child orbit.  Swapping two top slots
+below one bottom vertex (height k-2) is itself a slab automorphism, so the
+child's orbit is fixed by that child orbit and the number of set top slots
+below each of its d^(k-2) leaves, which are independent Binomial(d, pi)
+counts: 81 outcomes per child and row at (2, 4), not 2^(d^(k-1)) = 256.
 """
 
 from __future__ import annotations
@@ -149,12 +150,14 @@ def asymptotics_table(
         raise ParameterError(f"the expansion needs p^2 d < 1, got p={p}, d={d}")
     target = s_star(p, d)
     rows = []
-    for k in k_values:
-        params = TreeParams(d=d, k=k)
+    # every (d, k) passes its size cap before the first q_c is computed
+    for params in [TreeParams(d=d, k=k) for k in k_values]:
         point = qc(p, params, tol=tol)
-        dk = float(d) ** k
+        dk = float(d) ** params.k
         s_k = dk * dk * (point.q_c - (1.0 - p * d) / dk)
         rows.append(
-            AsymptoticsRow(k=k, q_c=point.q_c, s_k=s_k, s_star=target, residual=abs(s_k - target))
+            AsymptoticsRow(
+                k=params.k, q_c=point.q_c, s_k=s_k, s_star=target, residual=abs(s_k - target)
+            )
         )
     return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfSlabError, ParameterError
+from .errors import OutOfSlabError, ParameterError, SizeCapError
 
 #: Largest admissible window bitmask width.  The exact window chain is
 #: exponential in this width, so larger (d, k) are rejected outright.
@@ -31,7 +31,7 @@ class TreeParams:
         if self.d < 2 or self.k < 2:
             raise ParameterError(f"need d >= 2 and k >= 2, got d={self.d}, k={self.k}")
         if self.window_slots > MAX_WINDOW_BITS:
-            raise ParameterError(
+            raise SizeCapError(
                 f"window has {self.window_slots} slots, exceeding the configured "
                 f"cap of {MAX_WINDOW_BITS}; (d={self.d}, k={self.k}) is too large "
                 "for exact window-chain computation"

@@ -21,21 +21,25 @@ column w and column 0 the empty window.  The sparse mean offspring matrix
 simulation (``simulate_window_chain``) samples the rows of the blocks, each
 row only for the trials that hold its type.
 
-``critical`` solves the quotient of that matrix over window orbits
-(``window_orbits``), one representative per orbit as its row, and reads
-the quotient's law from counts.  Swapping two top slots below the same
-bottom vertex v (a height-(k-2) slot) is a slab automorphism that fixes
-every other slot, so the orbit of a child window depends only on its
-deterministic low part and on how many top slots are set below each v.
-Those counts are independent Binomial(d, pi_v), with pi_v the top-slot
+``critical`` solves the quotient of that matrix over window orbits, and
+builds it in orbit space alone.  A window orbit is coded per level as its
+root bit and the sorted orbits of its d child subtrees (``_orbit_codes``),
+and child i's law depends only on the parent's root bit and its i-th child
+orbit: that orbit is the child window's deterministic low part.  Swapping
+two top slots below the same bottom vertex v (a height-(k-2) slot) is a
+slab automorphism that fixes every other slot, so the child window's orbit
+depends only on that low part and on how many top slots are set below each
+v.  Those counts are independent Binomial(d, pi_v), with pi_v the top-slot
 probability above, so a child has (d+1)^m outcomes per parent row, not
-2^(dm), for m = d^(k-2) bottom vertices; each count vector stands for the
-window that sets the first slots below each v.  Everything but the binomial
-pmfs is computed once per (d, k) (``_count_layout``).
+2^(dm), for m = d^(k-2) bottom vertices, and the orbit of each outcome is
+read level by level from its child orbit's code.  Everything but the
+binomial pmfs is computed once per (d, k) (``_count_layout``); nothing on
+this path is sized by the 2^W windows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,9 +49,6 @@ from scipy import sparse
 
 from .errors import ParameterError, SizeCapError, check_probabilities
 from .tree import TreeParams, parent, slot_index, slot_vertex
-
-#: Enumerating a child-window law costs 2^(top slots); refuse beyond this.
-MAX_TOP_SLOTS = 16
 
 #: Bytes an offspring-matrix build or a count-level chain run may hold.
 MAX_ARRAY_BYTES = 1 << 30
@@ -60,9 +61,9 @@ class SparseOffspringMatrix:
     """Mean offspring rates M(A, B) over nonempty types, stored row-sparse.
 
     A type is a window or a window orbit.  Windows are encoded as bitmask
-    integers in [1, 2^W), and orbits by their ids in [1, n_orbits) from
-    ``window_orbits``; row/column index ``i - 1`` names window or orbit
-    ``i``.
+    integers in [1, 2^W), and orbits by their per-level codes in [1,
+    n_orbits] from ``_orbit_codes``; row/column index ``i - 1`` names window or
+    orbit ``i``.
     """
 
     def __init__(self, csr: sparse.csr_matrix):
@@ -120,14 +121,6 @@ def _open_prob(p: float, q: float, a, b):
     return 1.0 - (1.0 - p * a) * (1.0 - q * b)
 
 
-def _check_top_slots(params: TreeParams) -> None:
-    if params.n_top_slots > MAX_TOP_SLOTS:
-        raise SizeCapError(
-            f"a child-window law has 2^{params.n_top_slots} outcomes; "
-            f"(d={params.d}, k={params.k}) exceeds the enumeration cap"
-        )
-
-
 class ChildWindowLaw:
     """One-step law of the window of child ``i`` given parent windows ``A``.
 
@@ -141,7 +134,6 @@ class ChildWindowLaw:
 
     def __init__(self, params: TreeParams, p: float, q: float):
         check_probabilities(p=p, q=q)
-        _check_top_slots(params)
         self.params = params
         self.p = p
         self.q = q
@@ -160,43 +152,6 @@ class ChildWindowLaw:
             pi = _open_prob(self.p, self.q, a >> src & 1, b)[:, None]
             probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=1)
         return det[:, None] | self._top_windows, probs
-
-
-@lru_cache(maxsize=None)
-def window_orbits(params: TreeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit id of every window bitmask in [0, 2^W), and one representative
-    per nonempty orbit.
-
-    Two windows share an orbit iff a slab automorphism maps one onto the
-    other, i.e. iff they are isomorphic as bit-labelled rooted trees.  Ids are
-    canonical codes built bottom-up (Aho, Hopcroft & Ullman, 1974): a vertex's
-    code is (its bit, the sorted codes of its children), numbered over all
-    vertices of one height at once, so the empty window has id 0.
-    ``reps[j]`` is the smallest window of orbit ``j + 1``.  Both arrays are
-    read-only and computed once per (d, k).  Sizes beyond ``MAX_TOP_SLOTS``
-    are refused before the table, although the count layout that uses it
-    does not enumerate the 2^t top-slot subsets.
-    """
-    _check_top_slots(params)
-    d, n = params.d, 1 << params.window_slots
-    # bits[w, s] is slot s of window w, one byte each
-    as_bytes = np.arange(n, dtype="<u4").view(np.uint8).reshape(n, 4)
-    bits = np.unpackbits(as_bytes, axis=1, count=params.window_slots, bitorder="little")
-    lo, hi = params.top_slot_base, params.window_slots
-    codes, n_codes = bits[:, lo:hi], 2  # a top slot's code is its bit
-    while lo > 0:
-        lo, hi = (lo - 1) // d, lo  # one height nearer the root; slot s has children d*s+1..d*s+d
-        children = np.sort(codes.reshape(n, hi - lo, d), axis=2)
-        key = bits[:, lo:hi].astype(np.int64)
-        for c in range(d):  # mixed radix, below 2^21 at every admissible size
-            key = key * n_codes + children[:, :, c]
-        ids, codes = np.unique(key.ravel(), return_inverse=True)
-        codes = codes.reshape(key.shape)
-        n_codes = len(ids)
-    orbit = codes[:, 0]
-    reps = np.unique(orbit, return_index=True)[1][1:]
-    orbit.flags.writeable = reps.flags.writeable = False
-    return orbit, reps
 
 
 def _law_bytes(params: TreeParams) -> int:
@@ -285,14 +240,53 @@ def _n_orbits(params: TreeParams) -> int:
 
 
 def _quotient_bytes(params: TreeParams) -> int:
-    """Estimated bytes of the orbit quotient: ``window_orbits`` with W + 80m
-    bytes per window (its slot bits, and the codes of the m bottom vertices
-    while they are sorted), and the count layout (``_count_layout``) with d
-    * n_orbits * (d+1)^m outcomes at 48 bytes each, which covers its sort
-    while it is built and one evaluation afterwards."""
+    """Estimated bytes of the orbit quotient's count layout
+    (``_count_layout``): d * n_orbits * (d+1)^m outcomes at 48 bytes each,
+    which covers its sort while it is built and one evaluation afterwards.
+    The orbit codes it reads are smaller: their largest array has d entries
+    per height-(k-2) orbit and count vector, at most half the outcomes."""
     m = params.n_top_slots // params.d
-    outcomes = params.d * _n_orbits(params) * (params.d + 1) ** m
-    return ((params.window_slots + 80 * m) << params.window_slots) + 48 * outcomes
+    return 48 * params.d * _n_orbits(params) * (params.d + 1) ** m
+
+
+@lru_cache(maxsize=None)
+def _orbit_codes(params: TreeParams):
+    """Orbit codes of the windows, ``(kids, leaves, grown)``, built one
+    height at a time from the two top-slot bits up.
+
+    A height-0 orbit is a top slot's bit.  A height-h orbit is its bit and
+    the sorted ids of its d height-(h-1) child orbits, numbered in
+    lexicographic order: id = bit * T + rank of the child tuple among the T
+    nondecreasing d-tuples, so the empty window has id 0.  These are the
+    canonical codes of bit-labelled rooted trees (Aho, Hopcroft & Ullman,
+    1974): two windows share an orbit under the slab's automorphisms iff
+    they share a code.  Window orbit o places its child orbits ``kids[o]``,
+    in decreasing order, at the children 1..d of its root; ``leaves[o]`` are
+    then its top-slot bits in slot order.  A count vector j over the leaves
+    of a height-(k-2) orbit c, leaf 0 the most significant base-(d+1) digit,
+    sets that many slots below each leaf, and ``grown[c, j]`` is the window
+    orbit of the result, found through the extensions of c's children.  All
+    arrays are read-only.
+    """
+    d = params.d
+    kids, leaves = np.zeros((2, 0), dtype=np.int64), np.arange(2)[:, None]
+    for h in range(params.k - 1):
+        n = len(kids)
+        tuples = np.array(list(itertools.combinations_with_replacement(range(n), d)))
+        if h == 0:  # the d new slots below a top slot, the last s of them set
+            new = np.broadcast_to(np.arange(d) >= d - np.arange(d + 1)[:, None], (n, d + 1, d))
+        else:  # child p extended by count vector j_p, j_0 most significant
+            digits = np.indices((grown.shape[1],) * d).reshape(d, -1).T
+            new = grown[kids[:, None, :], digits]
+        radix = n ** np.arange(d - 1, -1, -1)
+        grown = (np.arange(n) >= n // 2)[:, None] * len(tuples) + np.searchsorted(
+            tuples @ radix, np.sort(new, axis=2) @ radix
+        )
+        kids = np.tile(tuples[:, ::-1], (2, 1))
+        leaves = leaves[kids].reshape(len(kids), -1)
+    for array in (kids, leaves, grown):
+        array.flags.writeable = False
+    return kids, leaves, grown
 
 
 def _count_pmf(d: int, key_rows: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -313,7 +307,7 @@ def _count_pmf(d: int, key_rows: np.ndarray, p: float, q: float) -> np.ndarray:
 class _CountLayout(NamedTuple):
     """The (p, q)-free part of the orbit quotient's law.
 
-    Outcome (i, r, j) is child i + 1 of orbit representative ``reps[r]``
+    Outcome (i, r, j) is child i + 1 of window orbit r + 1 (``_orbit_codes``)
     with count vector j.  Its orbit column is ``cols[i, r, j]``, 0 the empty
     window, and its probability is entry j of the ``_count_pmf`` row of
     ``key_rows[key_ids[i, r]]``, that row's (parent bit + 2 * base bit) per
@@ -334,30 +328,24 @@ class _CountLayout(NamedTuple):
 @lru_cache(maxsize=None)
 def _count_layout(params: TreeParams) -> _CountLayout:
     """Count layout of the orbit quotient's law, computed once per (d, k)
-    after its memory estimate is checked.  Count vector j sets, below bottom
-    vertex v (the height-(k-2) slots in slot order), its first ``counts[j,
-    v]`` top slots, one window of the orbit of every window with these
-    counts; v = 0 is j's most significant base-(d+1) digit.  All arrays are
-    read-only."""
+    after its memory estimate is checked.  Child i of a window orbit is its
+    child orbit ``kids[i]`` extended by one level: its bottom vertices are
+    the leaves of that orbit, whose bits and the parent's root bit set the
+    count pmf, and ``grown`` names its orbit.  All arrays are read-only."""
     _check_bytes(_quotient_bytes(params), f"the orbit quotient at (d={params.d}, k={params.k})")
-    orbit, reps = window_orbits(params)
-    d, n, m = params.d, len(reps), params.n_top_slots // params.d
-    counts = np.indices((d + 1,) * m).reshape(m, -1).T
-    canonical = (((1 << counts) - 1) << (params.top_slot_base + d * np.arange(m))).sum(axis=1)
-    low_targets, top_sources = _child_slot_maps(params)
-    cols = np.empty((d, n, len(canonical)), dtype=np.int32)
-    keys = np.empty((d, n, m), dtype=np.int64)
-    for i in range(d):
-        cols[i] = orbit[_low_part(reps, low_targets[i])[:, None] | canonical]
-        # the d top slots below a bottom vertex share their source
-        keys[i] = (reps[:, None] >> top_sources[i][::d] & 1) + 2 * (reps[:, None] & 1)
+    kids, leaves, grown = _orbit_codes(params)
+    d, n, m = params.d, len(kids) - 1, params.n_top_slots // params.d
+    cols = grown.astype(np.int32)[kids[1:].T]
+    base = np.arange(1, n + 1) >= (n + 1) // 2
+    keys = leaves[1:].reshape(n, d, m).transpose(1, 0, 2) + 2 * base[:, None]
     key_rows, key_ids = np.unique(keys.reshape(d * n, m), axis=0, return_inverse=True)
     key_ids = key_ids.reshape(d, n)
     # (key row, count vector) of every outcome; at p = q = 1/2 the count pmf
     # is positive except where pi_v = 0 for all (p, q), so this keeps the
     # outcomes of positive probability somewhere, those of nonempty windows
-    width = len(canonical) * len(key_rows)
-    src = key_ids[..., None] * len(canonical) + np.arange(len(canonical))
+    n_counts = cols.shape[2]
+    width = n_counts * len(key_rows)
+    src = key_ids[..., None] * n_counts + np.arange(n_counts)
     live = (cols > 0) & (_count_pmf(d, key_rows, 0.5, 0.5).ravel()[src] > 0.0)
     # row r, orbit column c > 0 is entry r * n + c - 1
     entry = np.arange(n)[:, None] * n + cols - 1
@@ -383,22 +371,22 @@ def build_offspring_matrix(
 
     By default it spans all 2^W - 1 nonempty windows: the running sum of the
     law blocks, one block at a time.  With ``quotient`` it is the orbit
-    quotient M_L(O, O') = sum over B in O' of M(rep O, B): the count law's
-    pmf rows (``_count_pmf``), collected into the cached pattern of
-    ``_count_layout``.
+    quotient M_L(O, O') = sum over B in O' of M(A, B) for any A in O: the
+    count law's pmf rows (``_count_pmf``), collected into the cached pattern
+    of ``_count_layout``.
     Raises ``SizeCapError`` before building when the estimated memory
     exceeds ``MAX_ARRAY_BYTES``.
     """
+    check_probabilities(p=p, q=q)
     if quotient:
-        check_probabilities(p=p, q=q)
         layout = _count_layout(params)
         n = len(layout.indptr) - 1
         data = layout.collect @ _count_pmf(params.d, layout.key_rows, p, q).ravel()
         csr = sparse.csr_matrix((data, layout.indices, layout.indptr), shape=(n, n), copy=True)
         csr.eliminate_zeros()
         return SparseOffspringMatrix(csr)
-    child_law = ChildWindowLaw(params, p, q)
     _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
+    child_law = ChildWindowLaw(params, p, q)
     total = _law_block(child_law, 1)
     for i in range(2, params.d + 1):
         total = total + _law_block(child_law, i)
@@ -470,7 +458,7 @@ def simulate_window_chain(
         raise ParameterError("generations must be >= 0")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    child_law = ChildWindowLaw(params, p, q)
+    check_probabilities(p=p, q=q)
     n_types = (1 << params.window_slots) - 1
     # the law blocks, then two generations and x
     _check_bytes(
@@ -478,6 +466,7 @@ def simulate_window_chain(
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
+    child_law = ChildWindowLaw(params, p, q)
     blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
 
     cur = np.zeros((trials, n_types), dtype=np.int64)

@@ -366,12 +366,17 @@ def test_exit_code_cap(tmp_path):
         "--out", str(tmp_path / "never.csv"),
     ])
     assert code == 3
-    # about 10^11 candidate matrix entries at (16,2), refused before the build
-    code = main([
-        "matrix", "--d", "16", "--k", "2", "--p", "0.01", "--q", "0.01",
-        "--out", str(tmp_path / "never.json"),
-    ])
-    assert code == 3
+    # about 10^11 candidate matrix entries at (16,2), refused before the
+    # build; at (17,2) the full law's estimate is about 1.9e13 bytes
+    for argv in (
+        ["matrix", "--d", "16", "--k", "2", "--p", "0.01", "--q", "0.01"],
+        ["matrix", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
+        ["survival", "--method", "chain", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
+        # 31 window slots, above the width cap
+        ["qc-point", "--d", "2", "--k", "5", "--p", "0.2"],
+        ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "5"],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "never.json")]) == 3
 
 
 def test_missing_subcommand_is_argparse_error(capsys):

@@ -68,6 +68,15 @@ def test_qc_strict_gap_at_d16():
     assert point.lower_bound < point.q_c <= 16.0**-2
     assert point.gap > 10 * point.bisection_width
 
+
+def test_qc_runs_past_sixteen_top_slots():
+    # 2^17 and 2^19 top-slot subsets per child window, but 18 and 20 count
+    # vectors: the gaps there are about 3.0e-7 and 2.3e-7
+    for d in (17, 19):
+        point = qc(0.01, TreeParams(d, 2), tol=1e-9)
+        assert point.lower_bound < point.q_c <= float(d) ** -2
+
+
 def test_qc_known_endpoint():
     point = qc(0.0, TP)
     assert point.q_c == pytest.approx(0.25, abs=1e-9)

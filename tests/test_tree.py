@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from treeperc.errors import OutOfSlabError, ParameterError
+from treeperc.errors import OutOfSlabError, ParameterError, SizeCapError
 from treeperc.tree import (
     TreeParams,
     long_selector,
@@ -23,7 +23,7 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         TreeParams(2, 1)
     # window would need 31 slots, above the exact-computation cap
-    with pytest.raises(ParameterError):
+    with pytest.raises(SizeCapError):
         TreeParams(2, 5)
 
 

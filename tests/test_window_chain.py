@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,18 +13,19 @@ from treeperc.percolation import PercParams, estimate_survival, explore_layers, 
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
     ChildWindowLaw,
+    _child_slot_maps,
     _count_layout,
     _count_pmf,
     _law_block,
     _law_bytes,
     _n_orbits,
+    _orbit_codes,
     _quotient_bytes,
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
     initial_window_dist,
     simulate_window_chain,
-    window_orbits,
 )
 
 TP22 = TreeParams(2, 2)
@@ -297,12 +299,58 @@ def orbit_block(cols, probs):
     return block
 
 
+@lru_cache(maxsize=None)
+def window_orbits(params):
+    """Reference labelling: the orbit id of every window bitmask in [0,
+    2^W), and the smallest window of each nonempty orbit.
+
+    A vertex's code is (its bit, the sorted codes of its children), numbered
+    over all vertices of one height at once by ``np.unique`` (Aho, Hopcroft
+    & Ullman, 1974), so the empty window has id 0.
+    """
+    d, n = params.d, 1 << params.window_slots
+    # bits[w, s] is slot s of window w, one byte each
+    as_bytes = np.arange(n, dtype="<u4").view(np.uint8).reshape(n, 4)
+    bits = np.unpackbits(as_bytes, axis=1, count=params.window_slots, bitorder="little")
+    lo, hi = params.top_slot_base, params.window_slots
+    codes, n_codes = bits[:, lo:hi], 2  # a top slot's code is its bit
+    while lo > 0:
+        lo, hi = (lo - 1) // d, lo  # one height nearer the root; slot s has children d*s+1..d*s+d
+        children = np.sort(codes.reshape(n, hi - lo, d), axis=2)
+        key = bits[:, lo:hi].astype(np.int64)
+        for c in range(d):
+            key = key * n_codes + children[:, :, c]
+        ids, codes = np.unique(key.ravel(), return_inverse=True)
+        codes = codes.reshape(key.shape)
+        n_codes = len(ids)
+    orbit = codes[:, 0]
+    reps = np.unique(orbit, return_index=True)[1][1:]
+    orbit.flags.writeable = reps.flags.writeable = False
+    return orbit, reps
+
+
+def orbit_windows(params):
+    """The window of every orbit id of ``_orbit_codes``: the root bit, and
+    below child p + 1 the window of the orbit's p-th listed child orbit,
+    built up one height at a time."""
+    windows = np.arange(2)  # a height-0 orbit is its bit
+    for k in range(2, params.k + 1):
+        tp = TreeParams(params.d, k)
+        kids = _orbit_codes(tp)[0]
+        built = (np.arange(len(kids)) >= len(kids) // 2).astype(np.int64)
+        for p, targets in enumerate(_child_slot_maps(tp)[0]):
+            for j, target in enumerate(targets):
+                built |= (windows[kids[:, p]] >> j & 1) << target
+        windows = built
+    return windows
+
+
 def reference_orbit_block(params, p, q, child):
     """Child ``child``'s quotient law block by enumeration: every one of the
-    2^t top-slot subsets of each representative's child window, collected
-    into the window's orbit column."""
-    orbit, reps = window_orbits(params)
-    windows, probs = ChildWindowLaw(params, p, q)(reps, child)
+    2^t top-slot subsets of child ``child``'s window, below the window of
+    each orbit id, collected into the reference orbit column."""
+    orbit, _ = window_orbits(params)
+    windows, probs = ChildWindowLaw(params, p, q)(orbit_windows(params)[1:], child)
     return orbit_block(orbit[windows], probs)
 
 
@@ -331,12 +379,12 @@ def test_count_law_blocks_match_subset_enumeration(d, k):
 
 def test_law_bytes_bounds_traced_peak():
     # the estimates behind the memory caps cover the full build, the chain's
-    # law blocks and the quotient build, the latter with its orbit table and
+    # law blocks and the quotient build, the latter with its orbit codes and
     # count layout computed inside the trace
     tp = TreeParams(3, 3)
 
     def quotient():
-        window_orbits.cache_clear()
+        _orbit_codes.cache_clear()
         _count_layout.cache_clear()
         quotient_matrix(tp, 0.2, 0.05)
 
@@ -357,10 +405,10 @@ def test_law_bytes_bounds_traced_peak():
 
 def test_quotient_memory_cap_before_allocating(monkeypatch):
     # a cap just below the estimate refuses the quotient before its orbit
-    # table (8 bytes per window) or its count layout exists
+    # codes or its count layout exist, and before 8 bytes per window
     tp = TreeParams(2, 4)
     monkeypatch.setattr("treeperc.window_chain.MAX_ARRAY_BYTES", _quotient_bytes(tp) - 1)
-    window_orbits.cache_clear()
+    _orbit_codes.cache_clear()
     _count_layout.cache_clear()
     tracemalloc.start()
     try:
@@ -370,7 +418,23 @@ def test_quotient_memory_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 << tp.window_slots
-    assert window_orbits.cache_info().currsize == _count_layout.cache_info().currsize == 0
+    assert _orbit_codes.cache_info().currsize == _count_layout.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("tp", [TreeParams(16, 2), TreeParams(17, 2)])
+def test_full_law_refused_before_its_arrays(tp):
+    # the full law's byte estimate refuses the matrix and the chain before
+    # ChildWindowLaw allocates its 2^t top-slot outcomes
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            build_offspring_matrix(tp, 0.01, 0.01)
+        with pytest.raises(SizeCapError):
+            simulate_window_chain(tp, 0.01, 0.01, np.random.default_rng(0), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << tp.n_top_slots
 
 
 @pytest.mark.parametrize("tp", [TP22, TP23, TP32])
@@ -656,28 +720,36 @@ def swap_generators(tp):
 
 
 @pytest.mark.parametrize(
-    "d, k, nonempty", [(2, 2, 5), (2, 3, 41), (3, 2, 7), (3, 3, 239), (2, 4, 1805)]
+    "d, k, nonempty",
+    [(2, 2, 5), (2, 3, 41), (3, 2, 7), (3, 3, 239), (2, 4, 1805), (4, 2, 9), (16, 2, 33), (19, 2, 39)],
 )
 def test_window_orbit_counts(d, k, nonempty):
-    tp = TreeParams(d, k)
-    orbit, reps = window_orbits(tp)
-    assert orbit.shape == (1 << tp.window_slots,) and orbit[0] == 0
-    # f(0) = 2, f(h) = 2 C(f(h-1) + d - 1, d) orbits of height-h subtrees
-    f = 2
+    # f(0) = 2, f(h) = 2 C(f(h-1) + d - 1, d) orbits of height-h subtrees;
+    # the codes of a height-h orbit are those of the windows at (d, h + 1)
+    f = [2]
     for _ in range(k - 1):
-        f = 2 * math.comb(f + d - 1, d)
-    assert len(reps) == nonempty == f - 1 == _n_orbits(tp)
-    # reps[j] is the smallest window of orbit j + 1
-    assert (orbit[reps] == np.arange(1, nonempty + 1)).all()
-    first = np.unique(orbit, return_index=True)[1]
-    assert (reps == first[1:]).all()
-    assert not orbit.flags.writeable and not reps.flags.writeable
+        f.append(2 * math.comb(f[-1] + d - 1, d))
+    assert nonempty == f[-1] - 1 == _n_orbits(TreeParams(d, k))
+    for h in range(1, k):
+        kids, leaves, grown = _orbit_codes(TreeParams(d, h + 1))
+        assert kids.shape == (f[h], d) and leaves.shape == (f[h], d**h)
+        assert grown.shape == (f[h - 1], (d + 1) ** (d ** (h - 1)))
+        assert grown.min() == 0 and grown.max() == f[h] - 1
+        # each child tuple once per root bit, in decreasing order
+        assert len(np.unique(kids, axis=0)) == f[h] // 2 and (np.diff(kids, axis=1) <= 0).all()
+        assert not (kids.flags.writeable or leaves.flags.writeable or grown.flags.writeable)
 
 
-def test_window_orbits_refuse_sizes_without_a_law():
-    # 2^17 top-slot outcomes: no law block can use the table, so it is not built
-    with pytest.raises(SizeCapError):
-        window_orbits(TreeParams(17, 2))
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_orbit_codes_match_reference_labelling(d, k):
+    # id for id: the window built from each code has that reference orbit
+    # id, and its top slots are the code's leaves
+    tp = TreeParams(d, k)
+    orbit, _ = window_orbits(tp)
+    windows = orbit_windows(tp)
+    assert (orbit[windows] == np.arange(_n_orbits(tp) + 1)).all()
+    top = windows[:, None] >> np.arange(tp.top_slot_base, tp.window_slots) & 1
+    assert (top == _orbit_codes(tp)[1]).all()
 
 
 @pytest.mark.parametrize("tp", [TP23, TreeParams(2, 4)])
