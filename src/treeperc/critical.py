@@ -8,28 +8,20 @@ derivative-based root finder.  A priori bounds confine the search to
 [0, d^-k]: q_c is largest at p = 0, where the model is percolation on
 disjoint d^k-ary trees.
 
-rho is solved on window orbits, not windows.  Automorphisms of the slab
-permute the d subtrees below each vertex and act on windows.  The law is
-invariant under them and a top slot's probability depends only on (parent
-bit, base bit), so for an automorphism t the window of child t(i) under tA
-has the law of child i's window under A, mapped by t.  Hence the mean
-number of children with windows in an orbit O' is the same for every parent
-window of an orbit O: M is lumpable over orbits (Kemeny & Snell, *Finite
-Markov Chains*, 1960, section 6.3; Buchholz, J. Appl. Probab. 31, 1994).
-The quotient M_L(O, O') = sum over B in O' of M(A, B), for any A in O, has
-the same Perron root: a nonnegative eigenvector of M_L lifts, constant on
-orbits, to one of M with the same eigen-residual, and M's left Perron
-vector summed over orbits is one of M_L.  At (d, k) = (2, 4) that is 1805
-types, not 32767.
-
-The quotient is built in orbit space alone (``window_chain._orbit_codes``
-and ``_count_layout``).  An orbit is coded per level by its bit and the
-sorted orbits of its d child subtrees, and child i's law depends only on
-the parent's root bit and its i-th child orbit.  Swapping two top slots
-below one bottom vertex (height k-2) is itself a slab automorphism, so the
-child's orbit is fixed by that child orbit and the number of set top slots
-below each of its d^(k-2) leaves, which are independent Binomial(d, pi)
-counts: 81 outcomes per child and row at (2, 4), not 2^(d^(k-1)) = 256.
+rho is solved on the ancestral ray, not on windows.  In the oriented tree
+every path to a vertex runs through its ancestors, so the indicators of its
+last k ancestors, itself included, form a Markov chain, and each of its d
+children joins the cluster independently with probability
+1 - (1 - p a)(1 - q b), a the newest indicator and b the oldest.  Counting
+vertices by that state is a (2^k - 1)-type Galton-Watson process with mean
+matrix d T (``window_chain._ray_matrix``), and rho is its Perron root
+(first-moment method: Lyons & Peres, *Probability on Trees and Networks*,
+2016, ch. 5).  Exactly: if R(A, s) counts the top slots of window A whose
+bits along the path from A's base are s, then M R = R (d T), and R has no
+zero row or column, so d T's right Perron vector nu lifts to R nu >= 0, an
+eigenvector of M, and M's left one mu projects to mu R >= 0, one of d T:
+each Perron root bounds the other.  At (d, k) = (2, 4) that is 15 types,
+not 32767.
 """
 
 from __future__ import annotations
@@ -71,8 +63,8 @@ def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
 
 
 def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12, x0=None):
-    """Perron solve of the orbit quotient; ``nu`` is indexed by nonempty orbit."""
-    return pf_eigen(build_offspring_matrix(params, p, q, quotient=True), tol=tol, x0=x0)
+    """Perron solve of the ray matrix; ``nu`` is indexed by nonzero ray state."""
+    return pf_eigen(build_offspring_matrix(params, p, q, ray=True), tol=tol, x0=x0)
 
 
 def branching_lower_bound(p: float, params: TreeParams) -> float:

@@ -21,28 +21,16 @@ column w and column 0 the empty window.  The sparse mean offspring matrix
 simulation (``simulate_window_chain``) samples the rows of the blocks, each
 row only for the trials that hold its type.
 
-``critical`` solves the quotient of that matrix over window orbits, and
-builds it in orbit space alone.  A window orbit is coded per level as its
-root bit and the sorted orbits of its d child subtrees (``_orbit_codes``),
-and child i's law depends only on the parent's root bit and its i-th child
-orbit: that orbit is the child window's deterministic low part.  Swapping
-two top slots below the same bottom vertex v (a height-(k-2) slot) is a
-slab automorphism that fixes every other slot, so the child window's orbit
-depends only on that low part and on how many top slots are set below each
-v.  Those counts are independent Binomial(d, pi_v), with pi_v the top-slot
-probability above, so a child has (d+1)^m outcomes per parent row, not
-2^(dm), for m = d^(k-2) bottom vertices, and the orbit of each outcome is
-read level by level from its child orbit's code.  Everything but the
-binomial pmfs is computed once per (d, k) (``_count_layout``); nothing on
-this path is sized by the 2^W windows.
+``critical`` solves a smaller matrix with the same Perron root, the ray's
+(``build_offspring_matrix(..., ray=True)``).  A top slot's k bits along its
+path from the window's base are the last k cluster indicators of its
+ancestral ray, and they form a Markov chain: each of the slot's d children
+is set independently with the probability pi above, a the slot's own bit
+(the newest) and b the base's (the oldest).  Counting vertices by that
+state is a (2^k - 1)-type Galton-Watson process with mean matrix d * T.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -60,10 +48,8 @@ POPULATION_CAP = 10**8
 class SparseOffspringMatrix:
     """Mean offspring rates M(A, B) over nonempty types, stored row-sparse.
 
-    A type is a window or a window orbit.  Windows are encoded as bitmask
-    integers in [1, 2^W), and orbits by their per-level codes in [1,
-    n_orbits] from ``_orbit_codes``; row/column index ``i - 1`` names window or
-    orbit ``i``.
+    A type is a window or a ray state, encoded as a bitmask integer in
+    [1, 2^W) or [1, 2^k); row/column index ``i - 1`` names type ``i``.
     """
 
     def __init__(self, csr: sparse.csr_matrix):
@@ -229,162 +215,39 @@ def _law_block(child_law: ChildWindowLaw, child: int):
     return block
 
 
-def _n_orbits(params: TreeParams) -> int:
-    """Number of nonempty window orbits: a height-0 subtree has f(0) = 2
-    orbits (its bit), and a height-h one f(h) = 2 C(f(h-1) + d - 1, d) (its
-    bit, and a multiset of d child orbits)."""
-    f = 2
-    for _ in range(params.k - 1):
-        f = 2 * math.comb(f + params.d - 1, params.d)
-    return f - 1
-
-
-def _quotient_bytes(params: TreeParams) -> int:
-    """Estimated bytes of the orbit quotient's count layout
-    (``_count_layout``): d * n_orbits * (d+1)^m outcomes at 48 bytes each,
-    which covers its sort while it is built and one evaluation afterwards.
-    The orbit codes it reads are smaller: their largest array has d entries
-    per height-(k-2) orbit and count vector, at most half the outcomes."""
-    m = params.n_top_slots // params.d
-    return 48 * params.d * _n_orbits(params) * (params.d + 1) ** m
-
-
-@lru_cache(maxsize=None)
-def _orbit_codes(params: TreeParams):
-    """Orbit codes of the windows, ``(kids, leaves, grown)``, built one
-    height at a time from the two top-slot bits up.
-
-    A height-0 orbit is a top slot's bit.  A height-h orbit is its bit and
-    the sorted ids of its d height-(h-1) child orbits, numbered in
-    lexicographic order: id = bit * T + rank of the child tuple among the T
-    nondecreasing d-tuples, so the empty window has id 0.  These are the
-    canonical codes of bit-labelled rooted trees (Aho, Hopcroft & Ullman,
-    1974): two windows share an orbit under the slab's automorphisms iff
-    they share a code.  Window orbit o places its child orbits ``kids[o]``,
-    in decreasing order, at the children 1..d of its root; ``leaves[o]`` are
-    then its top-slot bits in slot order.  A count vector j over the leaves
-    of a height-(k-2) orbit c, leaf 0 the most significant base-(d+1) digit,
-    sets that many slots below each leaf, and ``grown[c, j]`` is the window
-    orbit of the result, found through the extensions of c's children.  All
-    arrays are read-only.
-    """
-    d = params.d
-    kids, leaves = np.zeros((2, 0), dtype=np.int64), np.arange(2)[:, None]
-    for h in range(params.k - 1):
-        n = len(kids)
-        tuples = np.array(list(itertools.combinations_with_replacement(range(n), d)))
-        if h == 0:  # the d new slots below a top slot, the last s of them set
-            new = np.broadcast_to(np.arange(d) >= d - np.arange(d + 1)[:, None], (n, d + 1, d))
-        else:  # child p extended by count vector j_p, j_0 most significant
-            digits = np.indices((grown.shape[1],) * d).reshape(d, -1).T
-            new = grown[kids[:, None, :], digits]
-        radix = n ** np.arange(d - 1, -1, -1)
-        grown = (np.arange(n) >= n // 2)[:, None] * len(tuples) + np.searchsorted(
-            tuples @ radix, np.sort(new, axis=2) @ radix
-        )
-        kids = np.tile(tuples[:, ::-1], (2, 1))
-        leaves = leaves[kids].reshape(len(kids), -1)
-    for array in (kids, leaves, grown):
-        array.flags.writeable = False
-    return kids, leaves, grown
-
-
-def _count_pmf(d: int, key_rows: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Probability of every count vector (columns) given each row of
-    ``key_rows``: below each bottom vertex v the count of set top slots is
-    Binomial(d, pi_v), independently over v, where pi_v is the top-slot
-    probability of ``ChildWindowLaw`` for the (parent bit, base bit) pair
-    ``key % 2, key // 2``."""
-    s = np.arange(d + 1)
-    pi = _open_prob(p, q, np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))[:, None]
-    pmf = np.array([math.comb(d, j) for j in s]) * pi**s * (1.0 - pi) ** (d - s)
-    probs = np.ones((len(key_rows), 1))
-    for v in range(key_rows.shape[1]):
-        probs = (probs[:, :, None] * pmf[key_rows[:, v]][:, None, :]).reshape(len(key_rows), -1)
-    return probs
-
-
-class _CountLayout(NamedTuple):
-    """The (p, q)-free part of the orbit quotient's law.
-
-    Outcome (i, r, j) is child i + 1 of window orbit r + 1 (``_orbit_codes``)
-    with count vector j.  Its orbit column is ``cols[i, r, j]``, 0 the empty
-    window, and its probability is entry j of the ``_count_pmf`` row of
-    ``key_rows[key_ids[i, r]]``, that row's (parent bit + 2 * base bit) per
-    bottom vertex.  ``collect`` maps the flattened pmf rows to the entries
-    of the summed matrix, whose CSR pattern is ``indices``/``indptr``: for C
-    = (d+1)^m count vectors, entry (e, u * C + j) counts the outcomes with
-    key row u and count vector j that land on entry e.
-    """
-
-    key_rows: np.ndarray
-    key_ids: np.ndarray
-    cols: np.ndarray
-    collect: sparse.csr_matrix
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _count_layout(params: TreeParams) -> _CountLayout:
-    """Count layout of the orbit quotient's law, computed once per (d, k)
-    after its memory estimate is checked.  Child i of a window orbit is its
-    child orbit ``kids[i]`` extended by one level: its bottom vertices are
-    the leaves of that orbit, whose bits and the parent's root bit set the
-    count pmf, and ``grown`` names its orbit.  All arrays are read-only."""
-    _check_bytes(_quotient_bytes(params), f"the orbit quotient at (d={params.d}, k={params.k})")
-    kids, leaves, grown = _orbit_codes(params)
-    d, n, m = params.d, len(kids) - 1, params.n_top_slots // params.d
-    cols = grown.astype(np.int32)[kids[1:].T]
-    base = np.arange(1, n + 1) >= (n + 1) // 2
-    keys = leaves[1:].reshape(n, d, m).transpose(1, 0, 2) + 2 * base[:, None]
-    key_rows, key_ids = np.unique(keys.reshape(d * n, m), axis=0, return_inverse=True)
-    key_ids = key_ids.reshape(d, n)
-    # (key row, count vector) of every outcome; at p = q = 1/2 the count pmf
-    # is positive except where pi_v = 0 for all (p, q), so this keeps the
-    # outcomes of positive probability somewhere, those of nonempty windows
-    n_counts = cols.shape[2]
-    width = n_counts * len(key_rows)
-    src = key_ids[..., None] * n_counts + np.arange(n_counts)
-    live = (cols > 0) & (_count_pmf(d, key_rows, 0.5, 0.5).ravel()[src] > 0.0)
-    # row r, orbit column c > 0 is entry r * n + c - 1
-    entry = np.arange(n)[:, None] * n + cols - 1
-    pairs, multiplicity = np.unique((entry * width + src)[live], return_counts=True)
-    del src, live, entry
-    entries, first = np.unique(pairs // width, return_index=True)
-    collect = sparse.csr_matrix(
-        (multiplicity.astype(float), pairs % width, np.append(first, len(pairs))),
-        shape=(len(entries), width),
-    )
-    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
-    indices = entries % n
-    for array in (key_rows, key_ids, cols, indices, indptr, collect.data, collect.indices, collect.indptr):
-        array.flags.writeable = False
-    return _CountLayout(key_rows, key_ids, cols, collect, indices, indptr)
+def _ray_matrix(params: TreeParams, p: float, q: float) -> sparse.csr_matrix:
+    """d * T over the 2^k - 1 nonzero ray states, state s as row and column
+    s - 1: bit 0 of s is the newest indicator and bit k-1 the oldest, and
+    each of the d children of a vertex in state s is set with the top-slot
+    probability pi_s of its newest and oldest bits."""
+    n = (1 << params.k) - 1
+    s = np.arange(1, n + 1)
+    pi = _open_prob(p, q, s & 1, s >> (params.k - 1) & 1)
+    to = (s << 1) & n  # the child's state with its own bit unset; | 1 when set
+    # the zero state is no type: its entry (only at s = 2^(k-1)) is zeroed
+    # and dropped with the other zeros
+    data = np.column_stack([params.d * (1.0 - pi) * (to > 0), params.d * pi]).ravel()
+    indices = np.column_stack([np.maximum(to - 1, 0), to]).ravel()
+    csr = sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    csr.eliminate_zeros()
+    return csr
 
 
 def build_offspring_matrix(
-    params: TreeParams, p: float, q: float, quotient: bool = False
+    params: TreeParams, p: float, q: float, ray: bool = False
 ) -> SparseOffspringMatrix:
     """Exact mean offspring matrix M(A, B), the child-window law summed over
     the d children, without the empty-window column.
 
     By default it spans all 2^W - 1 nonempty windows: the running sum of the
-    law blocks, one block at a time.  With ``quotient`` it is the orbit
-    quotient M_L(O, O') = sum over B in O' of M(A, B) for any A in O: the
-    count law's pmf rows (``_count_pmf``), collected into the cached pattern
-    of ``_count_layout``.
-    Raises ``SizeCapError`` before building when the estimated memory
-    exceeds ``MAX_ARRAY_BYTES``.
+    law blocks, one block at a time, after its estimated memory is checked
+    against ``MAX_ARRAY_BYTES`` (``SizeCapError`` otherwise).  With ``ray``
+    it is the mean matrix d * T of the ray process instead, over its 2^k - 1
+    nonzero states, which has the same Perron root.
     """
     check_probabilities(p=p, q=q)
-    if quotient:
-        layout = _count_layout(params)
-        n = len(layout.indptr) - 1
-        data = layout.collect @ _count_pmf(params.d, layout.key_rows, p, q).ravel()
-        csr = sparse.csr_matrix((data, layout.indices, layout.indptr), shape=(n, n), copy=True)
-        csr.eliminate_zeros()
-        return SparseOffspringMatrix(csr)
+    if ray:
+        return SparseOffspringMatrix(_ray_matrix(params, p, q))
     _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
     child_law = ChildWindowLaw(params, p, q)
     total = _law_block(child_law, 1)

@@ -56,7 +56,7 @@ def test_qc_point_pinned_d2k4(tmp_path):
 
 
 def test_qc_point_d16k2_runs(tmp_path):
-    # 2^16 top-slot subsets per child window, but 17 count vectors
+    # 2^16 top-slot subsets per child window, but 3 ray states
     code, out = run(
         tmp_path, "point.json", "qc-point", "--d", "16", "--k", "2", "--p", "0.01", "--tol", "1e-6"
     )
@@ -396,8 +396,8 @@ TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e
 # `matrix`, `survival --method chain` and `limits` build the full window
 # matrix or the chain's law blocks, which at (3,3) take seconds and about
 # 0.4 GB, so they draw from the cheaper sizes.  The q_c commands solve on the
-# 239 window orbits at (3,3), which costs milliseconds per solve, and draw
-# from all sizes.
+# 7 ray states at (3,3), which costs about a millisecond per solve, and
+# draw from all sizes.
 OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
 ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
 EXAMPLE_SECONDS = 10

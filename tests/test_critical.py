@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,13 @@ TP = TreeParams(2, 2)
 def test_rho_boundary_values():
     assert rho(0.0, 0.25, TP) == pytest.approx(1.0, abs=1e-9)
     assert rho(0.0, 1.0, TP) == pytest.approx(2.0, abs=1e-10)
+    # q = 0: short edges alone, a Bin(d, p) branching process; p = 0,
+    # q = d^-k: long edges alone, a critical Bin(d^k, q) one
+    for d, k in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2), (19, 2)]:
+        tp = TreeParams(d, k)
+        for p in (0.0, 0.1, 0.3):
+            assert rho(p, 0.0, tp) == pytest.approx(d * p, abs=1e-9)
+        assert rho(0.0, float(d) ** -k, tp) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rho_q_zero_matches_dense_eigensolve():
@@ -45,17 +54,16 @@ RHO_POINTS = [
 
 @pytest.mark.parametrize("d, k, p, q", RHO_POINTS)
 def test_quotient_rho_matches_full_rho(d, k, p, q):
-    # rho solves the orbit quotient; the full window matrix has the same
-    # Perron root
+    # rho solves the ray matrix d T, the quotient of the full window matrix
+    # M along the ray counts R (M R = R d T), which has M's Perron root
     tp, tol = TreeParams(d, k), 1e-12
     full = pf_eigen(build_offspring_matrix(tp, p, q), tol=tol)
     assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
 
 
-
 def test_quotient_rho_matches_full_rho_at_large_d():
-    # (10, 2): 2047 windows with 2^10 top-slot outcomes each against 21
-    # orbits with 11 count vectors
+    # (10, 2): 2047 windows with 2^10 top-slot outcomes each against 3 ray
+    # states
     tp, tol = TreeParams(10, 2), 1e-12
     for p, q in [(0.01, 0.004), (0.05, 0.02)]:
         full = pf_eigen(build_offspring_matrix(tp, p, q), tol=tol)
@@ -70,11 +78,25 @@ def test_qc_strict_gap_at_d16():
 
 
 def test_qc_runs_past_sixteen_top_slots():
-    # 2^17 and 2^19 top-slot subsets per child window, but 18 and 20 count
-    # vectors: the gaps there are about 3.0e-7 and 2.3e-7
+    # 2^17 and 2^19 top-slot subsets per child window, but 3 ray states:
+    # the gaps there are about 3.0e-7 and 2.3e-7
     for d in (17, 19):
         point = qc(0.01, TreeParams(d, 2), tol=1e-9)
         assert point.lower_bound < point.q_c <= float(d) ** -2
+
+
+def qc_closed_form(p, d):
+    """q_c at k = 2 for p < 1/d: the smaller root in q of det(I/d - T) = 0
+    for the 3-state ray matrix T."""
+    root = math.sqrt((d - 1) * (1 - p) * (3 * d * p + d + p - 1))
+    return ((d + 1) * (1 - p) - root) / (2 * d * d * (1 - p))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_qc_matches_closed_form_at_k2(d):
+    for j in range(8):
+        p = j / (8 * d)
+        assert abs(qc(p, TreeParams(d, 2), tol=1e-12).q_c - qc_closed_form(p, d)) <= 1e-12
 
 
 def test_qc_known_endpoint():

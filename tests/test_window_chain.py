@@ -6,21 +6,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, estimate_survival, explore_layers, make_oracle
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
     ChildWindowLaw,
-    _child_slot_maps,
-    _count_layout,
-    _count_pmf,
     _law_block,
     _law_bytes,
-    _n_orbits,
-    _orbit_codes,
-    _quotient_bytes,
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
@@ -281,24 +274,6 @@ def test_matrix_csr_pinned(point):
     assert got == CSR_SHA256[point]
 
 
-def quotient_matrix(tp, p, q):
-    return build_offspring_matrix(tp, p, q, quotient=True)
-
-
-def orbit_block(cols, probs):
-    """CSR block with one row per orbit representative: column c holds the
-    summed probability of the row's outcomes of orbit column c, column 0
-    the empty window."""
-    n, width = cols.shape
-    block = sparse.csr_matrix(
-        (probs.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)),
-        shape=(n, n + 1),
-        copy=True,
-    )
-    block.sum_duplicates()
-    return block
-
-
 @lru_cache(maxsize=None)
 def window_orbits(params):
     """Reference labelling: the orbit id of every window bitmask in [0,
@@ -329,69 +304,64 @@ def window_orbits(params):
     return orbit, reps
 
 
-def orbit_windows(params):
-    """The window of every orbit id of ``_orbit_codes``: the root bit, and
-    below child p + 1 the window of the orbit's p-th listed child orbit,
-    built up one height at a time."""
-    windows = np.arange(2)  # a height-0 orbit is its bit
-    for k in range(2, params.k + 1):
-        tp = TreeParams(params.d, k)
-        kids = _orbit_codes(tp)[0]
-        built = (np.arange(len(kids)) >= len(kids) // 2).astype(np.int64)
-        for p, targets in enumerate(_child_slot_maps(tp)[0]):
-            for j, target in enumerate(targets):
-                built |= (windows[kids[:, p]] >> j & 1) << target
-        windows = built
-    return windows
+def ray_states(params, windows):
+    """The ray state of every top slot of every window in ``windows``, in
+    slot order along a new last axis: the slot's bits along its path from
+    the window's base, its own bit as bit 0 and the base's as bit k-1."""
+    k, states = params.k, []
+    for u in range(params.top_slot_base, params.window_slots):
+        v = slot_vertex(u, params)
+        state = np.zeros_like(windows)
+        for h in range(k):  # v[:h] is the path vertex at height h
+            state |= (windows >> slot_index(v[:h], params) & 1) << (k - 1 - h)
+        states.append(state)
+    return np.stack(states, axis=-1)
 
 
-def reference_orbit_block(params, p, q, child):
-    """Child ``child``'s quotient law block by enumeration: every one of the
-    2^t top-slot subsets of child ``child``'s window, below the window of
-    each orbit id, collected into the reference orbit column."""
-    orbit, _ = window_orbits(params)
-    windows, probs = ChildWindowLaw(params, p, q)(orbit_windows(params)[1:], child)
-    return orbit_block(orbit[windows], probs)
+def ray_counts(params, states, weights=1.0):
+    """R(A, s) for each row A of ``states`` (``ray_states`` of one or more
+    windows per row, flattened over its other axes), summed with
+    ``weights``: the number of top slots in ray state s, column s - 1 for s
+    in [1, 2^k); the zero state is no type."""
+    n, width = len(states), 1 << params.k
+    weights = np.broadcast_to(weights, states.shape).reshape(n, -1)
+    cells = np.arange(n)[:, None] * width + states.reshape(n, -1)
+    counts = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=n * width)
+    return counts.reshape(n, width)[:, 1:]
 
 
-def count_law_block(params, p, q, child):
-    """Child ``child``'s quotient law block read from the count law."""
-    layout = _count_layout(params)
-    pmf = _count_pmf(params.d, layout.key_rows, p, q)
-    return orbit_block(layout.cols[child - 1], pmf[layout.key_ids[child - 1]])
+def ray_matrix(tp, p, q):
+    return build_offspring_matrix(tp, p, q, ray=True).csr.toarray()
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2)])
 def test_count_law_blocks_match_subset_enumeration(d, k):
-    # each child's block entrywise, and the quotient matrix as their sum
-    # without the empty column
+    # the law of the ray counts, child by child: over the 2^t top-slot
+    # subsets of child i's window, E[R(B_i) | A] = R_i(A) (d T), where R_i
+    # counts A's top slots below child i, whose d children are B_i's top slots
     tp = TreeParams(d, k)
+    n_windows = (1 << tp.window_slots) - 1
+    rng = np.random.default_rng(d * 10 + k)
+    a = np.arange(1, n_windows + 1) if n_windows <= 512 else np.unique(
+        np.r_[1, n_windows, rng.integers(1, n_windows, 300)]
+    )
+    below = ray_states(tp, a).reshape(len(a), d, -1)  # parent top slots by child
     for p, q in itertools.product((0.0, 0.2, 1.0), (0.0, 0.05, 0.5, 1.0)):
-        total = 0
+        dt = ray_matrix(tp, p, q)
         for i in range(1, d + 1):
-            block = count_law_block(tp, p, q, i)
-            assert abs(block - reference_orbit_block(tp, p, q, i)).max() <= 1e-15
-            total = total + block
-        quotient = quotient_matrix(tp, p, q).csr
-        assert quotient.has_canonical_format and quotient.nnz == total[:, 1:].count_nonzero()
-        assert abs(quotient - total[:, 1:]).max() <= 1e-15
+            windows, probs = ChildWindowLaw(tp, p, q)(a, i)
+            expect = ray_counts(tp, below[:, i - 1]) @ dt
+            got = ray_counts(tp, ray_states(tp, windows), probs[:, :, None])
+            assert np.abs(got - expect).max() <= 1e-12 * max(1, expect.max())
 
 
 def test_law_bytes_bounds_traced_peak():
-    # the estimates behind the memory caps cover the full build, the chain's
-    # law blocks and the quotient build, the latter with its orbit codes and
-    # count layout computed inside the trace
+    # the estimate behind the memory caps covers the full build and the
+    # chain's law blocks
     tp = TreeParams(3, 3)
-
-    def quotient():
-        _orbit_codes.cache_clear()
-        _count_layout.cache_clear()
-        quotient_matrix(tp, 0.2, 0.05)
-
     runs = (
         (lambda: build_offspring_matrix(tp, 0.2, 0.05), _law_bytes(tp)),
         (lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0), _law_bytes(tp)),
-        (quotient, _quotient_bytes(tp)),
     )
     for run, estimate in runs:
         tracemalloc.start()
@@ -401,24 +371,6 @@ def test_law_bytes_bounds_traced_peak():
         finally:
             tracemalloc.stop()
         assert peak <= estimate
-
-
-def test_quotient_memory_cap_before_allocating(monkeypatch):
-    # a cap just below the estimate refuses the quotient before its orbit
-    # codes or its count layout exist, and before 8 bytes per window
-    tp = TreeParams(2, 4)
-    monkeypatch.setattr("treeperc.window_chain.MAX_ARRAY_BYTES", _quotient_bytes(tp) - 1)
-    _orbit_codes.cache_clear()
-    _count_layout.cache_clear()
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeCapError):
-            quotient_matrix(tp, 0.2, 0.05)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << tp.window_slots
-    assert _orbit_codes.cache_info().currsize == _count_layout.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("tp", [TreeParams(16, 2), TreeParams(17, 2)])
@@ -440,17 +392,17 @@ def test_full_law_refused_before_its_arrays(tp):
 @pytest.mark.parametrize("tp", [TP22, TP23, TP32])
 @pytest.mark.parametrize("p, q", [(0.0, 0.2), (0.3, 0.2), (1.0, 0.0), (0.3, 1.0), (0.2, 0.0861)])
 def test_quotient_is_lumped_full_matrix(tp, p, q):
-    # every member of an orbit has, summed over each orbit's columns, the
-    # quotient row of the orbit's representative
-    orbit, reps = window_orbits(tp)
-    n_types, n_orbits = (1 << tp.window_slots) - 1, len(reps)
+    # M R = R (d T): the ray matrix is the quotient of the full matrix along
+    # the ray counts R, as a lumping is along an orbit indicator U
     full = build_offspring_matrix(tp, p, q).csr.toarray()
-    lumped = quotient_matrix(tp, p, q)
-    assert lumped.n_types == n_orbits and lumped.csr.has_canonical_format
-    collect = np.zeros((n_types, n_orbits))
-    collect[np.arange(n_types), orbit[1:] - 1] = 1.0
-    expect = lumped.csr.toarray()[orbit[1:] - 1]
-    assert np.abs(full @ collect - expect).max() <= 1e-15
+    counts = ray_counts(tp, ray_states(tp, np.arange(1, 1 << tp.window_slots)))
+    assert counts.sum(axis=1).all() and counts.sum(axis=0).all()  # no zero row or column
+    assert np.abs(full @ counts - counts @ ray_matrix(tp, p, q)).max() <= 1e-14
+    # and M is lumpable over window orbits: the law is invariant under the
+    # slab's automorphisms, so orbit members have equal rows M U
+    orbit, reps = window_orbits(tp)
+    lumped = full @ (orbit[1:, None] == np.arange(1, len(reps) + 1))
+    assert np.abs(lumped - lumped[reps[orbit[1:] - 1] - 1]).max() <= 1e-15
 
 
 def test_law_rejects_bad_probabilities():
@@ -651,19 +603,43 @@ def test_chain_survival_trivial():
 
 def exact_survival(params, p, q, depth):
     """P(alive at ``depth``) in the sense of ``chain_survival``, from the
-    offspring pgf on window orbits.  Entry A of e_j is the probability that
-    the chain started from one individual of orbit A is extinct after j
-    generations.  The d child windows are independent given the parent, so
-    e_j = prod_i (block_i @ [1, e_{j-1}]), with e_0 = 0 and column 0 of each
-    count-law block the empty window."""
-    orbit, reps = window_orbits(params)
-    blocks = [count_law_block(params, p, q, i) for i in range(1, params.d + 1)]
-    extinct = np.zeros(len(reps))
+    offspring pgf of the ray process: it is alive at generation n exactly
+    when the cluster meets depths [n-k+1, n].  Entry s of e_j is the
+    probability that the process started from one vertex in ray state s is
+    extinct after j generations.  Each of the d children of a vertex in
+    state s is set independently with probability pi_s, so e_j(s) =
+    ((1 - pi_s) e_{j-1}(s << 1) + pi_s e_{j-1}(s << 1 | 1))^d, the shift
+    keeping k bits, where the zero state stays extinct (e = 1); the root
+    starts in state 1."""
+    k = params.k
+    s = np.arange(1 << k)
+    pi = 1.0 - (1.0 - p * (s & 1)) * (1.0 - q * (s >> (k - 1) & 1))
+    to = (s << 1) & ((1 << k) - 1)
+    extinct = (s == 0).astype(float)
+    for _ in range(depth):
+        extinct = ((1.0 - pi) * extinct[to] + pi * extinct[to | 1]) ** params.d
+    return 1.0 - extinct[1]
+
+
+def window_exact_survival(params, p, q, depth):
+    """``exact_survival`` from the offspring pgf of the window chain's full
+    law blocks: e_j = prod_i (block_i @ [1, e_{j-1}]) over windows, with
+    column 0 the empty window, after depth - k + 1 generations from the
+    root-window law."""
+    child_law = ChildWindowLaw(params, p, q)
+    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
+    extinct = np.zeros(blocks[0].shape[0])
     for _ in range(depth - params.k + 1):
         s = np.concatenate([[1.0], extinct])
         extinct = np.prod([block @ s for block in blocks], axis=0)
     start = initial_window_dist(params, p)
-    return 1.0 - sum(pr * extinct[orbit[a] - 1] for a, pr in start.items())
+    return 1.0 - sum(pr * extinct[a - 1] for a, pr in start.items())
+
+
+@pytest.mark.parametrize("tp, p, q", [(TP22, 0.2, 0.18), (TP22, 0.3, 0.05), (TP23, 0.2, 0.0861)])
+def test_ray_pgf_matches_window_pgf(tp, p, q):
+    # pins the reference to the window chain's own law
+    assert abs(exact_survival(tp, p, q, 60) - window_exact_survival(tp, p, q, 60)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -724,32 +700,12 @@ def swap_generators(tp):
     [(2, 2, 5), (2, 3, 41), (3, 2, 7), (3, 3, 239), (2, 4, 1805), (4, 2, 9), (16, 2, 33), (19, 2, 39)],
 )
 def test_window_orbit_counts(d, k, nonempty):
-    # f(0) = 2, f(h) = 2 C(f(h-1) + d - 1, d) orbits of height-h subtrees;
-    # the codes of a height-h orbit are those of the windows at (d, h + 1)
-    f = [2]
+    # f(0) = 2, f(h) = 2 C(f(h-1) + d - 1, d) orbits of height-h subtrees
+    # (a bit and a multiset of d child orbits), the empty window among them
+    f = 2
     for _ in range(k - 1):
-        f.append(2 * math.comb(f[-1] + d - 1, d))
-    assert nonempty == f[-1] - 1 == _n_orbits(TreeParams(d, k))
-    for h in range(1, k):
-        kids, leaves, grown = _orbit_codes(TreeParams(d, h + 1))
-        assert kids.shape == (f[h], d) and leaves.shape == (f[h], d**h)
-        assert grown.shape == (f[h - 1], (d + 1) ** (d ** (h - 1)))
-        assert grown.min() == 0 and grown.max() == f[h] - 1
-        # each child tuple once per root bit, in decreasing order
-        assert len(np.unique(kids, axis=0)) == f[h] // 2 and (np.diff(kids, axis=1) <= 0).all()
-        assert not (kids.flags.writeable or leaves.flags.writeable or grown.flags.writeable)
-
-
-@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
-def test_orbit_codes_match_reference_labelling(d, k):
-    # id for id: the window built from each code has that reference orbit
-    # id, and its top slots are the code's leaves
-    tp = TreeParams(d, k)
-    orbit, _ = window_orbits(tp)
-    windows = orbit_windows(tp)
-    assert (orbit[windows] == np.arange(_n_orbits(tp) + 1)).all()
-    top = windows[:, None] >> np.arange(tp.top_slot_base, tp.window_slots) & 1
-    assert (top == _orbit_codes(tp)[1]).all()
+        f = 2 * math.comb(f + d - 1, d)
+    assert nonempty == f - 1 == len(window_orbits(TreeParams(d, k))[1])
 
 
 @pytest.mark.parametrize("tp", [TP23, TreeParams(2, 4)])
