@@ -3,10 +3,14 @@
 The long-edge threshold q_c(p) is the unique root in q of rho(p, q) = 1,
 where rho is the dominant eigenvalue of the exact window-chain offspring
 matrix.  Only the *sign* of rho - 1 is guaranteed monotone in q (the
-supercritical region is an interval), so bisection is used rather than a
-derivative-based root finder.  A priori bounds confine the search to
-[0, d^-k]: q_c is largest at p = 0, where the model is percolation on
-disjoint d^k-ary trees.
+supercritical region is an interval).  The root finder, Brent's method,
+keeps a bracket across which that sign changes and falls back to bisection
+steps where its interpolation steps do not shrink the bracket fast enough,
+so its answer rests on the sign alone; only its speed depends on rho being
+smooth in q.  A priori bounds confine the search to
+[(1 - p d)/d^k, d^-k]: q_c lies above the critical curve of the dominating
+Bin(d, p) + Bin(d^k, q) branching process, and is largest at p = 0, where
+the model is percolation on disjoint d^k-ary trees.
 
 rho is solved on the ancestral ray, not on windows.  In the oriented tree
 every path to a vertex runs through its ancestors, so the indicators of its
@@ -26,6 +30,7 @@ not 32767.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, ParameterError, check_probabilities, check_tolerance
@@ -46,6 +51,7 @@ class CurvePoint:
     gap: float
     rho_residual: float
     bisection_width: float
+    rho_evals: int  # Perron solves spent on this point
 
 
 @dataclass
@@ -75,10 +81,15 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
 def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     """Critical long-edge probability at short-edge probability p.
 
-    Bisects the sign of rho(p, q) - 1 in q until the bracket is at most
-    ``tol`` wide.  Each step needs only rho, so it runs a right-only Perron
-    solve, warm-started from the previous step's right vector;
-    ``rho_residual`` is that solve's eigen-residual.
+    Brent's method (zeroin: Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) on f(q) = rho(p, q) - 1 over the a priori
+    bracket [``branching_lower_bound``, d^-k], until the sign-change bracket
+    is at most ``tol`` wide; ``bisection_width`` is its width and ``q_c``
+    its midpoint, rounded up where needed so that q_c - width/2 does not
+    fall below the bracket.  rho = 1 counts as subcritical.  Each step
+    needs only rho, so it runs a right-only Perron solve, warm-started from
+    the previous step's right vector; ``rho_residual`` is the last solve's
+    eigen-residual and ``rho_evals`` the number of solves.
     """
     check_probabilities(p=p)
     check_tolerance(tol)
@@ -89,36 +100,87 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
         return CurvePoint(
-            p=p, q_c=0.0, lower_bound=lower, gap=0.0, rho_residual=0.0, bisection_width=0.0
+            p=p, q_c=0.0, lower_bound=lower, gap=0.0, rho_residual=0.0,
+            bisection_width=0.0, rho_evals=0,
         )
-    lo, hi = 0.0, params.d ** (-params.k)
-    # q = 0 is subcritical a priori for p < 1/d (short edges alone cannot
-    # percolate), and its offspring matrix can be nilpotent, which degenerates
-    # power iteration; the lower bracket endpoint is therefore not evaluated.
-    rho_hi = rho(p, hi, params, tol=solve_tol)
-    if rho_hi < 1.0 - 10.0 * solve_tol:
+    evals = 0
+
+    def f(q, warm):
+        nonlocal evals
+        evals += 1
+        result = rho_result(p, q, params, tol=solve_tol, x0=warm)
+        return result.rho - 1.0, result
+
+    hi = 1.0 / params.d**params.k
+    fc, last = f(hi, None)
+    if fc < -10.0 * solve_tol:
         raise ConsistencyError(
-            f"rho(p={p}, q=d^-k) = {rho_hi} < 1: no supercritical bracket endpoint"
+            f"rho(p={p}, q=d^-k) = {fc + 1.0} < 1: no supercritical bracket endpoint"
         )
-    residual = 0.0
-    warm = None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        result = rho_result(p, mid, params, tol=solve_tol, x0=warm)
-        warm = result.nu
-        if result.rho > 1.0:
-            hi = mid
+    # [b, c] is the sign-change bracket, b the better end and a the previous
+    # b.  q_c <= d^-k a priori, so a reading of rho(d^-k) just under 1 is
+    # solve noise and counts as supercritical.  At p = 0 lower == hi.
+    c, fc = hi, max(fc, solve_tol)
+    a, fa, b, fb = c, fc, c, fc
+    if lower < hi:
+        b = lower
+        fb, last = f(b, last.nu)
+        if fb > 0.0:
+            # the gap above the bound is below the solve's resolution; at
+            # q = 0 rho = d p exactly, and the matrix there can be nilpotent
+            b, fb = 0.0, params.d * p - 1.0
+    step = prev_step = c - b
+    min_step = 0.5 * tol
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if abs(c - b) <= tol:
+            break
+        half = 0.5 * (c - b)
+        if abs(prev_step) >= min_step and abs(fa) > abs(fb):
+            # secant through a and b, or inverse quadratic through a, b, c;
+            # the step is taken only if it stays well inside the bracket
+            # and shrinks fast enough, else the step is a bisection
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * half * s, 1.0 - s
+            else:
+                r, t = fa / fc, fb / fc
+                num = s * (2.0 * half * r * (r - t) - (b - a) * (t - 1.0))
+                den = (r - 1.0) * (t - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < 3.0 * half * den - abs(min_step * den) and num < abs(
+                0.5 * prev_step * den
+            ):
+                prev_step, step = step, num / den
+            else:
+                prev_step = step = half
         else:
-            lo = mid
-        residual = result.residual
-    q_crit = 0.5 * (lo + hi)
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > min_step else math.copysign(min_step, half)
+        fb, last = f(b, last.nu)
+        # rho == 1 counts as subcritical
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = c - b
+    width = abs(c - b)
+    q_crit = 0.5 * (b + c)
+    # the printed bracket q_c -/+ width/2 may not start below the real one
+    # through rounding: at a gap under tol the real one starts at the bound
+    while q_crit - 0.5 * width < min(b, c):
+        q_crit = math.nextafter(q_crit, math.inf)
     return CurvePoint(
         p=p,
         q_c=q_crit,
         lower_bound=lower,
         gap=q_crit - lower,
-        rho_residual=residual,
-        bisection_width=hi - lo,
+        rho_residual=last.residual,
+        bisection_width=width,
+        rho_evals=evals,
     )
 
 

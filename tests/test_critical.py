@@ -1,8 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treeperc import critical
+from treeperc.cli import parse_grid
 from treeperc.critical import (
     asymptotics_table,
     branching_lower_bound,
@@ -12,7 +16,7 @@ from treeperc.critical import (
     s_star,
 )
 from treeperc.errors import ConsistencyError, ParameterError
-from treeperc.spectral import pf_eigen
+from treeperc.spectral import SpectralResult, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
 
@@ -127,19 +131,88 @@ def test_qc_interior_point_and_mc_bracket():
 # Exact (q_c, bisection_width): the root finder's output must not depend on
 # which Perron vectors each of its solves computes.
 QC_PINS = [
-    (2, 3, 0.0, 0.12499999997089617, 5.820766091346741e-11),
-    (2, 3, 0.2, 0.07614860995090567, 5.820766091346741e-11),
-    (2, 3, 0.45, 0.013842319982359186, 5.820766091346741e-11),
-    (3, 2, 0.3, 0.01224195944248802, 5.1740143419687357e-11),
+    (2, 3, 0.0, 0.125, 0.0),
+    (2, 3, 0.2, 0.07614860999664619, 5.000000413701855e-11),
+    (2, 3, 0.45, 0.013842319977891003, 5.00000006675716e-11),
+    (3, 2, 0.3, 0.012241959458754269, 5.00000006675716e-11),
 ]
 
 
-@pytest.mark.parametrize("d, k, p, q_c, width", QC_PINS)
+@pytest.mark.parametrize(
+    "d, k, p, q_c, width", QC_PINS, ids=[f"{d}-{k}-{p}" for d, k, p, _, _ in QC_PINS]
+)
 def test_qc_pinned(d, k, p, q_c, width):
     point = qc(p, TreeParams(d, k))
     assert (point.q_c, point.bisection_width) == (q_c, width)
     # the reported residual is the right-vector one, within the rho tolerance
     assert 0.0 < point.rho_residual <= 1e-10 * d**k / (10.0 * k)
+
+
+def fake_rho(monkeypatch, rho_of_q):
+    """Replace every Perron solve of ``qc`` by ``rho_of_q``; returns the
+    list of solved q."""
+    calls = []
+
+    def rho_result(p, q, params, tol=1e-12, x0=None):
+        calls.append(q)
+        return SpectralResult(rho=rho_of_q(q), nu=None, residual=0.0, iterations=1)
+
+    monkeypatch.setattr(critical, "rho_result", rho_result)
+    return calls
+
+
+def test_qc_counts_rho_equal_one_as_subcritical(monkeypatch):
+    # rho reads exactly 1 on the whole subcritical side: the root finder may
+    # not stop there, and must close the bracket around the jump
+    root, tol = 0.2, 1e-10
+    calls = fake_rho(monkeypatch, lambda q: 1.0 if q <= root else 2.0)
+    point = qc(0.2, TP, tol=tol)
+    half = 0.5 * point.bisection_width
+    assert half <= 0.5 * tol
+    assert point.q_c - half <= root < point.q_c + half
+    assert point.rho_evals == len(calls)
+
+
+def test_qc_falls_back_to_zero_below_unresolved_bound(monkeypatch):
+    # a solve that reads rho > 1 at the lower bound moves the bracket's lower
+    # end to q = 0, where rho = d p is known and no solve runs
+    tol = 1e-10
+    lower = branching_lower_bound(0.2, TP)
+    root = lower - 0.01
+    calls = fake_rho(monkeypatch, lambda q: 1.0 + 4.0 * (q - root))
+    point = qc(0.2, TP, tol=tol)
+    assert calls[:2] == [0.25, lower] and 0.0 not in calls
+    assert abs(point.q_c - root) <= tol
+
+
+@pytest.fixture(scope="module")
+def curve_d2k3():
+    # the grid and tolerance of the benchmark's qc-curve-d2k3 workload
+    return qc_sweep(parse_grid("0:0.5:0.005"), TreeParams(2, 3), tol=1e-10)
+
+
+def test_qc_curve_within_benchmark_gate(curve_d2k3):
+    # every point within 2 tol of the benchmark's reference curve, solved at
+    # tol 1e-11, as the benchmark itself checks
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text())["qc-curve-d2k3"]
+    assert len(curve_d2k3) == len(ref["p"]) == 101
+    for point, p, q_c in zip(curve_d2k3, ref["p"], ref["q_c"]):
+        assert abs(point.p - p) <= 1e-12
+        assert abs(point.q_c - q_c) <= 2e-10
+
+
+def test_qc_curve_solves_per_point(curve_d2k3):
+    # Brent from the branching lower bound: about 6 solves per point, where
+    # bisection from q = 0 needed about 32
+    evals = [point.rho_evals for point in curve_d2k3]
+    assert sum(evals) / len(evals) <= 8
+
+
+def test_qc_bracket_stays_above_lower_bound(curve_d2k3):
+    for point in curve_d2k3:
+        if point.p < 0.5 - 1e-12:
+            assert point.q_c - 0.5 * point.bisection_width >= point.lower_bound
 
 
 def test_qc_rejects_tolerance_below_floor():
