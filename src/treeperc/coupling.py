@@ -20,11 +20,16 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import FeasibilityError, ParameterError, check_probabilities
-from .percolation import reach
+from .percolation import sweep_layers
 from .rng import EdgeOracle, derive_trial_seed
 from .tree import TreeParams, long_selector
+
+#: Violation, in combined standard errors, above which ``dominance_test``
+#: rejects dominance.
+SIGMA_LIMIT = 3.0
 
 
 class PhiMap:
@@ -83,6 +88,8 @@ class HatConfig:
             self.p, self.q = p, q
             s = derive_trial_seed(seed, trial) if trial else seed % (1 << 64)
             self._key = s.to_bytes(8, "little")
+            # bytes per digit of a tail's stream key: 1 while digits fit a byte
+            self._width = (self.phi_map.n_digits.bit_length() + 7) // 8
 
     @classmethod
     def random(cls, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
@@ -102,7 +109,8 @@ class HatConfig:
         if self._rule is not None:
             out = tuple(j for j in range(1, n + 1) if self._rule(vhat, j))
         else:
-            digest = hashlib.blake2b(bytes(vhat), digest_size=8, key=self._key).digest()
+            data = b"".join(j.to_bytes(self._width, "little") for j in vhat)
+            digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
             rng = random.Random(int.from_bytes(digest, "little"))
             out = tuple(
                 j
@@ -133,10 +141,18 @@ def leaf_count_Z(params: TreeParams, oracle: EdgeOracle) -> int:
     """Leaves of the two-range slab reachable from the root by open paths.
 
     Only edges whose tail has height below 2k exist in the slab, so every
-    vertex at heights [2k, 3k) is terminal.
+    vertex at heights [2k, 3k) is terminal.  The leaves are the cluster's
+    layer 2k and the heads of the open long edges out of its vertices at
+    heights k+1..2k-1; those heads are distinct and fill heights 2k+1..3k-1.
     """
     lo, _hi = leaf_band(params)
-    return sum(len(v) >= lo for v in reach(oracle, expand_below=lo))
+    z = 0
+    for n, (layer, _population) in enumerate(islice(sweep_layers(oracle), lo), 1):
+        if n == lo:
+            z += len(layer)
+        elif n > params.k:
+            z += sum(len(oracle.open_long_children(u)) for u in layer)
+    return z
 
 
 def leaf_count_Zhat(params: TreeParams, config: HatConfig) -> int:
@@ -146,7 +162,6 @@ def leaf_count_Zhat(params: TreeParams, config: HatConfig) -> int:
     with image height below 2k carry the slab's edges.
     """
     lo, _hi = leaf_band(params)
-    seen = {()}
     stack = [((), 0)]
     leaves = 0
     d, k = params.d, params.k
@@ -155,11 +170,10 @@ def leaf_count_Zhat(params: TreeParams, config: HatConfig) -> int:
         if w >= lo:
             leaves += 1
             continue
+        # the cover is a tree and open digits are distinct, so no vertex
+        # is pushed twice
         for j in config.open_digits(u):
-            v = u + (j,)
-            if v not in seen:
-                seen.add(v)
-                stack.append((v, w + (k if j > d else 1)))
+            stack.append((u + (j,), w + (k if j > d else 1)))
     return leaves
 
 
@@ -330,14 +344,14 @@ def dominance_test(
     delta: float,
     trials: int,
     seed: int,
-    sigma_limit: float = 3.0,
 ) -> DominanceReport:
     """Empirical check that the slab leaf count at (p, q) is stochastically
     dominated by the cover's leaf count at (p, q - delta).
 
     Samples are independent on the two sides; for every threshold t the
     survival functions P(Z >= t) and P(Z-hat >= t) are compared in units of
-    their combined standard error.
+    their combined standard error; dominance is declared when no threshold
+    exceeds ``SIGMA_LIMIT`` of them.
     """
     if not 0.0 <= q - delta <= 1.0:
         raise ParameterError(f"reduced probability q - delta = {q - delta} invalid")
@@ -375,7 +389,7 @@ def dominance_test(
     return DominanceReport(
         rows=rows,
         max_violation_sigma=worst,
-        dominates=worst <= sigma_limit,
+        dominates=worst <= SIGMA_LIMIT,
         trials=trials,
         delta=delta,
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, ParameterError, check_probabilities, check_tolerance
+from .errors import MIN_TOL, ConsistencyError, ParameterError, check_probabilities, check_tolerance
 from .spectral import pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix
@@ -96,6 +96,16 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     # the eigenvalue only has to resolve sign changes of rho - 1 on the
     # q-scale of tol; the slope drho/dq near the root is of order d^k / k
     solve_tol = tol * params.d**params.k / (10.0 * params.k)
+    if solve_tol < MIN_TOL:
+        # name the smallest accepted tol, rounded up to 3 significant digits
+        smallest = MIN_TOL * 10.0 * params.k / params.d**params.k
+        shown = float(f"{smallest:.3g}")
+        if shown < smallest:
+            shown += 10.0 ** (math.floor(math.log10(shown)) - 2)
+        raise ParameterError(
+            f"--tol {tol:g} is below {shown:g}, the smallest tolerance "
+            f"q_c accepts at (d={params.d}, k={params.k})"
+        )
     check_tolerance(solve_tol)
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:

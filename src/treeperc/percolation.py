@@ -1,16 +1,14 @@
 """Monte Carlo exploration of the percolation cluster.
 
-Every walk over the lazy edge oracle goes through one of three kernels:
+Every walk over the lazy edge oracle goes through one of two kernels:
 
 * ``sweep_layers``, a height-layered sweep that yields each new layer with
   the population of the k most recent layers and holds only those layers;
-  ``explore_layers`` (layer counts) and ``estimate_survival`` (survival
-  frequency at a depth) read it;
-* ``reach``, a depth-first walk over open short and long edges from the
-  root, with an optional height cut and an optional early stop on size; the
-  slab leaf count of ``coupling`` and the conditioned neighborhood sampler
-  ``conditioned_cluster_sample`` use it;
-* ``short_cluster`` / ``long_boundary``, the two-stage sweep whose boundary
+  ``explore_layers`` (layer counts), ``estimate_survival`` (survival
+  frequency at a depth), ``conditioned_cluster_sample`` (the root's
+  neighborhood in large clusters) and the slab leaf count of ``coupling``
+  read it;
+* ``short_cluster`` / ``long_boundary``, the two-stage step whose boundary
   pieces, grouped by subtree proximity, reproduce the cluster as a branching
   process over admissible-set shapes (``expand_admissible`` takes one step
   of it, ``criteria_eval`` two).
@@ -30,6 +28,11 @@ from .rng import EdgeOracle
 from .tree import ROOT, TreeParams, slot_index, window_height, window_size, window_vertices
 
 DEFAULT_CLUSTER_CAP = 10**7
+#: Smallest acceptance rate the conditioned sampler reports a law for.
+MIN_ACCEPTANCE = 1e-5
+#: Population of the k most recent layers at which a survival trial counts
+#: as alive without further exploration.
+ESCAPE_POPULATION = 1000
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,8 @@ def sweep_layers(oracle: EdgeOracle):
     edge between them is open, or n >= k and its k-th ancestor is and the
     long edge is open.  For n = 1, 2, ... yields ``(layer, population)``:
     the set of cluster vertices at height n and the number of cluster
-    vertices at heights [n-k+1, n].  Only those k layers are held.
+    vertices at heights [n-k+1, n].  Only those k layers are held; raises
+    ``SizeCapError`` once they hold more than ``DEFAULT_CLUSTER_CAP``.
     """
     k = oracle.params.k
     window: list[set] = [set() for _ in range(k)]
@@ -96,7 +100,12 @@ def sweep_layers(oracle: EdgeOracle):
                 for s in oracle.open_long_children(u):
                     layer.add(u + s)
         window[n % k] = layer
-        yield layer, sum(len(s) for s in window)
+        population = sum(len(s) for s in window)
+        if population > DEFAULT_CLUSTER_CAP:
+            raise SizeCapError(
+                f"cluster population exceeded cap of {DEFAULT_CLUSTER_CAP} vertices"
+            )
+        yield layer, population
 
 
 def explore_layers(
@@ -116,34 +125,6 @@ def open_children(oracle: EdgeOracle, u: tuple) -> list:
     return [u + (j,) for j in oracle.open_short_children(u)] + [
         u + s for s in oracle.open_long_children(u)
     ]
-
-
-def reach(
-    oracle: EdgeOracle, expand_below: int | None = None, stop_above: int | None = None
-) -> set:
-    """Vertices reachable from the root through open edges of either kind.
-
-    Depth-first.  With ``expand_below`` only vertices of lower height have
-    their out-edges followed; the set still holds the heads of those edges.
-    With ``stop_above`` the walk stops once the set holds more vertices than
-    that, so only a set larger than ``stop_above`` may be incomplete.
-    Raises ``SizeCapError`` past ``DEFAULT_CLUSTER_CAP`` vertices.
-    """
-    cluster = {ROOT}
-    stack = [ROOT]
-    while stack and (stop_above is None or len(cluster) <= stop_above):
-        u = stack.pop()
-        if expand_below is not None and len(u) >= expand_below:
-            continue
-        for v in open_children(oracle, u):
-            if v not in cluster:
-                cluster.add(v)
-                stack.append(v)
-                if len(cluster) > DEFAULT_CLUSTER_CAP:
-                    raise SizeCapError(
-                        f"cluster exceeded cap of {DEFAULT_CLUSTER_CAP} vertices"
-                    )
-    return cluster
 
 
 def _neighborhood_hash(cluster: set, edges, radius: int) -> str:
@@ -171,16 +152,16 @@ def conditioned_cluster_sample(
     radius: int,
     trials_budget: int,
     seed: int,
-    min_acceptance: float = 1e-5,
 ):
     """Empirical law of the root's neighborhood in clusters larger than n.
 
-    Rejection sampling: a trial is accepted once its cluster is found to
-    hold more than ``size_threshold`` vertices (critical clusters are a.s.
-    finite, so rejected trials terminate).  The returned pmf is over
-    isomorphism classes of the rooted radius-``radius`` ball of the cluster
-    graph, both edge kinds undirected.  Raises when the budget is spent with
-    acceptance below ``min_acceptance``.
+    Rejection sampling: a trial is accepted once the layers swept so far hold
+    more than ``size_threshold`` vertices, and rejected once the population
+    of the k most recent layers hits 0 (critical clusters are a.s. finite,
+    so rejected trials terminate).  The returned pmf is over isomorphism
+    classes of the rooted radius-``radius`` ball of the cluster graph, both
+    edge kinds undirected.  Raises when the budget is spent with acceptance
+    below ``MIN_ACCEPTANCE``.
     """
     if not 0 <= radius <= 2:
         raise ParameterError(f"neighborhood radius must lie in [0, 2], got {radius}")
@@ -195,35 +176,37 @@ def conditioned_cluster_sample(
     n_accepted = 0
     for trial in range(trials_budget):
         oracle = make_oracle(params, perc, seed, trial)
-        if len(reach(oracle, stop_above=size_threshold)) <= size_threshold:
+        # sweep until the cluster is known to exceed the threshold or to be
+        # finished; the root alone is the size and population before layer 1
+        size = population = 1
+        layers = sweep_layers(oracle)
+        while population and size <= size_threshold:
+            layer, population = next(layers)
+            size += len(layer)
+        if size <= size_threshold:
             continue
         n_accepted += 1
-        # the early stop above may leave shallow vertices unexplored, so the
-        # ball is recomputed by a complete height-restricted walk
-        local = {
-            v
-            for v in reach(oracle, expand_below=local_height + 1)
-            if len(v) <= local_height
-        }
+        local = {ROOT}.union(
+            *(layer for layer, _population in islice(sweep_layers(oracle), local_height))
+        )
         edges = [
             (u, v) for u in local for v in open_children(oracle, u) if v in local
         ]
         label = _neighborhood_hash(local, edges, radius)
         accepted[label] = accepted.get(label, 0) + 1
     rate = n_accepted / trials_budget
-    if n_accepted == 0 or rate < min_acceptance:
+    if n_accepted == 0 or rate < MIN_ACCEPTANCE:
         raise SizeCapError(
-            f"acceptance rate {rate:.2e} below {min_acceptance} after "
+            f"acceptance rate {rate:.2e} below {MIN_ACCEPTANCE} after "
             f"{trials_budget} trials"
         )
     pmf = {label: c / n_accepted for label, c in sorted(accepted.items())}
     return pmf, rate
 
 
-def short_cluster(
-    vertices, oracle: EdgeOracle, cap: int = DEFAULT_CLUSTER_CAP
-) -> set:
-    """Closure of a vertex set under open short edges."""
+def short_cluster(vertices, oracle: EdgeOracle) -> set:
+    """Closure of a vertex set under open short edges; raises
+    ``SizeCapError`` past ``DEFAULT_CLUSTER_CAP`` vertices."""
     if not vertices:
         raise ParameterError("short_cluster needs a nonempty starting set")
     cluster = set(vertices)
@@ -235,9 +218,9 @@ def short_cluster(
             if v not in cluster:
                 cluster.add(v)
                 frontier.append(v)
-                if len(cluster) > cap:
+                if len(cluster) > DEFAULT_CLUSTER_CAP:
                     raise SizeCapError(
-                        f"short cluster exceeded cap of {cap} vertices"
+                        f"short cluster exceeded cap of {DEFAULT_CLUSTER_CAP} vertices"
                     )
     return cluster
 
@@ -301,37 +284,24 @@ def decompose(boundary: set, params: TreeParams) -> list[AdmissibleSet]:
     return sorted(out, key=lambda b: b.base)
 
 
-def expand_admissible(
-    b: AdmissibleSet,
-    oracle: EdgeOracle,
-    params: TreeParams,
-    cap: int = DEFAULT_CLUSTER_CAP,
-):
+def expand_admissible(b: AdmissibleSet, oracle: EdgeOracle, params: TreeParams):
     """One two-stage step: short cluster, then long boundary, then grouping."""
     vertices = {b.base + rel for rel in window_vertices(b.rel_type, params)}
-    cs = short_cluster(vertices, oracle, cap=cap)
+    cs = short_cluster(vertices, oracle)
     cl = long_boundary(cs, oracle)
     return cs, cl, decompose(cl, params)
 
 
-def estimate_survival(
-    params: TreeParams,
-    perc: PercParams,
-    trials: int,
-    depth: int,
-    seed: int,
-    escape_population: int | None = 1000,
-):
+def estimate_survival(params: TreeParams, perc: PercParams, trials: int, depth: int, seed: int):
     """Fraction of explorations still alive at the given depth, with SE.
 
     "Alive at depth n" means some vertex with height in [n-k+1, n] belongs to
     the cluster; long edges can jump over empty layers, so a single empty
     layer does not imply death.  When the number of vertices in the k most
-    recent layers reaches ``escape_population`` the trial is declared alive
+    recent layers reaches ``ESCAPE_POPULATION`` the trial is declared alive
     without exploring further: with that many independent subtrees open the
     probability of all of them dying before the horizon is negligible
     (bounded by (1 - zeta)^escape for per-vertex survival probability zeta).
-    Pass ``escape_population=None`` for the exact proxy.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -341,9 +311,7 @@ def estimate_survival(
     for trial in range(trials):
         oracle = make_oracle(params, perc, seed, trial)
         for _layer, population in islice(sweep_layers(oracle), depth):
-            if population == 0:
-                break
-            if escape_population is not None and population >= escape_population:
+            if population == 0 or population >= ESCAPE_POPULATION:
                 break
         alive_count += population > 0
     freq = alive_count / trials

@@ -295,6 +295,16 @@ def test_dominance_pinned(tmp_path):
     assert out.read_text() == DOMINANCE_CSV
 
 
+def test_dominance_runs_at_large_d(tmp_path):
+    # cover digits run up to d + d^k = 380, beyond one byte each
+    code, out = run(
+        tmp_path, "dom.csv", "dominance", "--d", "19", "--k", "2", "--p", "0.01",
+        "--q", "0.001", "--delta", "0", "--trials", "3",
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[3].startswith("threshold,")
+
+
 def test_exit_code_usage(capsys, tmp_path):
     missing = str(tmp_path / "missing" / "x.json")
     for argv in (
@@ -344,6 +354,16 @@ def test_exit_code_usage(capsys, tmp_path):
         assert err.startswith("treeperc: ") and err.count("\n") == 1, (argv, err)
         if "--out" in argv or "--dump" in argv:
             assert repr(argv[-1]) in err, (argv, err)
+    # --tol passes its own floor, but the solve tolerance derived from it,
+    # tol d^k / (10 k), does not at (2,2); the message names the smallest
+    # --tol accepted there
+    for argv in (
+        ["qc-point", "--d", "2", "--k", "2", "--p", "0.2", "--tol", "1e-13"],
+        ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3", "--tol", "1e-13"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "--tol 1e-13" in err and "5e-13" in err, (argv, err)
     assert list(tmp_path.iterdir()) == []
 
 

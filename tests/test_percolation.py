@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
+from treeperc.coupling import leaf_band, leaf_count_Z
 from treeperc.errors import ConsistencyError, ParameterError, SizeCapError
 from treeperc.percolation import (
     AdmissibleSet,
@@ -17,7 +19,6 @@ from treeperc.percolation import (
     explore_layers,
     long_boundary,
     make_oracle,
-    reach,
     short_cluster,
 )
 from treeperc.tree import ROOT, TreeParams
@@ -56,12 +57,13 @@ def test_layer_death_after_k_empty_layers():
                 break
 
 
-def test_short_cluster_trivial_and_cap():
+def test_short_cluster_trivial_and_cap(monkeypatch):
     oracle = make_oracle(TP, PercParams(0.0, 0.0), 2)
     assert short_cluster({ROOT}, oracle) == {ROOT}
+    monkeypatch.setattr("treeperc.percolation.DEFAULT_CLUSTER_CAP", 100)
     oracle = make_oracle(TP, PercParams(1.0, 0.0), 2)
     with pytest.raises(SizeCapError):
-        short_cluster({ROOT}, oracle, cap=100)
+        short_cluster({ROOT}, oracle)
 
 
 def test_short_cluster_mean_size():
@@ -205,14 +207,13 @@ def test_estimate_survival_trivial_and_validation():
         estimate_survival(TP, PercParams(0.1, 0.1), 10, 1, 1)
 
 
-def test_estimate_survival_brackets():
+def test_estimate_survival_brackets(monkeypatch):
     # below the branching lower bound the process dies out
     freq, _ = estimate_survival(TP, PercParams(0.2, 0.1), 400, 60, 3)
     assert freq < 0.02
     # comfortably supercritical it survives
-    freq, se = estimate_survival(
-        TP, PercParams(0.2, 0.25), 300, 60, 3, escape_population=200
-    )
+    monkeypatch.setattr("treeperc.percolation.ESCAPE_POPULATION", 200)
+    freq, se = estimate_survival(TP, PercParams(0.2, 0.25), 300, 60, 3)
     assert freq > 5 * se
 
 
@@ -313,13 +314,21 @@ def test_conditioned_sample_unconditioned_radius1():
     assert abs(pmf[isolated] - expect) < 4 * se
 
 
-def test_reach_cap(monkeypatch):
+def test_sweep_cap(monkeypatch):
+    # at p = q = 1 layer n holds all 2^n vertices, so the two most recent
+    # layers hold 48 vertices at height 5 and 96 at height 6
     monkeypatch.setattr("treeperc.percolation.DEFAULT_CLUSTER_CAP", 50)
-    oracle = make_oracle(TP, PercParams(1.0, 1.0), 1)
+    perc = PercParams(1.0, 1.0)
+    oracle = make_oracle(TP, perc, 1)
+    assert explore_layers(TP, perc, oracle, 5).x == [1, 2, 4, 8, 16, 32]
     with pytest.raises(SizeCapError):
-        reach(oracle)
-    # a height cut keeps the same walk under the cap
-    assert len(reach(oracle, expand_below=2)) == 1 + 2 + 4 + 8
+        explore_layers(TP, perc, oracle, 6)
+    # the slab leaf count and the survival estimate sweep the same layers
+    with pytest.raises(SizeCapError):
+        leaf_count_Z(TreeParams(2, 3), make_oracle(TreeParams(2, 3), perc, 1))
+    monkeypatch.setattr("treeperc.percolation.ESCAPE_POPULATION", 10**6)
+    with pytest.raises(SizeCapError):
+        estimate_survival(TP, perc, 1, 10, 1)
 
 
 def test_conditioned_sample_budget_error():
@@ -340,3 +349,103 @@ def test_conditioned_sample_stabilization_trend():
         return 0.5 * sum(abs(p1.get(k, 0.0) - p2.get(k, 0.0)) for k in keys)
 
     assert tv(laws[50], laws[100]) < tv(laws[10], laws[100])
+
+
+def reference_reach(oracle, expand_below=None, stop_above=None):
+    """The depth-first walk the sweep replaced, kept as an independent check.
+
+    Vertices reachable from the root through open edges of either kind.  With
+    ``expand_below`` only vertices of lower height have their out-edges
+    followed; with ``stop_above`` the walk stops once the set holds more
+    vertices than that.
+    """
+    cluster = {ROOT}
+    stack = [ROOT]
+    while stack and (stop_above is None or len(cluster) <= stop_above):
+        u = stack.pop()
+        if expand_below is not None and len(u) >= expand_below:
+            continue
+        heads = [u + (j,) for j in oracle.open_short_children(u)]
+        heads += [u + s for s in oracle.open_long_children(u)]
+        for v in heads:
+            if v not in cluster:
+                cluster.add(v)
+                stack.append(v)
+    return cluster
+
+
+REFERENCE_PS = (0.0, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", REFERENCE_PS)
+@pytest.mark.parametrize("q", REFERENCE_PS)
+def test_leaf_count_matches_reference_reach(d, k, p, q):
+    tp = TreeParams(d, k)
+    lo, _hi = leaf_band(tp)
+    for t in range(4 if 1.0 in (p, q) else 30):
+        oracle = make_oracle(tp, PercParams(p, q), 83, t)
+        expect = sum(len(v) >= lo for v in reference_reach(oracle, expand_below=lo))
+        assert leaf_count_Z(tp, make_oracle(tp, PercParams(p, q), 83, t)) == expect
+
+
+@pytest.mark.parametrize("p", REFERENCE_PS)
+@pytest.mark.parametrize("q", REFERENCE_PS)
+@pytest.mark.parametrize("threshold, radius", [(0, 0), (0, 2), (6, 1), (20, 2)])
+def test_conditioned_sample_matches_reference_reach(monkeypatch, p, q, threshold, radius):
+    # the sampler's accept decisions and balls, read off the hash it is
+    # handed, against the depth-first walk on the same realizations
+    perc = PercParams(p, q)
+    trials, seed = 30, 89
+    balls = []
+
+    def record(cluster, edges, r):
+        balls.append(set(cluster))
+        return str(len(balls))
+
+    monkeypatch.setattr("treeperc.percolation._neighborhood_hash", record)
+    expect = []
+    for t in range(trials):
+        oracle = make_oracle(TP, perc, seed, t)
+        if len(reference_reach(oracle, stop_above=threshold)) > threshold:
+            h = radius * TP.k
+            expect.append({v for v in reference_reach(oracle, expand_below=h + 1) if len(v) <= h})
+    if not expect:
+        with pytest.raises(SizeCapError):
+            conditioned_cluster_sample(TP, perc, threshold, radius, trials, seed)
+        return
+    _pmf, rate = conditioned_cluster_sample(TP, perc, threshold, radius, trials, seed)
+    assert rate == len(expect) / trials
+    assert balls == expect
+
+
+# Recorded from the depth-first walk that the sweep replaced.
+CONDITIONED_PINS = {
+    (2, 3, 1): (0.27666666666666667, "dd565bb3aeb0e2aae85f17b18119c31e1dcef360488da113b87e9caef2db74b4"),
+    (2, 3, 2): (0.27666666666666667, "13424ac791e208a9a1a4d1afc0add0cd18278e717b447fd5c4a2b40a1c4a1742"),
+    (3, 2, 1): (0.37333333333333335, "980086f8ed135253a1730f6b1b65e508f1e496d961052489392a95b8168e2452"),
+    (3, 2, 2): (0.37333333333333335, "12a961582e3202deac68f5f6a2e7878a84a9ad41cc3ba8c07501cf11a1152f47"),
+}
+
+
+@pytest.mark.parametrize("d, k, radius", sorted(CONDITIONED_PINS))
+def test_conditioned_sample_pinned(d, k, radius):
+    q = {(2, 3): 0.0761, (3, 2): 0.0566}[(d, k)]
+    pmf, rate = conditioned_cluster_sample(
+        TreeParams(d, k), PercParams(0.2, q), 10, radius, 300, 20240817
+    )
+    digest = hashlib.sha256(repr(sorted(pmf.items())).encode()).hexdigest()
+    assert (rate, digest) == CONDITIONED_PINS[(d, k, radius)]
+
+
+# Sums over 200 seeded oracles, recorded from the depth-first walk that the
+# sweep replaced.
+LEAF_COUNT_PINS = {(2, 3): 245, (3, 2): 290, (2, 4): 232}
+
+
+@pytest.mark.parametrize("d, k", sorted(LEAF_COUNT_PINS))
+def test_leaf_count_sum_pinned(d, k):
+    tp = TreeParams(d, k)
+    q = {(2, 3): 0.09, (3, 2): 0.06, (2, 4): 0.04}[(d, k)]
+    total = sum(leaf_count_Z(tp, make_oracle(tp, PercParams(0.2, q), 97, t)) for t in range(200))
+    assert total == LEAF_COUNT_PINS[(d, k)]
