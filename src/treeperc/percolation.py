@@ -77,6 +77,10 @@ def make_oracle(params: TreeParams, perc: PercParams, seed: int, trial: int = 0)
     return EdgeOracle(params, perc.p, perc.q, seed, trial)
 
 
+def _cap_error(held: int) -> SizeCapError:
+    return SizeCapError(f"cluster population {held} exceeded cap of {DEFAULT_CLUSTER_CAP} vertices")
+
+
 def sweep_layers(oracle: EdgeOracle):
     """Reveal the root's cluster one height layer at a time, without end.
 
@@ -85,26 +89,31 @@ def sweep_layers(oracle: EdgeOracle):
     long edge is open.  For n = 1, 2, ... yields ``(layer, population)``:
     the set of cluster vertices at height n and the number of cluster
     vertices at heights [n-k+1, n].  Only those k layers are held; raises
-    ``SizeCapError`` once they hold more than ``DEFAULT_CLUSTER_CAP``.
+    ``SizeCapError`` as soon as they would hold more than
+    ``DEFAULT_CLUSTER_CAP``, while the layer is built.
     """
     k = oracle.params.k
     window: list[set] = [set() for _ in range(k)]
     window[0].add(ROOT)
+    population = 1
     for n in count(1):
+        # the other k-1 layers stay; the height n-k one is evicted
+        kept = population - len(window[n % k])
+        room = DEFAULT_CLUSTER_CAP - kept  # checked once per parent vertex
         layer: set = set()
         for u in window[(n - 1) % k]:
             for j in oracle.open_short_children(u):
                 layer.add(u + (j,))
+            if len(layer) > room:
+                raise _cap_error(kept + len(layer))
         if n >= k:
-            for u in window[n % k]:  # the height n-k layer, about to be evicted
+            for u in window[n % k]:
                 for s in oracle.open_long_children(u):
                     layer.add(u + s)
+                if len(layer) > room:
+                    raise _cap_error(kept + len(layer))
         window[n % k] = layer
-        population = sum(len(s) for s in window)
-        if population > DEFAULT_CLUSTER_CAP:
-            raise SizeCapError(
-                f"cluster population exceeded cap of {DEFAULT_CLUSTER_CAP} vertices"
-            )
+        population = kept + len(layer)
         yield layer, population
 
 

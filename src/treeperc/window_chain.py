@@ -16,18 +16,19 @@ before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
 of this law, vectorised over parent windows, and the exact pmf
 (``child_window_dist``) reads it directly.  Over all nonempty parent
 windows, the law of one child is one CSR block (``_law_block``), window w as
-column w and column 0 the empty window.  The sparse mean offspring matrix
-(``build_offspring_matrix``) is the sum of the d blocks, and the count-level
-simulation (``simulate_window_chain``) samples the rows of the blocks, each
-row only for the trials that hold its type.
+column w and column 0 the empty window, and the sparse mean offspring matrix
+(``build_offspring_matrix``, behind ``matrix``) is the sum of the d blocks.
 
-``critical`` solves a smaller matrix with the same Perron root, the ray's
-(``build_offspring_matrix(..., ray=True)``).  A top slot's k bits along its
-path from the window's base are the last k cluster indicators of its
-ancestral ray, and they form a Markov chain: each of the slot's d children
-is set independently with the probability pi above, a the slot's own bit
-(the newest) and b the base's (the oldest).  Counting vertices by that
-state is a (2^k - 1)-type Galton-Watson process with mean matrix d * T.
+``critical`` and the count-level simulation run on the ancestral ray
+instead.  A top slot's k bits along its path from the window's base are the
+last k cluster indicators of its ancestral ray, and they form a Markov
+chain: each of the slot's d children is set independently with the
+probability pi above, a the slot's own bit (the newest) and b the base's
+(the oldest).  Counting vertices by that state is a (2^k - 1)-type
+Galton-Watson process.  ``_ray_pi`` and ``_ray_children`` encode its step
+once; its mean matrix d * T (``build_offspring_matrix(..., ray=True)``) has
+the window matrix's Perron root, and ``simulate_window_chain`` and
+``chain_survival`` sample it with one binomial draw per generation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from .tree import TreeParams, parent, slot_index, slot_vertex
 #: Bytes an offspring-matrix build or a count-level chain run may hold.
 MAX_ARRAY_BYTES = 1 << 30
 
-#: Total population at which a count-level chain run stops.
+#: Total population at which a count-level chain run stops: the ray
+#: individuals of a generation, the vertices with a cluster vertex among
+#: their last k ancestors, themselves included.
 POPULATION_CAP = 10**8
 
 
@@ -69,35 +72,12 @@ class SparseOffspringMatrix:
 def _child_slot_maps(params: TreeParams):
     """Per child digit i: slot targets of the deterministic part and slot
     sources of the top-slot short-edge indicators."""
-    d, base, t = params.d, params.top_slot_base, params.n_top_slots
-    low_targets = []
-    top_sources = []
-    for i in range(1, d + 1):
-        low_targets.append(
-            np.array(
-                [slot_index((i,) + slot_vertex(j, params), params) for j in range(base)],
-                dtype=np.int64,
-            )
-        )
-        top_sources.append(
-            np.array(
-                [
-                    slot_index((i,) + parent(slot_vertex(base + u, params)), params)
-                    for u in range(t)
-                ],
-                dtype=np.int64,
-            )
-        )
+    base, top = params.top_slot_base, range(params.top_slot_base, params.window_slots)
+    low_targets, top_sources = [], []
+    for i in range(1, params.d + 1):
+        low_targets.append([slot_index((i,) + slot_vertex(j, params), params) for j in range(base)])
+        top_sources.append([slot_index((i,) + parent(slot_vertex(u, params)), params) for u in top])
     return low_targets, top_sources
-
-
-def _low_part(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The deterministic slots of height <= k-2 of one child's window, for
-    each parent window in ``a``: slot j is bit ``targets[j]`` of the parent."""
-    det = np.zeros_like(a)
-    for j, tgt in enumerate(targets):
-        det |= (a >> tgt & 1) << j
-    return det
 
 
 def _open_prob(p: float, q: float, a, b):
@@ -131,7 +111,10 @@ class ChildWindowLaw:
     def __call__(self, a: np.ndarray, child: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= child <= self.params.d:
             raise ParameterError(f"child digit {child} outside [1, {self.params.d}]")
-        det = _low_part(a, self._low_targets[child - 1])
+        # the deterministic slots of height <= k-2: slot j copies bit targets[j] of A
+        det = np.zeros_like(a)
+        for j, tgt in enumerate(self._low_targets[child - 1]):
+            det |= (a >> tgt & 1) << j
         b = a & 1
         probs = np.ones((len(a), 1))
         for src in self._top_sources[child - 1]:
@@ -215,22 +198,36 @@ def _law_block(child_law: ChildWindowLaw, child: int):
     return block
 
 
+def _ray_pi(params: TreeParams, p: float, q: float) -> np.ndarray:
+    """pi_s for every ray state s in [0, 2^k): the probability that a child
+    of a vertex in state s is in the cluster, through the short edge from
+    the vertex (bit 0, the newest) or the long edge from the child's k-th
+    ancestor (bit k-1, the oldest).  The zero state gets pi = 0."""
+    s = np.arange(1 << params.k)
+    return _open_prob(p, q, s & 1, s >> (params.k - 1) & 1)
+
+
+def _ray_children(stay: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """Counts by ray state of the children of vertices counted by state along
+    the last axis, ``born`` of them set and ``stay`` not: a child of state s
+    is in state (s << 1) mod 2^k, plus 1 if set.  The zero state is no type,
+    so its count is dropped."""
+    h = stay.shape[-1] // 2
+    nxt = np.empty_like(stay)
+    np.add(stay[..., :h], stay[..., h:], out=nxt[..., 0::2])
+    np.add(born[..., :h], born[..., h:], out=nxt[..., 1::2])
+    nxt[..., 0] = 0
+    return nxt
+
+
 def _ray_matrix(params: TreeParams, p: float, q: float) -> sparse.csr_matrix:
     """d * T over the 2^k - 1 nonzero ray states, state s as row and column
-    s - 1: bit 0 of s is the newest indicator and bit k-1 the oldest, and
-    each of the d children of a vertex in state s is set with the top-slot
-    probability pi_s of its newest and oldest bits."""
-    n = (1 << params.k) - 1
-    s = np.arange(1, n + 1)
-    pi = _open_prob(p, q, s & 1, s >> (params.k - 1) & 1)
-    to = (s << 1) & n  # the child's state with its own bit unset; | 1 when set
-    # the zero state is no type: its entry (only at s = 2^(k-1)) is zeroed
-    # and dropped with the other zeros
-    data = np.column_stack([params.d * (1.0 - pi) * (to > 0), params.d * pi]).ravel()
-    indices = np.column_stack([np.maximum(to - 1, 0), to]).ravel()
-    csr = sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
-    csr.eliminate_zeros()
-    return csr
+    s - 1: row s is the mean child count of one vertex in state s."""
+    pi = _ray_pi(params, p, q)
+    mean = _ray_children(np.diag(params.d * (1.0 - pi)), np.diag(params.d * pi))[1:, 1:]
+    rows, cols = np.nonzero(mean)  # row-major, so already CSR order
+    indptr = np.searchsorted(rows, np.arange(len(mean) + 1))
+    return sparse.csr_matrix((mean[rows, cols], cols, indptr), shape=mean.shape)
 
 
 def build_offspring_matrix(
@@ -256,6 +253,41 @@ def build_offspring_matrix(
     return SparseOffspringMatrix(total[:, 1:])
 
 
+def _chain_bytes(params: TreeParams, trials: int, history: int) -> int:
+    """Estimated bytes of a ray chain run: ``history`` int64 entries per
+    trial, five (trials, 2^k) int64 count arrays (a generation, its children
+    and births, the next generation, and one for temporaries), and 1 MiB
+    for numpy's buffers and small arrays."""
+    return (1 << 20) + 8 * trials * ((5 << params.k) + history)
+
+
+def _ray_generations(params: TreeParams, p: float, q: float, rng, generations: int, trials: int):
+    """Yield the ray counts of ``trials`` independent clusters, (trials, 2^k)
+    int64 arrays with column s the vertices in ray state s, for generations
+    0 (the root alone, in state 1) to ``generations``, up to the first one
+    that is empty in every trial.  The N * d children of the N vertices in
+    state s are independent, each set with probability pi_s, so one binomial
+    draw over the array is a generation of every trial.  Raises
+    ``SizeCapError`` once the total population exceeds ``POPULATION_CAP``."""
+    pi = _ray_pi(params, p, q)
+    cur = np.zeros((trials, 1 << params.k), dtype=np.int64)
+    cur[:, 1] = 1
+    yield cur
+    for gen in range(1, generations + 1):
+        children = params.d * cur
+        born = rng.binomial(children, pi)
+        children -= born
+        cur = _ray_children(children, born)
+        total = int(cur.sum())
+        if total > POPULATION_CAP:
+            raise SizeCapError(
+                f"population {total} exceeds cap {POPULATION_CAP} at generation {gen}"
+            )
+        yield cur
+        if total == 0:
+            return
+
+
 def chain_survival(
     params: TreeParams,
     p: float,
@@ -268,20 +300,21 @@ def chain_survival(
     """Survival frequency of the cluster at a given depth, with binomial SE.
 
     "Alive at depth n" means the cluster holds a vertex with height in
-    [n-k+1, n]; generation n-k+1 of the window chain covers exactly that slab,
-    so the frequency is the fraction of trials whose chain population is
-    nonzero there.  Trials run in batches to bound memory.
+    [n-k+1, n], which is exactly when generation n of the ray process is
+    nonempty.  Trials run in batches, each on its current generation alone.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if depth < params.k:
         raise ParameterError(f"depth must be >= k={params.k}")
-    generations = depth - params.k + 1
+    check_probabilities(p=p, q=q)
+    n = min(batch, trials)
+    _check_bytes(_chain_bytes(params, n, 0), f"a batch of {n} chain trials")
     alive = 0
     for done in range(0, trials, batch):
-        n = min(batch, trials - done)
-        final, _ = simulate_window_chain(params, p, q, rng, generations, trials=n)
-        alive += int((final.sum(axis=1) > 0).sum())
+        for cur in _ray_generations(params, p, q, rng, depth, min(batch, trials - done)):
+            pass
+        alive += int(cur.any(axis=1).sum())
     freq = alive / trials
     return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
 
@@ -294,71 +327,28 @@ def simulate_window_chain(
     generations: int,
     trials: int = 1,
 ):
-    """Simulate the window chain for many independent trials at once.
-
-    Offspring are aggregated per type with multinomial draws, which is the
-    exact law of summed i.i.d. child windows, so the cost per generation does
-    not grow with the population size.  The draws for a parent type and a
-    child read that type's row of the child's law block, and run only over
-    the trials that hold that type.  numpy's multinomial returns zeros for
-    n = 0 without reading the bit generator, so this consumes the stream
-    exactly as drawing over all trials would: the outputs and the generator
-    state after the call are those of the all-trials loop.  Only the current
-    and the next generation are held in memory.
+    """Simulate the ray process (``_ray_generations``) for many independent
+    trials at once.
 
     Returns ``(final_counts, x)`` where ``final_counts`` has shape
-    (trials, 2^W - 1) with the per-type populations of the last generation
-    and ``x`` has shape (trials, generations + 1) with the number of
-    individuals per generation whose window contains the root, i.e. the
-    height-layer occupation counts of the underlying cluster.
-
-    The initial type is drawn from the root-window law at parameter p.
-    Raises ``SizeCapError`` before allocating when the estimated memory
-    exceeds ``MAX_ARRAY_BYTES``, and once the total population exceeds
-    ``POPULATION_CAP``.
+    (trials, 2^k - 1), the last generation's count in ray state j + 1 as
+    column j, and ``x`` has shape (trials, generations + 1) with the count
+    of each generation in the odd states, i.e. the height-layer occupation
+    counts of the underlying cluster.  Raises ``SizeCapError`` before
+    allocating when the estimated memory exceeds ``MAX_ARRAY_BYTES``.
     """
     if generations < 0:
         raise ParameterError("generations must be >= 0")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     check_probabilities(p=p, q=q)
-    n_types = (1 << params.window_slots) - 1
-    # the law blocks, then two generations and x
     _check_bytes(
-        _law_bytes(params) + 8 * trials * (2 * n_types + generations + 1),
+        _chain_bytes(params, trials, generations + 1),
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
-    child_law = ChildWindowLaw(params, p, q)
-    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
-
-    cur = np.zeros((trials, n_types), dtype=np.int64)
-    nxt = np.zeros_like(cur)
+    # generations after the first empty one are never drawn and stay 0
     x = np.zeros((trials, generations + 1), dtype=np.int64)
-    support, pvals = map(np.array, zip(*sorted(initial_window_dist(params, p).items())))
-    drawn = support[rng.choice(len(support), size=trials, p=pvals / pvals.sum())]
-    cur[np.arange(trials), drawn - 1] = 1
-    # windows holding the root are the odd bitmasks, i.e. the even columns
-    x[:, 0] = cur[:, 0::2].sum(axis=1)
-
-    for gen in range(generations):
-        nxt.fill(0)
-        for row in np.flatnonzero(cur.any(axis=0)):
-            holders = np.flatnonzero(cur[:, row])
-            n_parents = cur[holders, row]
-            for block in blocks:
-                s, e = block.indptr[row], block.indptr[row + 1]
-                draws = rng.multinomial(n_parents, block.data[s:e])
-                outcomes = block.indices[s:e]
-                live = outcomes > 0
-                nxt[holders[:, None], outcomes[live] - 1] += draws[:, live]
-        total = int(nxt.sum())
-        if total > POPULATION_CAP:
-            raise SizeCapError(
-                f"population {total} exceeds cap {POPULATION_CAP} at generation {gen + 1}"
-            )
-        cur, nxt = nxt, cur
-        x[:, gen + 1] = cur[:, 0::2].sum(axis=1)
-        if total == 0:
-            break  # extinct in every trial: later generations stay empty
-    return cur, x
+    for gen, cur in enumerate(_ray_generations(params, p, q, rng, generations, trials)):
+        x[:, gen] = cur[:, 1::2].sum(axis=1)
+    return cur[:, 1:], x

@@ -119,6 +119,17 @@ def test_survival_chain_stops_at_extinction(tmp_path):
     assert json.loads(out.read_text())["rows"][0]["frequency"] == 0.0
 
 
+def test_survival_chain_holds_no_history(tmp_path):
+    # survival reads the last generation alone, so a depth whose history of
+    # x would exceed the byte cap still runs
+    code, out = run(
+        tmp_path, "s.json", "survival", "--method", "chain", "--d", "2", "--k", "2",
+        "--p", "0.2", "--q", "0.1", "--depth", "200000000", "--trials", "1",
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["rows"][0]["frequency"] == 0.0
+
+
 def test_matrix_summary_and_dump(tmp_path):
     dump = tmp_path / "m.csv"
     code, out = run(
@@ -375,10 +386,11 @@ def test_exit_code_cap(tmp_path):
         "--out", str(tmp_path / "never.csv"),
     ])
     assert code == 3
-    # the chain refuses 10^5 trials at (2,4) before allocating them
+    # the chain refuses a history of 10^5 trials over 10^9 generations
+    # before allocating it
     code = main([
-        "survival", "--d", "2", "--k", "4", "--p", "0.25", "--q", "0.05",
-        "--out", str(tmp_path / "never.json"),
+        "limits", "--regime", "super", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.26",
+        "--horizon", "1000000000", "--out", str(tmp_path / "never.csv"),
     ])
     assert code == 3
     code = main([
@@ -387,7 +399,8 @@ def test_exit_code_cap(tmp_path):
     ])
     assert code == 3
     # about 10^11 candidate matrix entries at (16,2), refused before the
-    # build; at (17,2) the full law's estimate is about 1.9e13 bytes
+    # build; at (17,2) the full law's estimate is about 1.9e13 bytes; the
+    # supercritical chain at (17,2) passes POPULATION_CAP at generation 13
     for argv in (
         ["matrix", "--d", "16", "--k", "2", "--p", "0.01", "--q", "0.01"],
         ["matrix", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
@@ -413,11 +426,11 @@ VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5
 # Grid steps stay coarse enough that a valid grid holds a few points.
 STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
 TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
-# `matrix`, `survival --method chain` and `limits` build the full window
-# matrix or the chain's law blocks, which at (3,3) take seconds and about
-# 0.4 GB, so they draw from the cheaper sizes.  The q_c commands solve on the
-# 7 ray states at (3,3), which costs about a millisecond per solve, and
-# draw from all sizes.
+# `matrix` builds the full window matrix, which at (3,3) takes seconds and
+# about 0.4 GB, so it draws from the cheaper sizes.  The q_c commands, the
+# chain's `survival` and `limits` run on the 7 ray states at (3,3), which
+# costs about a millisecond per solve or generation, and draw from all
+# sizes.
 OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
 ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
 EXAMPLE_SECONDS = 10
@@ -429,8 +442,7 @@ def cli_argvs(draw):
         st.sampled_from(["qc-point", "qc-curve", "matrix", "survival", "limits", "asymptotics"])
     )
     method = draw(st.sampled_from(["chain", "direct"])) if command == "survival" else None
-    full_space = command in ("matrix", "limits") or method == "chain"
-    d, k = draw(st.sampled_from(OPERATOR_SIZES if full_space else ALL_SIZES))
+    d, k = draw(st.sampled_from(OPERATOR_SIZES if command == "matrix" else ALL_SIZES))
     if command == "asymptotics":
         # k ranges over the sizes above, and may be empty or start below 2
         return [

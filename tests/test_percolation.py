@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -316,13 +317,17 @@ def test_conditioned_sample_unconditioned_radius1():
 
 def test_sweep_cap(monkeypatch):
     # at p = q = 1 layer n holds all 2^n vertices, so the two most recent
-    # layers hold 48 vertices at height 5 and 96 at height 6
+    # layers hold 48 vertices at height 5 and would hold 96 at height 6; the
+    # cap is checked once per parent vertex, which adds at most d short and
+    # d^k long children, so the sweep stops within that of the cap
     monkeypatch.setattr("treeperc.percolation.DEFAULT_CLUSTER_CAP", 50)
     perc = PercParams(1.0, 1.0)
     oracle = make_oracle(TP, perc, 1)
     assert explore_layers(TP, perc, oracle, 5).x == [1, 2, 4, 8, 16, 32]
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError) as err:
         explore_layers(TP, perc, oracle, 6)
+    held = int(re.search(r"population (\d+) exceeded", str(err.value)).group(1))
+    assert 50 < held <= 50 + TP.d + TP.d**TP.k
     # the slab leaf count and the survival estimate sweep the same layers
     with pytest.raises(SizeCapError):
         leaf_count_Z(TreeParams(2, 3), make_oracle(TreeParams(2, 3), perc, 1))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from functools import lru_cache
@@ -7,11 +8,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from treeperc.cli import main
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, estimate_survival, explore_layers, make_oracle
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
 from treeperc.window_chain import (
+    MAX_ARRAY_BYTES,
     ChildWindowLaw,
+    _chain_bytes,
     _law_block,
     _law_bytes,
     build_offspring_matrix,
@@ -355,38 +359,43 @@ def test_count_law_blocks_match_subset_enumeration(d, k):
             assert np.abs(got - expect).max() <= 1e-12 * max(1, expect.max())
 
 
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_law_bytes_bounds_traced_peak():
-    # the estimate behind the memory caps covers the full build and the
-    # chain's law blocks
+    # the estimates behind the memory caps cover the full build, and the ray
+    # chain's count arrays with and without its history
     tp = TreeParams(3, 3)
-    runs = (
-        (lambda: build_offspring_matrix(tp, 0.2, 0.05), _law_bytes(tp)),
-        (lambda: simulate_window_chain(tp, 0.2, 0.05, np.random.default_rng(0), 0), _law_bytes(tp)),
-    )
-    for run, estimate in runs:
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimate
+    assert traced_peak(lambda: build_offspring_matrix(tp, 0.2, 0.05)) <= _law_bytes(tp)
+    for trials in (300, 2000, 20000):
+        rng = np.random.default_rng(0)
+        sim = traced_peak(lambda: simulate_window_chain(tp, 0.2, 0.02, rng, 30, trials))
+        assert sim <= _chain_bytes(tp, trials, 31)
+        survival = traced_peak(lambda: chain_survival(tp, 0.2, 0.02, 30, 2 * trials, rng, trials))
+        assert survival <= _chain_bytes(tp, trials, 0)
 
 
 @pytest.mark.parametrize("tp", [TreeParams(16, 2), TreeParams(17, 2)])
 def test_full_law_refused_before_its_arrays(tp):
-    # the full law's byte estimate refuses the matrix and the chain before
-    # ChildWindowLaw allocates its 2^t top-slot outcomes
-    tracemalloc.start()
-    try:
+    # the full law's byte estimate refuses the matrix before ChildWindowLaw
+    # allocates its 2^t top-slot outcomes; the chain never builds them, and
+    # the ray's estimate refuses a history it cannot hold before allocating
+    def refused():
         with pytest.raises(SizeCapError):
             build_offspring_matrix(tp, 0.01, 0.01)
         with pytest.raises(SizeCapError):
-            simulate_window_chain(tp, 0.01, 0.01, np.random.default_rng(0), 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << tp.n_top_slots
+            simulate_window_chain(tp, 0.01, 0.01, np.random.default_rng(0), 10**9)
+
+    assert traced_peak(refused) < 8 << tp.n_top_slots
+    rng = np.random.default_rng(0)
+    ran = traced_peak(lambda: simulate_window_chain(tp, 0.01, 0.001, rng, 60, 100))
+    assert ran < 8 << tp.n_top_slots
 
 
 @pytest.mark.parametrize("tp", [TP22, TP23, TP32])
@@ -466,7 +475,7 @@ def test_matrix_matches_child_dist_rates():
 
 
 def test_simulate_trivial_cases():
-    # at p = 0 every trial starts from the root-window law's point mass {o}
+    # every trial starts from the root alone, in ray state 1
     rng = np.random.default_rng(0)
     _, x = simulate_window_chain(TP22, 0.0, 0.0, rng, 4, trials=8)
     assert (x[:, 0] == 1).all() and (x[:, 1:] == 0).all()
@@ -482,24 +491,41 @@ def test_simulate_population_cap(monkeypatch):
 
 
 def test_simulate_memory_cap_before_allocating():
-    # 10^5 trials at (2,4) would hold two 32767-column generations per trial
+    # 10^5 trials over 2000 generations would hold a 1.6 GB history, and one
+    # batch of 10^8 trials 64 GB of ray counts
+    tp = TreeParams(2, 4)
     rng = np.random.default_rng(0)
-    with pytest.raises(SizeCapError):
-        simulate_window_chain(TreeParams(2, 4), 0.25, 0.05, rng, 57, trials=10**5)
+
+    def refused_peak(fn, *args):
+        def run():
+            with pytest.raises(SizeCapError, match="above the cap"):
+                fn(*args)
+
+        return traced_peak(run)
+
+    assert _chain_bytes(tp, 10**5, 2001) > MAX_ARRAY_BYTES
+    assert refused_peak(simulate_window_chain, tp, 0.25, 0.05, rng, 2000, 10**5) < 1 << 20
+    assert _chain_bytes(tp, 10**8, 0) > MAX_ARRAY_BYTES
+    assert refused_peak(chain_survival, tp, 0.25, 0.05, 60, 10**8, rng, 10**8) < 1 << 20
 
 
 def test_simulate_returns_last_generation_and_layer_counts():
     rng = np.random.default_rng(3)
     final, x = simulate_window_chain(TP23, 0.3, 0.1, rng, 6, trials=50)
-    assert final.shape == (50, (1 << TP23.window_slots) - 1)
+    assert final.shape == (50, (1 << TP23.k) - 1)
     assert x.shape == (50, 7)
-    # x counts the individuals whose window holds the root (odd bitmasks)
+    # x counts the individuals in an odd ray state (the even columns), the
+    # vertices that are in the cluster themselves
     assert (x[:, -1] == final[:, 0::2].sum(axis=1)).all()
 
 
 def reference_simulate(params, p, q, rng, generations, trials=1):
-    """The count-level chain with every occupied type drawing its offspring
-    for all trials at once, those holding none of it included (n = 0)."""
+    """The count-level window chain the ray chain replaced, kept as an
+    independent check: the root's window drawn from ``initial_window_dist``,
+    then each occupied window type drawing its offspring from the rows of
+    the full law blocks for all trials at once.  x counts the windows that
+    hold their own base; generation n of the window chain covers heights
+    [n, n + k - 1] of the cluster."""
     child_law = ChildWindowLaw(params, p, q)
     blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
     n_types = (1 << params.window_slots) - 1
@@ -533,70 +559,100 @@ def chain_run(simulate, tp, p, q, seed, generations, trials):
     return final, x, int(rng.integers(2**63))
 
 
+def pmf_distance(a, b):
+    """Total variation between the empirical pmfs of two equal-size integer
+    samples, and its 4-SE bound: the sum over values of the binomial SE of
+    half the difference of two frequencies, as in criterion 5."""
+    n, tv, bound = len(a), 0.0, 0.0
+    for v in set(a.tolist()) | set(b.tolist()):
+        f1, f2 = float((a == v).mean()), float((b == v).mean())
+        pbar = 0.5 * (f1 + f2)
+        tv += 0.5 * abs(f1 - f2)
+        bound += 4 * 0.5 * math.sqrt(pbar * (1.0 - pbar) * 2.0 / n)
+    return tv, bound
+
+
+@pytest.mark.parametrize("tp, p, q", [(TP22, 0.2, 0.15), (TP23, 0.2, 0.08), (TP32, 0.15, 0.08)])
+def test_ray_chain_matches_window_chain_in_law(tp, p, q):
+    # independent samples of the ray chain and of the window chain: the pmf
+    # of x_n at every height n up to 8, and survival to depth 20, which is
+    # generation 20 of the ray and generation 20 - k + 1 of the window chain
+    n, generations, depth = 3000, 8, 20
+    _, ray_x = simulate_window_chain(tp, p, q, np.random.default_rng(1), generations, n)
+    _, window_x = reference_simulate(tp, p, q, np.random.default_rng(2), generations, n)
+    assert (ray_x[:, 0] == 1).all() and (window_x[:, 0] == 1).all()
+    for h in range(1, generations + 1):
+        tv, bound = pmf_distance(ray_x[:, h], window_x[:, h])
+        assert tv < bound, (h, tv, bound)
+    ray, _ = chain_survival(tp, p, q, depth, n, np.random.default_rng(3))
+    final, _ = reference_simulate(tp, p, q, np.random.default_rng(4), depth - tp.k + 1, n)
+    window = float(final.any(axis=1).mean())
+    pbar = 0.5 * (ray + window)
+    assert 0.0 < pbar < 1.0
+    assert abs(ray - window) < 4 * math.sqrt(pbar * (1.0 - pbar) * 2.0 / n)
+
+
 # sha256 over (final, x, next draw) of every run in
-# test_simulate_matches_all_trials_reference, recorded from the all-trials loop
+# test_simulate_matches_all_trials_reference, recorded from the ray chain
 CHAIN_SHA256 = {
-    ((2, 2), 0.0, 0.0): "817209ee5109ed55cc0e4e9f7acc41b9469c5dce240d63dfdad914576ea3d63e",
-    ((2, 2), 0.2, 0.1): "54fa18a920a0931fe192a31cd7d7c2ef1559a32a634d3e83bf775dc5db8bc7a0",
-    ((2, 2), 0.2, 0.3): "8d93311dc294f5a02ee3627d3bcee2e17ee12294454f78b458f0cc51b6f4e0c5",
-    ((2, 3), 0.0, 0.0): "9b252e3265eb6741abfe1555b47fb9cdbfdf583fdaa039040f73878dd8c1a1da",
-    ((2, 3), 0.2, 0.05): "0873a4be08e900103bd8ccbb3c3c0c80611414e8fcac7c0403d7a6305da570ec",
-    ((2, 3), 0.2, 0.15): "99db87d42ea9eb652cea9cd99456d8c9f98f2b7515d8af3416a6e44185505358",
-    ((3, 2), 0.0, 0.0): "8f58518be40593510a831d2c9a5f3bb2f45cab106a65ede100e1474a38cdeea9",
-    ((3, 2), 0.2, 0.03): "cf9a743aa478804cd8c29b2200810a87b51a9507e3176d74f3c37cb5e35453c8",
-    ((3, 2), 0.2, 0.12): "38c32f14b3292acb71b154ebf74a06d22ff030d0a185a8f3c78705c08f5ab43b",
+    ((2, 2), 0.0, 0.0): "9de19d70146d03cd605e002e3e10a4348efb39df695aae936bfe38cb1378faf9",
+    ((2, 2), 0.2, 0.1): "24a46d245cf2dc385abe61881cb83b9f83849415020f5eda2176104b30634594",
+    ((2, 2), 0.2, 0.3): "0397a03c40afa33f0c9bd938a37df5100874d7e5c3ec2c4c407b044088f0ad30",
+    ((2, 3), 0.0, 0.0): "b08fb4daa8fb52535c4d3d488555a428cfab3b0b5db8a8d987c49cb0012c2046",
+    ((2, 3), 0.2, 0.05): "4eecfb564aa717781f677bda31b90b4b4bf6b690e87d539211e62f30968146ad",
+    ((2, 3), 0.2, 0.15): "9d5e6841ad8df334e2032c193b79b45b459d09c82fc282d45e2cd19cea2e4d13",
+    ((3, 2), 0.0, 0.0): "9de19d70146d03cd605e002e3e10a4348efb39df695aae936bfe38cb1378faf9",
+    ((3, 2), 0.2, 0.03): "ce8c30a4a0a1e0eb68e2362e30884cc20b66f113ff66d9b024ae70b3c9cdcdec",
+    ((3, 2), 0.2, 0.12): "cfb08b34be4743da73203a49851caa5034e8272ad217bedcf30d2fda016e2dfc",
 }
+
+
+def chain_digest(tp, p, q):
+    digest = hashlib.sha256()
+    for trials, generations, seed in itertools.product((1, 50, 3000), (0, 8), (0, 1, 2)):
+        final, x, after = chain_run(simulate_window_chain, tp, p, q, seed, generations, trials)
+        assert final.dtype == x.dtype == np.int64
+        digest.update(final.tobytes() + x.tobytes() + after.to_bytes(8, "little"))
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("point", list(CHAIN_SHA256))
 def test_simulate_matches_all_trials_reference(point):
-    # extinct, subcritical and supercritical points: the draws, the generator
-    # state after the run and so the outputs are those of the all-trials loop
+    # a pin of the ray chain's outputs and of the generator state after each
+    # run, at extinct, subcritical and supercritical points; the window
+    # chain (reference_simulate) agrees with it in law, not draw for draw
     (d, k), p, q = point
-    tp = TreeParams(d, k)
-    digest = hashlib.sha256()
-    for trials, generations, seed in itertools.product((1, 50, 3000), (0, 8), (0, 1, 2)):
-        final, x, after = chain_run(simulate_window_chain, tp, p, q, seed, generations, trials)
-        ref_final, ref_x, ref_after = chain_run(
-            reference_simulate, tp, p, q, seed, generations, trials
-        )
-        assert final.dtype == x.dtype == np.int64
-        assert np.array_equal(final, ref_final) and np.array_equal(x, ref_x)
-        assert after == ref_after
-        digest.update(final.tobytes() + x.tobytes() + after.to_bytes(8, "little"))
-    assert digest.hexdigest() == CHAIN_SHA256[point]
+    assert chain_digest(TreeParams(d, k), p, q) == CHAIN_SHA256[point]
 
 
 def test_chain_survival_stream_position_pinned():
     # criterion 4's pattern: the second estimate reads the generator where
-    # the first left it; recorded from the all-trials loop
+    # the first left it; recorded from the ray chain
     rng = np.random.default_rng(2024)
     below = chain_survival(TP22, 0.2, 0.138, 60, 2000, rng)
     above = chain_survival(TP22, 0.2, 0.178, 60, 2000, rng)
-    assert below == (0.0045, 0.0014966211945579282)
-    assert above == (0.184, 0.008664409962599876)
+    assert below == (0.01, 0.0022248595461286987)
+    assert above == (0.1765, 0.008524897360085926)
 
 
 def test_chain_outputs_pinned():
-    # recorded from the scalar-law implementation this module replaced; the
-    # transition tables are bitwise equal, so the draws are too
+    # recorded from the ray chain
     freq, se = chain_survival(TP23, 0.2, 0.0861, 60, 300, np.random.default_rng(7))
-    assert (freq, se) == (0.23, 0.02429677619218923)
+    assert (freq, se) == (0.19666666666666666, 0.02294841235531621)
     # the call behind `limits --regime sub --d 2 --k 2 --p 0.2 --q 0.1
     # --trials 3000 --horizon 12` at the default seed
     _, x = simulate_window_chain(TP22, 0.2, 0.1, np.random.default_rng(20240817), 12, trials=3000)
     assert x.sum(axis=0).tolist() == [
-        3000, 1255, 1625, 1125, 1098, 824, 743, 598, 558, 460, 395, 329, 292
+        3000, 1255, 1599, 1125, 1021, 876, 711, 602, 523, 439, 402, 323, 286
     ]
 
 
 def test_chain_survival_trivial():
     rng = np.random.default_rng(1)
-    # p = q = 0: the root-window law is the point mass {o}, which has no
-    # offspring
+    # p = q = 0: the root has no children in the cluster
     freq, se = chain_survival(TP22, 0.0, 0.0, 10, 500, rng)
     assert freq == 0.0
-    # p = 1 starts at the full window and lives on
+    # p = 1: every short edge is open and the cluster lives on
     freq, _ = chain_survival(TP22, 1.0, 0.0, 10, 500, rng)
     assert freq == 1.0
 
@@ -654,6 +710,22 @@ def test_survival_estimates_match_exact_pgf(tp, p, q, expect):
     )
     for freq, se in estimates:
         assert abs(freq - exact) < 4 * se
+
+
+@pytest.mark.parametrize("d", [16, 17, 18, 19])
+def test_survival_chain_runs_at_large_d(tmp_path, d):
+    # the ray has 4 states at (d, 2), where the window law has 2^d top-slot
+    # outcomes; q lies below the branching lower bound (1 - p d) / d^2, so
+    # the point is subcritical
+    out = tmp_path / "s.json"
+    argv = [
+        "survival", "--method", "chain", "--d", str(d), "--k", "2", "--p", "0.01",
+        "--q", "0.002", "--depth", "20", "--trials", "20000", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert 0.002 < (1 - 0.01 * d) / d**2
+    assert abs(row["frequency"] - exact_survival(TreeParams(d, 2), 0.01, 0.002, 20)) < 4 * row["se"]
 
 
 def test_mean_x1_matches_direct_exploration():
