@@ -25,7 +25,7 @@ last k cluster indicators of its ancestral ray, and they form a Markov
 chain: each of the slot's d children is set independently with the
 probability pi above, a the slot's own bit (the newest) and b the base's
 (the oldest).  Counting vertices by that state is a (2^k - 1)-type
-Galton-Watson process.  ``_ray_pi`` and ``_ray_children`` encode its step
+Galton-Watson process.  ``_ray_pi`` and ``_ray_shift`` define its step
 once; its mean matrix d * T (``build_offspring_matrix(..., ray=True)``) has
 the window matrix's Perron root, and ``simulate_window_chain`` and
 ``chain_survival`` sample it with one binomial draw per generation.
@@ -72,12 +72,35 @@ class SparseOffspringMatrix:
 def _child_slot_maps(params: TreeParams):
     """Per child digit i: slot targets of the deterministic part and slot
     sources of the top-slot short-edge indicators."""
-    base, top = params.top_slot_base, range(params.top_slot_base, params.window_slots)
-    low_targets, top_sources = [], []
-    for i in range(1, params.d + 1):
-        low_targets.append([slot_index((i,) + slot_vertex(j, params), params) for j in range(base)])
-        top_sources.append([slot_index((i,) + parent(slot_vertex(u, params)), params) for u in top])
+    d, base, t = params.d, params.top_slot_base, params.n_top_slots
+    low_targets = []
+    top_sources = []
+    for i in range(1, d + 1):
+        low_targets.append(
+            np.array(
+                [slot_index((i,) + slot_vertex(j, params), params) for j in range(base)],
+                dtype=np.int64,
+            )
+        )
+        top_sources.append(
+            np.array(
+                [
+                    slot_index((i,) + parent(slot_vertex(base + u, params)), params)
+                    for u in range(t)
+                ],
+                dtype=np.int64,
+            )
+        )
     return low_targets, top_sources
+
+
+def _low_part(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The deterministic slots of height <= k-2 of one child's window, for
+    each parent window in ``a``: slot j is bit ``targets[j]`` of the parent."""
+    det = np.zeros_like(a)
+    for j, tgt in enumerate(targets):
+        det |= (a >> tgt & 1) << j
+    return det
 
 
 def _open_prob(p: float, q: float, a, b):
@@ -111,10 +134,7 @@ class ChildWindowLaw:
     def __call__(self, a: np.ndarray, child: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= child <= self.params.d:
             raise ParameterError(f"child digit {child} outside [1, {self.params.d}]")
-        # the deterministic slots of height <= k-2: slot j copies bit targets[j] of A
-        det = np.zeros_like(a)
-        for j, tgt in enumerate(self._low_targets[child - 1]):
-            det |= (a >> tgt & 1) << j
+        det = _low_part(a, self._low_targets[child - 1])
         b = a & 1
         probs = np.ones((len(a), 1))
         for src in self._top_sources[child - 1]:
@@ -207,27 +227,43 @@ def _ray_pi(params: TreeParams, p: float, q: float) -> np.ndarray:
     return _open_prob(p, q, s & 1, s >> (params.k - 1) & 1)
 
 
-def _ray_children(stay: np.ndarray, born: np.ndarray) -> np.ndarray:
+def _ray_shift(params: TreeParams, s: np.ndarray) -> np.ndarray:
+    """The ray state of an unset child of a vertex in state s: the vertex's
+    indicators one step older, the oldest dropped, i.e. (s << 1) mod 2^k.
+    A set child's state is one more."""
+    return (s << 1) & ((1 << params.k) - 1)
+
+
+def _ray_children(params: TreeParams, stay: np.ndarray, born: np.ndarray) -> np.ndarray:
     """Counts by ray state of the children of vertices counted by state along
-    the last axis, ``born`` of them set and ``stay`` not: a child of state s
-    is in state (s << 1) mod 2^k, plus 1 if set.  The zero state is no type,
-    so its count is dropped."""
+    the last axis, ``born`` of them set and ``stay`` not.  The states s and
+    s + 2^(k-1) differ only in the oldest bit, which ``_ray_shift`` drops, so
+    they share their children's states.  The zero state is no type, so its
+    count is dropped."""
     h = stay.shape[-1] // 2
+    to = _ray_shift(params, np.arange(h))
     nxt = np.empty_like(stay)
-    np.add(stay[..., :h], stay[..., h:], out=nxt[..., 0::2])
-    np.add(born[..., :h], born[..., h:], out=nxt[..., 1::2])
+    nxt[..., to] = stay[..., :h] + stay[..., h:]
+    nxt[..., to + 1] = born[..., :h] + born[..., h:]
     nxt[..., 0] = 0
     return nxt
 
 
 def _ray_matrix(params: TreeParams, p: float, q: float) -> sparse.csr_matrix:
     """d * T over the 2^k - 1 nonzero ray states, state s as row and column
-    s - 1: row s is the mean child count of one vertex in state s."""
-    pi = _ray_pi(params, p, q)
-    mean = _ray_children(np.diag(params.d * (1.0 - pi)), np.diag(params.d * pi))[1:, 1:]
-    rows, cols = np.nonzero(mean)  # row-major, so already CSR order
-    indptr = np.searchsorted(rows, np.arange(len(mean) + 1))
-    return sparse.csr_matrix((mean[rows, cols], cols, indptr), shape=mean.shape)
+    s - 1: each of the d children of a vertex in state s is set with
+    probability pi_s and then in state ``_ray_shift(s) + 1``, else in state
+    ``_ray_shift(s)``."""
+    n = (1 << params.k) - 1
+    pi = _ray_pi(params, p, q)[1:]
+    to = _ray_shift(params, np.arange(1, n + 1))
+    # the zero state is no type: its entry (only at s = 2^(k-1)) is zeroed
+    # and dropped with the other zeros
+    data = np.column_stack([params.d * (1.0 - pi) * (to > 0), params.d * pi]).ravel()
+    indices = np.column_stack([np.maximum(to - 1, 0), to]).ravel()
+    csr = sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    csr.eliminate_zeros()
+    return csr
 
 
 def build_offspring_matrix(
@@ -253,39 +289,12 @@ def build_offspring_matrix(
     return SparseOffspringMatrix(total[:, 1:])
 
 
-def _chain_bytes(params: TreeParams, trials: int, history: int) -> int:
-    """Estimated bytes of a ray chain run: ``history`` int64 entries per
-    trial, five (trials, 2^k) int64 count arrays (a generation, its children
-    and births, the next generation, and one for temporaries), and 1 MiB
-    for numpy's buffers and small arrays."""
-    return (1 << 20) + 8 * trials * ((5 << params.k) + history)
-
-
-def _ray_generations(params: TreeParams, p: float, q: float, rng, generations: int, trials: int):
-    """Yield the ray counts of ``trials`` independent clusters, (trials, 2^k)
-    int64 arrays with column s the vertices in ray state s, for generations
-    0 (the root alone, in state 1) to ``generations``, up to the first one
-    that is empty in every trial.  The N * d children of the N vertices in
-    state s are independent, each set with probability pi_s, so one binomial
-    draw over the array is a generation of every trial.  Raises
-    ``SizeCapError`` once the total population exceeds ``POPULATION_CAP``."""
-    pi = _ray_pi(params, p, q)
-    cur = np.zeros((trials, 1 << params.k), dtype=np.int64)
-    cur[:, 1] = 1
-    yield cur
-    for gen in range(1, generations + 1):
-        children = params.d * cur
-        born = rng.binomial(children, pi)
-        children -= born
-        cur = _ray_children(children, born)
-        total = int(cur.sum())
-        if total > POPULATION_CAP:
-            raise SizeCapError(
-                f"population {total} exceeds cap {POPULATION_CAP} at generation {gen}"
-            )
-        yield cur
-        if total == 0:
-            return
+def _chain_bytes(params: TreeParams, trials: int, generations: int) -> int:
+    """Estimated bytes of a ray chain run: the (trials, generations + 1)
+    int64 history, five (trials, 2^k) int64 count arrays (a generation, its
+    children and births, the next generation, and one for temporaries), and
+    1 MiB for numpy's buffers and small arrays."""
+    return (1 << 20) + 8 * trials * ((5 << params.k) + generations + 1)
 
 
 def chain_survival(
@@ -301,20 +310,17 @@ def chain_survival(
 
     "Alive at depth n" means the cluster holds a vertex with height in
     [n-k+1, n], which is exactly when generation n of the ray process is
-    nonempty.  Trials run in batches, each on its current generation alone.
+    nonempty.  Trials run in batches to bound memory.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if depth < params.k:
         raise ParameterError(f"depth must be >= k={params.k}")
-    check_probabilities(p=p, q=q)
-    n = min(batch, trials)
-    _check_bytes(_chain_bytes(params, n, 0), f"a batch of {n} chain trials")
     alive = 0
     for done in range(0, trials, batch):
-        for cur in _ray_generations(params, p, q, rng, depth, min(batch, trials - done)):
-            pass
-        alive += int(cur.any(axis=1).sum())
+        # the batch's history is dropped at once, so one is held at a time
+        final = simulate_window_chain(params, p, q, rng, depth, min(batch, trials - done))[0]
+        alive += int(final.any(axis=1).sum())
     freq = alive / trials
     return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
 
@@ -327,15 +333,19 @@ def simulate_window_chain(
     generations: int,
     trials: int = 1,
 ):
-    """Simulate the ray process (``_ray_generations``) for many independent
-    trials at once.
+    """Simulate the ray process for many independent trials at once, from
+    the root alone in state 1 up to ``generations`` or the first generation
+    that is empty in every trial.  The N * d children of the N vertices in
+    state s are independent, each set with probability pi_s, so one binomial
+    draw over the (trials, 2^k) count array is a generation of every trial.
 
     Returns ``(final_counts, x)`` where ``final_counts`` has shape
     (trials, 2^k - 1), the last generation's count in ray state j + 1 as
     column j, and ``x`` has shape (trials, generations + 1) with the count
     of each generation in the odd states, i.e. the height-layer occupation
     counts of the underlying cluster.  Raises ``SizeCapError`` before
-    allocating when the estimated memory exceeds ``MAX_ARRAY_BYTES``.
+    allocating when the estimated memory exceeds ``MAX_ARRAY_BYTES``, and
+    once the total population exceeds ``POPULATION_CAP``.
     """
     if generations < 0:
         raise ParameterError("generations must be >= 0")
@@ -343,12 +353,27 @@ def simulate_window_chain(
         raise ParameterError("trials must be >= 1")
     check_probabilities(p=p, q=q)
     _check_bytes(
-        _chain_bytes(params, trials, generations + 1),
+        _chain_bytes(params, trials, generations),
         f"{trials} chain trials over {generations} generations at "
         f"(d={params.d}, k={params.k})",
     )
+    pi = _ray_pi(params, p, q)
+    cur = np.zeros((trials, 1 << params.k), dtype=np.int64)
+    cur[:, 1] = 1
     # generations after the first empty one are never drawn and stay 0
     x = np.zeros((trials, generations + 1), dtype=np.int64)
-    for gen, cur in enumerate(_ray_generations(params, p, q, rng, generations, trials)):
+    x[:, 0] = 1
+    for gen in range(1, generations + 1):
+        children = params.d * cur
+        born = rng.binomial(children, pi)
+        children -= born
+        cur = _ray_children(params, children, born)
+        total = int(cur.sum())
+        if total > POPULATION_CAP:
+            raise SizeCapError(
+                f"population {total} exceeds cap {POPULATION_CAP} at generation {gen}"
+            )
         x[:, gen] = cur[:, 1::2].sum(axis=1)
+        if total == 0:
+            break
     return cur[:, 1:], x

@@ -119,17 +119,6 @@ def test_survival_chain_stops_at_extinction(tmp_path):
     assert json.loads(out.read_text())["rows"][0]["frequency"] == 0.0
 
 
-def test_survival_chain_holds_no_history(tmp_path):
-    # survival reads the last generation alone, so a depth whose history of
-    # x would exceed the byte cap still runs
-    code, out = run(
-        tmp_path, "s.json", "survival", "--method", "chain", "--d", "2", "--k", "2",
-        "--p", "0.2", "--q", "0.1", "--depth", "200000000", "--trials", "1",
-    )
-    assert code == 0
-    assert json.loads(out.read_text())["rows"][0]["frequency"] == 0.0
-
-
 def test_matrix_summary_and_dump(tmp_path):
     dump = tmp_path / "m.csv"
     code, out = run(

@@ -18,6 +18,9 @@ from treeperc.window_chain import (
     _chain_bytes,
     _law_block,
     _law_bytes,
+    _ray_children,
+    _ray_pi,
+    _ray_shift,
     build_offspring_matrix,
     chain_survival,
     child_window_dist,
@@ -338,6 +341,24 @@ def ray_matrix(tp, p, q):
     return build_offspring_matrix(tp, p, q, ray=True).csr.toarray()
 
 
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_ray_children_follows_ray_shift(d, k):
+    # the chain's pairing of states s and s + 2^(k-1) sends each count to
+    # the state _ray_shift names, the one rule the ray matrix is built from,
+    # and its mean step over one vertex per state is that matrix
+    tp = TreeParams(d, k)
+    s = np.arange(1 << k)
+    stay, born = np.random.default_rng(k).integers(0, 50, (2, 5, 1 << k))
+    expect = np.zeros_like(stay)
+    np.add.at(expect.T, _ray_shift(tp, s), stay.T)
+    np.add.at(expect.T, _ray_shift(tp, s) + 1, born.T)
+    expect[:, 0] = 0
+    assert (_ray_children(tp, stay, born) == expect).all()
+    pi = _ray_pi(tp, 0.3, 0.1)
+    mean = _ray_children(tp, np.diag(tp.d * (1.0 - pi)), np.diag(tp.d * pi))
+    assert np.abs(mean[1:, 1:] - ray_matrix(tp, 0.3, 0.1)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2)])
 def test_count_law_blocks_match_subset_enumeration(d, k):
     # the law of the ray counts, child by child: over the 2^t top-slot
@@ -369,16 +390,16 @@ def traced_peak(run):
 
 
 def test_law_bytes_bounds_traced_peak():
-    # the estimates behind the memory caps cover the full build, and the ray
-    # chain's count arrays with and without its history
+    # the estimates behind the memory caps cover the full build and a ray
+    # chain run, alone or in survival's batches
     tp = TreeParams(3, 3)
     assert traced_peak(lambda: build_offspring_matrix(tp, 0.2, 0.05)) <= _law_bytes(tp)
     for trials in (300, 2000, 20000):
         rng = np.random.default_rng(0)
         sim = traced_peak(lambda: simulate_window_chain(tp, 0.2, 0.02, rng, 30, trials))
-        assert sim <= _chain_bytes(tp, trials, 31)
+        assert sim <= _chain_bytes(tp, trials, 30)
         survival = traced_peak(lambda: chain_survival(tp, 0.2, 0.02, 30, 2 * trials, rng, trials))
-        assert survival <= _chain_bytes(tp, trials, 0)
+        assert survival <= _chain_bytes(tp, trials, 30)
 
 
 @pytest.mark.parametrize("tp", [TreeParams(16, 2), TreeParams(17, 2)])
@@ -492,7 +513,7 @@ def test_simulate_population_cap(monkeypatch):
 
 def test_simulate_memory_cap_before_allocating():
     # 10^5 trials over 2000 generations would hold a 1.6 GB history, and one
-    # batch of 10^8 trials 64 GB of ray counts
+    # batch of 10^8 trials 64 GB of ray counts and a 49 GB history
     tp = TreeParams(2, 4)
     rng = np.random.default_rng(0)
 
@@ -503,9 +524,9 @@ def test_simulate_memory_cap_before_allocating():
 
         return traced_peak(run)
 
-    assert _chain_bytes(tp, 10**5, 2001) > MAX_ARRAY_BYTES
+    assert _chain_bytes(tp, 10**5, 2000) > MAX_ARRAY_BYTES
     assert refused_peak(simulate_window_chain, tp, 0.25, 0.05, rng, 2000, 10**5) < 1 << 20
-    assert _chain_bytes(tp, 10**8, 0) > MAX_ARRAY_BYTES
+    assert _chain_bytes(tp, 10**8, 60) > MAX_ARRAY_BYTES
     assert refused_peak(chain_survival, tp, 0.25, 0.05, 60, 10**8, rng, 10**8) < 1 << 20
 
 
