@@ -26,12 +26,19 @@ zero row or column, so d T's right Perron vector nu lifts to R nu >= 0, an
 eigenvector of M, and M's left one mu projects to mu R >= 0, one of d T:
 each Perron root bounds the other.  At (d, k) = (2, 4) that is 15 types,
 not 32767.
+
+A ray of at most ``DENSE_START_TYPES`` states is small enough for one dense
+LAPACK eigensolve, whose Perron vector starts the power solve; ``pf_eigen``
+then certifies it by its residual, after one step where the dense vector is
+exact to working precision.  A larger ray starts from the uniform vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MIN_TOL, ConsistencyError, ParameterError, check_probabilities, check_tolerance
 from .spectral import pf_eigen
@@ -41,6 +48,11 @@ from .window_chain import build_offspring_matrix
 DEFAULT_Q_TOL = 1e-10
 #: p within this distance above 1/d short-circuits to q_c = 0.
 BOUNDARY_EPS = 1e-12
+#: Largest ray solved densely for its start vector.  Near rho = 1 (d = 2,
+#: p = 0.2, one x86-64 core) a dense start plus its step took 0.5 ms at 31
+#: states against 1.5 ms for a cold solve, about the same at 63 (1.3-2.1 ms
+#: each), and 8-11 ms against 2-3 ms at 127.
+DENSE_START_TYPES = 31
 
 
 @dataclass
@@ -68,9 +80,16 @@ def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
     return rho_result(p, q, params, tol=tol).rho
 
 
-def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12, x0=None):
-    """Perron solve of the ray matrix; ``nu`` is indexed by nonzero ray state."""
-    return pf_eigen(build_offspring_matrix(params, p, q, ray=True), tol=tol, x0=x0)
+def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12):
+    """Perron solve of the ray matrix; ``nu`` is indexed by nonzero ray state.
+    A dense start is |Re v| for v the eigenvector of the eigenvalue of
+    largest real part, which for a nonnegative matrix is the Perron root."""
+    matrix = build_offspring_matrix(params, p, q, ray=True)
+    x0 = None
+    if matrix.n_types <= DENSE_START_TYPES:
+        values, vectors = np.linalg.eig(matrix.csr.toarray())
+        x0 = np.abs(vectors[:, np.argmax(values.real)].real)
+    return pf_eigen(matrix, tol=tol, x0=x0)
 
 
 def branching_lower_bound(p: float, params: TreeParams) -> float:
@@ -87,9 +106,9 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     is at most ``tol`` wide; ``bisection_width`` is its width and ``q_c``
     its midpoint, rounded up where needed so that q_c - width/2 does not
     fall below the bracket.  rho = 1 counts as subcritical.  Each step
-    needs only rho, so it runs a right-only Perron solve, warm-started from
-    the previous step's right vector; ``rho_residual`` is the last solve's
-    eigen-residual and ``rho_evals`` the number of solves.
+    needs only rho, so it runs a right-only Perron solve (``rho_result``);
+    ``rho_residual`` is the last solve's eigen-residual and ``rho_evals``
+    the number of solves.
     """
     check_probabilities(p=p)
     check_tolerance(tol)
@@ -115,14 +134,14 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
         )
     evals = 0
 
-    def f(q, warm):
+    def f(q):
         nonlocal evals
         evals += 1
-        result = rho_result(p, q, params, tol=solve_tol, x0=warm)
+        result = rho_result(p, q, params, tol=solve_tol)
         return result.rho - 1.0, result
 
     hi = 1.0 / params.d**params.k
-    fc, last = f(hi, None)
+    fc, last = f(hi)
     if fc < -10.0 * solve_tol:
         raise ConsistencyError(
             f"rho(p={p}, q=d^-k) = {fc + 1.0} < 1: no supercritical bracket endpoint"
@@ -134,7 +153,7 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     a, fa, b, fb = c, fc, c, fc
     if lower < hi:
         b = lower
-        fb, last = f(b, last.nu)
+        fb, last = f(b)
         if fb > 0.0:
             # the gap above the bound is below the solve's resolution; at
             # q = 0 rho = d p exactly, and the matrix there can be nilpotent
@@ -172,7 +191,7 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
             prev_step = step = half
         a, fa = b, fb
         b += step if abs(step) > min_step else math.copysign(min_step, half)
-        fb, last = f(b, last.nu)
+        fb, last = f(b)
         # rho == 1 counts as subcritical
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa

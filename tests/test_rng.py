@@ -38,6 +38,19 @@ def test_memoized_and_order_independent():
     assert a.open_short_children(()) is a.open_short_children(())
 
 
+def test_oracles_share_tables():
+    # the CDF tables and selectors depend on (d, k, p, q) alone: every trial's
+    # oracle reads one build of them
+    a = EdgeOracle(TreeParams(3, 2), 0.2, 0.05, 1, trial=1)
+    b = EdgeOracle(TreeParams(3, 2), 0.2, 0.05, 2, trial=7)
+    assert a._short_cdf is b._short_cdf
+    assert a._long_cdf is b._long_cdf
+    assert a._selectors is b._selectors
+    assert list(a._long_cdf) == _binomial_cdf(9, 0.05)
+    assert len(a._selectors) == 9
+    assert EdgeOracle(TreeParams(3, 2), 0.2, 0.06, 1)._long_cdf is not a._long_cdf
+
+
 def test_trials_differ_and_seeds_differ():
     base = EdgeOracle(TP, 0.5, 0.5, 7, trial=0)
     samples = {

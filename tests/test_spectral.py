@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from treeperc.errors import MIN_TOL, ParameterError
-from treeperc.spectral import NILPOTENCY_CHECK_AT, pf_eigen
+from treeperc.spectral import CHECK_EVERY, NILPOTENCY_CHECK_AT, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
 
@@ -56,6 +56,21 @@ def test_warm_start_reaches_same_pair():
     assert np.abs(warm.nu - again.nu).max() <= 1e-10
     # a vector of the wrong shape falls back to the uniform start
     assert pf_eigen(a, tol=1e-12, x0=np.ones(3)).rho == cold.rho
+
+
+def test_exact_warm_start_certifies_in_one_step():
+    # a strictly positive start is used as given and checked after its
+    # first step: an eigenvector exact to working precision costs one step
+    rng = np.random.default_rng(5)
+    a = rng.random((10, 10))
+    values, vectors = np.linalg.eig(a)
+    x0 = np.abs(vectors[:, np.argmax(values.real)].real)
+    warm = pf_eigen(a, tol=1e-12, x0=x0)
+    cold = pf_eigen(a, tol=1e-12)
+    assert warm.iterations == 1 and cold.iterations > 1
+    assert warm.rho == pytest.approx(cold.rho, abs=1e-11)
+    # a poor start is still checked after one step, then every CHECK_EVERY
+    assert pf_eigen(a, tol=1e-12, x0=np.arange(1.0, 11.0)).iterations % CHECK_EVERY == 0
 
 
 def test_tolerance_floor():
