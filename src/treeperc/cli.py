@@ -307,7 +307,7 @@ def cmd_matrix(args):
         def write(fh):
             fh.write(f"# treeperc {__version__}\n")
             fh.write(f"# config: d={args.d} k={args.k} p={_fmt(args.p)} q={_fmt(args.q)}\n")
-            fh.write("row_window_hex,col_window_hex,rate\n")
+            fh.write("row_state_hex,col_state_hex,rate\n")
             for a, b, rate in matrix.iter_entries():
                 fh.write(f"{a:x},{b:x},{_fmt(rate)}\n")
 
@@ -425,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_dominance)
 
-    sp = sub.add_parser("matrix", help="offspring matrix spectrum and optional dump")
+    sp = sub.add_parser("matrix", help="Perron pair of the ray mean matrix d*T, optional dump")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--dump", help="write the sparse matrix as CSV to this path")
+    sp.add_argument("--dump", help="write the entries of d*T as CSV to this path")
     _add_common(sp, seed=False, fmt="json")
     sp.set_defaults(func=cmd_matrix)
 

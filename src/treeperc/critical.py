@@ -1,16 +1,17 @@
 """Critical curve computation via the spectral characterization.
 
 The long-edge threshold q_c(p) is the unique root in q of rho(p, q) = 1,
-where rho is the dominant eigenvalue of the exact window-chain offspring
-matrix.  Only the *sign* of rho - 1 is guaranteed monotone in q (the
-supercritical region is an interval).  The root finder, Brent's method,
-keeps a bracket across which that sign changes and falls back to bisection
-steps where its interpolation steps do not shrink the bracket fast enough,
-so its answer rests on the sign alone; only its speed depends on rho being
-smooth in q.  A priori bounds confine the search to
-[(1 - p d)/d^k, d^-k]: q_c lies above the critical curve of the dominating
-Bin(d, p) + Bin(d^k, q) branching process, and is largest at p = 0, where
-the model is percolation on disjoint d^k-ary trees.
+where rho is the Perron root of the cluster's exact multi-type mean
+offspring matrix, solved on the ancestral ray (below).  Only the *sign* of
+rho - 1 is guaranteed monotone in q (the supercritical region is an
+interval).  The root finder, Brent's method, keeps a bracket across which
+that sign changes and falls back to bisection steps where its interpolation
+steps do not shrink the bracket fast enough, so its answer rests on the
+sign alone; only its speed depends on rho being smooth in q.  A priori
+bounds confine the search to [(1 - p d)/d^k, d^-k]: q_c lies above the
+critical curve of the dominating Bin(d, p) + Bin(d^k, q) branching process,
+and is largest at p = 0, where the model is percolation on disjoint d^k-ary
+trees.
 
 rho is solved on the ancestral ray, not on windows.  In the oriented tree
 every path to a vertex runs through its ancestors, so the indicators of its
@@ -84,7 +85,7 @@ def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12):
     """Perron solve of the ray matrix; ``nu`` is indexed by nonzero ray state.
     A dense start is |Re v| for v the eigenvector of the eigenvalue of
     largest real part, which for a nonnegative matrix is the Perron root."""
-    matrix = build_offspring_matrix(params, p, q, ray=True)
+    matrix = build_offspring_matrix(params, p, q)
     x0 = None
     if matrix.n_types <= DENSE_START_TYPES:
         values, vectors = np.linalg.eig(matrix.csr.toarray())

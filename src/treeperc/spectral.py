@@ -24,7 +24,7 @@ of rho restores a contraction that does not depend on the scale of M.
 The certificate is a residual, a backward error: ``nu`` is an exact
 eigenvector of a matrix within about ``tol`` of M.  Where the Perron root is
 badly conditioned (left and right vectors nearly orthogonal, as for the
-near-rank-one window matrices at tiny p) that does not pin ``rho`` to
+near-rank-one mean matrices at q = 0 and tiny p) that does not pin ``rho`` to
 ``tol``; comparing the left and right solves, as the ``matrix`` command
 does, shows it.
 """
@@ -60,7 +60,7 @@ class SpectralResult:
 
 def _as_matrix(matrix):
     """Return a CSR matrix or a dense array for a dense array, scipy sparse
-    matrix, or an object exposing ``csr`` (the window-chain offspring matrix)."""
+    matrix, or an object exposing ``csr`` (``SparseOffspringMatrix``)."""
     if hasattr(matrix, "csr"):
         matrix = matrix.csr
     if sparse.issparse(matrix):

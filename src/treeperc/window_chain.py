@@ -14,21 +14,19 @@ window ``A`` factorizes:
 These are exactly the edges a height-layered exploration has not queried
 before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
 of this law, vectorised over parent windows, and the exact pmf
-(``child_window_dist``) reads it directly.  Over all nonempty parent
-windows, the law of one child is one CSR block (``_law_block``), window w as
-column w and column 0 the empty window, and the sparse mean offspring matrix
-(``build_offspring_matrix``, behind ``matrix``) is the sum of the d blocks.
+``child_window_dist`` reads it; ``initial_window_dist`` is the root's.
 
-``critical`` and the count-level simulation run on the ancestral ray
-instead.  A top slot's k bits along its path from the window's base are the
-last k cluster indicators of its ancestral ray, and they form a Markov
+The one mean matrix, and the count-level simulation, run on the ancestral
+ray instead.  A top slot's k bits along its path from the window's base are
+the last k cluster indicators of its ancestral ray, and they form a Markov
 chain: each of the slot's d children is set independently with the
 probability pi above, a the slot's own bit (the newest) and b the base's
 (the oldest).  Counting vertices by that state is a (2^k - 1)-type
 Galton-Watson process.  ``_ray_pi`` and ``_ray_shift`` define its step
-once; its mean matrix d * T (``build_offspring_matrix(..., ray=True)``) has
-the window matrix's Perron root, and ``simulate_window_chain`` and
-``chain_survival`` sample it with one binomial draw per generation.
+once; its mean matrix d * T (``build_offspring_matrix``, behind ``rho``,
+``qc`` and ``matrix``) has the Perron root of the 2^W-type window process,
+and ``simulate_window_chain`` and ``chain_survival`` sample it with one
+binomial draw per generation.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from scipy import sparse
 from .errors import ParameterError, SizeCapError, check_probabilities
 from .tree import TreeParams, parent, slot_index, slot_vertex
 
-#: Bytes an offspring-matrix build or a count-level chain run may hold.
+#: Bytes a count-level chain run may hold.
 MAX_ARRAY_BYTES = 1 << 30
 
 #: Total population at which a count-level chain run stops: the ray
@@ -49,10 +47,11 @@ POPULATION_CAP = 10**8
 
 
 class SparseOffspringMatrix:
-    """Mean offspring rates M(A, B) over nonempty types, stored row-sparse.
+    """Mean offspring rates M(s, s') of the ray process, stored row-sparse.
 
-    A type is a window or a ray state, encoded as a bitmask integer in
-    [1, 2^W) or [1, 2^k); row/column index ``i - 1`` names type ``i``.
+    A type is a nonzero ray state, a bitmask integer in [1, 2^k) with the
+    vertex's own cluster indicator as bit 0 and its (k-1)-th ancestor's as
+    bit k-1; row/column index ``s - 1`` names state ``s``.
     """
 
     def __init__(self, csr: sparse.csr_matrix):
@@ -63,7 +62,7 @@ class SparseOffspringMatrix:
         return self.csr.shape[0]
 
     def iter_entries(self):
-        """Yield (A, B, rate) in deterministic row-major, column-sorted order."""
+        """Yield (s, s', rate) in deterministic row-major, column-sorted order."""
         coo = self.csr.tocoo()
         for a, b, v in zip(coo.row, coo.col, coo.data):
             yield int(a) + 1, int(b) + 1, float(v)
@@ -143,15 +142,6 @@ class ChildWindowLaw:
         return det[:, None] | self._top_windows, probs
 
 
-def _law_bytes(params: TreeParams) -> int:
-    """Estimated bytes of the d law blocks over all 2^W - 1 nonempty parent
-    windows: the 8 * 2^W-byte row array, and d * 2^t outcomes per row at 32
-    bytes each, which covers one child's law arrays while they become its
-    block together with the blocks (or their running sum) already built."""
-    n_rows = (1 << params.window_slots) - 1
-    return (8 << params.window_slots) + 32 * (n_rows * params.d << params.n_top_slots)
-
-
 def _check_bytes(need: int, what: str) -> None:
     if need > MAX_ARRAY_BYTES:
         raise SizeCapError(
@@ -202,22 +192,6 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
     return pmf
 
 
-def _law_block(child_law: ChildWindowLaw, child: int):
-    """The law of child ``child`` given each nonempty parent window, as a CSR
-    matrix with window w as row w - 1 and as column w, column 0 the empty
-    window.  The law's rows are already fixed-width CSR rows with increasing
-    columns, so nothing is summed.  Zero outcomes are dropped."""
-    rows = np.arange(1, 1 << child_law.params.window_slots, dtype=np.int64)
-    windows, probs = child_law(rows, child)
-    width = windows.shape[1]
-    block = sparse.csr_matrix(
-        (probs.ravel(), windows.ravel(), np.arange(0, len(rows) * width + 1, width)),
-        shape=(len(rows), len(rows) + 1),
-    )
-    block.eliminate_zeros()
-    return block
-
-
 def _ray_pi(params: TreeParams, p: float, q: float) -> np.ndarray:
     """pi_s for every ray state s in [0, 2^k): the probability that a child
     of a vertex in state s is in the cluster, through the short edge from
@@ -266,27 +240,12 @@ def _ray_matrix(params: TreeParams, p: float, q: float) -> sparse.csr_matrix:
     return csr
 
 
-def build_offspring_matrix(
-    params: TreeParams, p: float, q: float, ray: bool = False
-) -> SparseOffspringMatrix:
-    """Exact mean offspring matrix M(A, B), the child-window law summed over
-    the d children, without the empty-window column.
-
-    By default it spans all 2^W - 1 nonempty windows: the running sum of the
-    law blocks, one block at a time, after its estimated memory is checked
-    against ``MAX_ARRAY_BYTES`` (``SizeCapError`` otherwise).  With ``ray``
-    it is the mean matrix d * T of the ray process instead, over its 2^k - 1
-    nonzero states, which has the same Perron root.
-    """
+def build_offspring_matrix(params: TreeParams, p: float, q: float) -> SparseOffspringMatrix:
+    """Exact mean offspring matrix d * T of the ray process over its 2^k - 1
+    nonzero states (``_ray_matrix``), which has the Perron root of the
+    window process's 2^W-type mean matrix."""
     check_probabilities(p=p, q=q)
-    if ray:
-        return SparseOffspringMatrix(_ray_matrix(params, p, q))
-    _check_bytes(_law_bytes(params), f"the offspring matrix at (d={params.d}, k={params.k})")
-    child_law = ChildWindowLaw(params, p, q)
-    total = _law_block(child_law, 1)
-    for i in range(2, params.d + 1):
-        total = total + _law_block(child_law, i)
-    return SparseOffspringMatrix(total[:, 1:])
+    return SparseOffspringMatrix(_ray_matrix(params, p, q))
 
 
 def _chain_bytes(params: TreeParams, trials: int, generations: int) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from treeperc import critical
 from treeperc.cli import main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.tree import TreeParams
@@ -155,13 +156,13 @@ def test_matrix_summary_and_dump(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     row = payload["rows"][0]
-    assert row["n_types"] == 7
+    assert row["n_types"] == 3
     lines = dump.read_text().splitlines()
-    assert lines[2] == "row_window_hex,col_window_hex,rate"
+    assert lines[2] == "row_state_hex,col_state_hex,rate"
     assert len(lines) - 3 == row["nnz"]
     for body in lines[3:]:
         a, b, rate = body.split(",")
-        assert 1 <= int(a, 16) <= 7 and 0 <= int(b, 16) <= 7
+        assert 1 <= int(a, 16) <= 3 and 1 <= int(b, 16) <= 3
         assert float(rate) > 0
 
 
@@ -169,25 +170,25 @@ def test_matrix_pinned(tmp_path):
     # iterations and sizes must match bit for bit, rho to the 1e-15 that
     # the BLAS kernel's dot product in its Rayleigh quotient can move it;
     # mu_max and nu_max come out of a cross-normalization and must match to
-    # 1e-12
+    # 1e-12; recorded from the 3-state ray matrix
     code, out = run(
         tmp_path, "m.json", "matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
     )
     assert code == 0
     row = json.loads(out.read_text())["rows"][0]
-    assert abs(row["rho"] - 1.1898192770418226) <= 1e-15
-    assert (row["iterations"], row["n_types"], row["nnz"]) == (128, 7, 33)
+    assert abs(row["rho"] - 1.1898192770417875) <= 1e-15
+    assert (row["iterations"], row["n_types"], row["nnz"]) == (128, 3, 5)
     assert row["residual"] <= 0.25e-12
-    assert row["mu_max"] == pytest.approx(0.32909467493103073, rel=1e-12)
-    assert row["nu_max"] == pytest.approx(2.0044419515323852, rel=1e-12)
+    assert row["mu_max"] == pytest.approx(0.5401204819721664, rel=1e-12)
+    assert row["nu_max"] == pytest.approx(1.7128587707884542, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "p, q, expect", [(0.2, 0.25, 0), (0.0, 1e-9, 0), (0.1, 0.0, 4), (2e-5, 0.0, 4), (1e-7, 0.0, 4)]
 )
 def test_matrix_prints_rho_only_when_certified(tmp_path, capsys, p, q, expect):
-    # at q = 0 the (2,2) matrix is near rank one and its Perron root badly
-    # conditioned: the left and right solves each meet their residual but
+    # at q = 0 the (2,2) ray matrix is near rank one and its Perron root
+    # badly conditioned: the left and right solves each meet their residual but
     # disagree on rho (by 4e-7 at p = 1e-7, where rho is 2e-7), so the
     # command exits 4; a printed rho lies within tol of the dense eigenvalue
     code, out = run(
@@ -202,6 +203,21 @@ def test_matrix_prints_rho_only_when_certified(tmp_path, capsys, p, q, expect):
     else:
         assert not out.exists()
         assert "agree only to residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d, k, p, q", [(2, 4, 0.1, 0.03), (19, 2, 0.01, 0.01)])
+def test_matrix_runs_on_the_ray(tmp_path, d, k, p, q):
+    # points where the full window matrix is past solving: 32767 types at
+    # (2,4), where its left and right solves disagree, and about 3e5 GiB at
+    # (19,2); the ray has 2^k - 1 states and the rho that q_c solves
+    code, out = run(
+        tmp_path, "m.json", "matrix", "--d", str(d), "--k", str(k), "--p", str(p), "--q", str(q),
+    )
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["n_types"] == 2**k - 1
+    assert row["residual"] <= 1e-12
+    assert abs(row["rho"] - critical.rho(p, q, TreeParams(d, k))) <= 1e-12
 
 
 def test_write_output_failure_keeps_target(tmp_path):
@@ -228,7 +244,7 @@ def test_matrix_dump_failure_keeps_target(tmp_path, monkeypatch):
 
     def failing_entries(self):
         for n, entry in enumerate(entries(self)):
-            if n == 5:
+            if n == 2:
                 raise OSError("disk full")
             yield entry
 
@@ -421,12 +437,8 @@ def test_exit_code_cap(tmp_path):
         "--out", str(tmp_path / "never.csv"),
     ])
     assert code == 3
-    # about 10^11 candidate matrix entries at (16,2), refused before the
-    # build; at (17,2) the full law's estimate is about 1.9e13 bytes; the
-    # supercritical chain at (17,2) passes POPULATION_CAP at generation 13
+    # the supercritical chain at (17,2) passes POPULATION_CAP at generation 13
     for argv in (
-        ["matrix", "--d", "16", "--k", "2", "--p", "0.01", "--q", "0.01"],
-        ["matrix", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
         ["survival", "--method", "chain", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
         # 31 window slots, above the width cap
         ["qc-point", "--d", "2", "--k", "5", "--p", "0.2"],
@@ -449,13 +461,9 @@ VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5
 # Grid steps stay coarse enough that a valid grid holds a few points.
 STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
 TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
-# `matrix` builds the full window matrix, which at (3,3) takes seconds and
-# about 0.4 GB, so it draws from the cheaper sizes.  The q_c commands, the
-# chain's `survival` and `limits` run on the 7 ray states at (3,3), which
-# costs about a millisecond per solve or generation, and draw from all
-# sizes.
-OPERATOR_SIZES = [(2, 2), (2, 3), (3, 2)]
-ALL_SIZES = OPERATOR_SIZES + [(3, 3)]
+# Every command runs on the 7 ray states at (3,3), about a millisecond per
+# solve or generation.
+SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 EXAMPLE_SECONDS = 10
 
 
@@ -465,7 +473,7 @@ def cli_argvs(draw):
         st.sampled_from(["qc-point", "qc-curve", "matrix", "survival", "limits", "asymptotics"])
     )
     method = draw(st.sampled_from(["chain", "direct"])) if command == "survival" else None
-    d, k = draw(st.sampled_from(OPERATOR_SIZES if command == "matrix" else ALL_SIZES))
+    d, k = draw(st.sampled_from(SIZES))
     if command == "asymptotics":
         # k ranges over the sizes above, and may be empty or start below 2
         return [

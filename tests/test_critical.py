@@ -19,6 +19,7 @@ from treeperc.errors import MIN_TOL, ConsistencyError, ParameterError
 from treeperc.spectral import SpectralResult, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
+from window_law import window_matrix
 
 TP = TreeParams(2, 2)
 
@@ -36,8 +37,9 @@ def test_rho_boundary_values():
 
 
 def test_rho_q_zero_matches_dense_eigensolve():
-    # with long edges closed the chain only shifts windows around; the
-    # spectral radius is pd, computed here by brute force on the 7x7 matrix
+    # with long edges closed a cluster vertex's children join it through
+    # their short edges alone; the spectral radius is pd, computed here by
+    # brute force on the 3x3 ray matrix
     m = build_offspring_matrix(TP, 0.3, 0.0).csr.toarray()
     brute = max(abs(np.linalg.eigvals(m)))
     assert brute == pytest.approx(0.3 * 2, abs=1e-12)
@@ -64,7 +66,7 @@ def test_quotient_rho_matches_full_rho(d, k, p, q):
     # power solve of M at tol is only within its backward error of it, so M
     # is solved at the floor tolerance
     tp, tol = TreeParams(d, k), 1e-12
-    full = pf_eigen(build_offspring_matrix(tp, p, q), tol=MIN_TOL)
+    full = pf_eigen(window_matrix(tp, p, q), tol=MIN_TOL)
     assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
 
 
@@ -84,7 +86,7 @@ def test_quotient_rho_matches_full_rho_at_large_d():
     # states
     tp, tol = TreeParams(10, 2), 1e-12
     for p, q in [(0.01, 0.004), (0.05, 0.02)]:
-        full = pf_eigen(build_offspring_matrix(tp, p, q), tol=tol)
+        full = pf_eigen(window_matrix(tp, p, q), tol=tol)
         assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
 
 

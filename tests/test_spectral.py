@@ -9,7 +9,7 @@ from scipy import sparse
 from treeperc.errors import MIN_TOL, ParameterError
 from treeperc.spectral import CHECK_EVERY, NILPOTENCY_CHECK_AT, pf_eigen
 from treeperc.tree import TreeParams
-from treeperc.window_chain import build_offspring_matrix
+from window_law import window_matrix
 
 
 def test_symmetric_circulant():
@@ -24,11 +24,11 @@ def test_periodic_matrix():
 
 
 def test_window_matrix_two_cycle():
-    m = build_offspring_matrix(TreeParams(2, 2), 0.0, 1.0)
+    m = window_matrix(TreeParams(2, 2), 0.0, 1.0)
     res = pf_eigen(m)
     assert res.rho == pytest.approx(2.0, abs=1e-10)
     # brute-force dense oracle on the same 7x7 matrix
-    dense = m.csr.toarray()
+    dense = m.toarray()
     brute = max(abs(np.linalg.eigvals(dense)))
     assert res.rho == pytest.approx(float(brute), abs=1e-9)
 
@@ -94,12 +94,12 @@ def test_nilpotent_dense_upper_triangular():
 
 
 def test_nilpotent_window_matrix():
-    m = build_offspring_matrix(TreeParams(2, 2), 0.0, 0.0)
+    m = window_matrix(TreeParams(2, 2), 0.0, 0.0)
     res = pf_eigen(m)
     assert (res.rho, res.residual) == (0.0, 0.0)
     assert res.nu.sum() == pytest.approx(1.0, abs=1e-15) and (res.nu >= 0).all()
-    assert np.abs(m.csr @ res.nu).max() == 0.0
-    assert pf_eigen(m.csr.T).rho == 0.0
+    assert np.abs(m @ res.nu).max() == 0.0
+    assert pf_eigen(m.T).rho == 0.0
 
 
 @pytest.mark.parametrize("p, q", [(2e-5, 0.0), (1e-7, 0.0), (0.0, 1e-9)])
@@ -107,8 +107,8 @@ def test_rho_far_below_one_converges(p, q):
     # rho of order 1e-7 to 1e-4 and not nilpotent: past the nilpotency check
     # the solve shifts by its Rayleigh estimate, not by one, and both the
     # matrix and its transpose reach the tolerance on the unshifted matrix
-    m = build_offspring_matrix(TreeParams(2, 2), p, q)
-    for mat in (m.csr, m.csr.T.tocsr()):
+    m = window_matrix(TreeParams(2, 2), p, q)
+    for mat in (m, m.T.tocsr()):
         res = pf_eigen(mat, tol=1e-12)
         assert res.iterations > NILPOTENCY_CHECK_AT and res.residual <= 1e-12
         assert np.abs(mat @ res.nu - res.rho * res.nu).max() / res.nu.max() <= 1e-12

@@ -16,8 +16,6 @@ from treeperc.window_chain import (
     MAX_ARRAY_BYTES,
     ChildWindowLaw,
     _chain_bytes,
-    _law_block,
-    _law_bytes,
     _ray_children,
     _ray_pi,
     _ray_shift,
@@ -27,6 +25,7 @@ from treeperc.window_chain import (
     initial_window_dist,
     simulate_window_chain,
 )
+from window_law import law_blocks, window_matrix
 
 TP22 = TreeParams(2, 2)
 TP23 = TreeParams(2, 3)
@@ -197,7 +196,7 @@ def test_matrix_matches_scalar_reference(tp, p, q):
             for w, pr in reference_child_dist(a, i, p, q, tp).items():
                 if w:
                     dense[a - 1, w - 1] += pr
-    m = build_offspring_matrix(tp, p, q).csr.toarray()
+    m = window_matrix(tp, p, q).toarray()
     assert np.abs(m - dense).max() <= 1e-15
 
 
@@ -275,7 +274,7 @@ CSR_SHA256 = {
 @pytest.mark.parametrize("point", list(CSR_SHA256))
 def test_matrix_csr_pinned(point):
     (d, k), p, q = point
-    csr = build_offspring_matrix(TreeParams(d, k), p, q).csr
+    csr = window_matrix(TreeParams(d, k), p, q)
     assert csr.has_canonical_format
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (csr.indptr, csr.indices, csr.data))
     assert got == CSR_SHA256[point]
@@ -338,7 +337,7 @@ def ray_counts(params, states, weights=1.0):
 
 
 def ray_matrix(tp, p, q):
-    return build_offspring_matrix(tp, p, q, ray=True).csr.toarray()
+    return build_offspring_matrix(tp, p, q).csr.toarray()
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
@@ -389,11 +388,10 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_law_bytes_bounds_traced_peak():
-    # the estimates behind the memory caps cover the full build and a ray
-    # chain run, alone or in survival's batches
+def test_chain_bytes_bounds_traced_peak():
+    # the estimate behind the chain's memory cap covers a ray chain run,
+    # alone or in survival's batches
     tp = TreeParams(3, 3)
-    assert traced_peak(lambda: build_offspring_matrix(tp, 0.2, 0.05)) <= _law_bytes(tp)
     for trials in (300, 2000, 20000):
         rng = np.random.default_rng(0)
         sim = traced_peak(lambda: simulate_window_chain(tp, 0.2, 0.02, rng, 30, trials))
@@ -403,13 +401,10 @@ def test_law_bytes_bounds_traced_peak():
 
 
 @pytest.mark.parametrize("tp", [TreeParams(16, 2), TreeParams(17, 2)])
-def test_full_law_refused_before_its_arrays(tp):
-    # the full law's byte estimate refuses the matrix before ChildWindowLaw
-    # allocates its 2^t top-slot outcomes; the chain never builds them, and
-    # the ray's estimate refuses a history it cannot hold before allocating
+def test_chain_refused_before_its_arrays(tp):
+    # the chain never builds the window law's 2^t top-slot outcomes, and the
+    # ray's estimate refuses a history it cannot hold before allocating
     def refused():
-        with pytest.raises(SizeCapError):
-            build_offspring_matrix(tp, 0.01, 0.01)
         with pytest.raises(SizeCapError):
             simulate_window_chain(tp, 0.01, 0.01, np.random.default_rng(0), 10**9)
 
@@ -424,7 +419,7 @@ def test_full_law_refused_before_its_arrays(tp):
 def test_quotient_is_lumped_full_matrix(tp, p, q):
     # M R = R (d T): the ray matrix is the quotient of the full matrix along
     # the ray counts R, as a lumping is along an orbit indicator U
-    full = build_offspring_matrix(tp, p, q).csr.toarray()
+    full = window_matrix(tp, p, q).toarray()
     counts = ray_counts(tp, ray_states(tp, np.arange(1, 1 << tp.window_slots)))
     assert counts.sum(axis=1).all() and counts.sum(axis=0).all()  # no zero row or column
     assert np.abs(full @ counts - counts @ ray_matrix(tp, p, q)).max() <= 1e-14
@@ -446,21 +441,20 @@ def test_law_rejects_bad_probabilities():
 
 
 def test_build_matrix_hand_example():
-    m = build_offspring_matrix(TP22, 0.0, 1.0)
+    m = window_matrix(TP22, 0.0, 1.0)
     top_pair = 0b110
     # row/column index w - 1 holds window w
-    assert m.csr[0, top_pair - 1] == pytest.approx(2.0)
-    assert m.csr[top_pair - 1, 0] == pytest.approx(2.0)
-    assert m.csr[0, 0] == 0.0
+    assert m[0, top_pair - 1] == pytest.approx(2.0)
+    assert m[top_pair - 1, 0] == pytest.approx(2.0)
+    assert m[0, 0] == 0.0
 
 
 def test_row_masses_bounded_by_d():
     for tp, p, q in [(TP22, 0.3, 0.2), (TP32, 0.5, 0.1), (TP23, 0.2, 0.4)]:
-        m = build_offspring_matrix(tp, p, q)
-        sums = np.asarray(m.csr.sum(axis=1)).ravel()
+        sums = np.asarray(window_matrix(tp, p, q).sum(axis=1)).ravel()
         assert (sums <= tp.d + 1e-12).all()
     # equality iff children are a.s. nonempty, e.g. the full window at p=1
-    sums = np.asarray(build_offspring_matrix(TP22, 1.0, 0.5).csr.sum(axis=1)).ravel()
+    sums = np.asarray(window_matrix(TP22, 1.0, 0.5).sum(axis=1)).ravel()
     assert sums[-1] == pytest.approx(2.0)
     # while the row of {o} keeps a deficit: both top slots can stay closed
     assert sums[0] == pytest.approx(2.0 * (1.0 - 0.25))
@@ -471,10 +465,10 @@ def test_root_weight_consistency(tp):
     """Sum of M(A, B) over root-containing B equals the direct probability
     that each child window holds its own base, summed over children."""
     p, q = 0.4, 0.15
-    m = build_offspring_matrix(tp, p, q)
+    m = window_matrix(tp, p, q)
     for a in (1, 2, 5, (1 << tp.window_slots) - 1):
         # column j holds window B = j + 1, which contains the root iff j is even
-        via_matrix = m.csr[a - 1].toarray().ravel()[::2].sum()
+        via_matrix = m[a - 1].toarray().ravel()[::2].sum()
         direct = 0.0
         for i in range(1, tp.d + 1):
             pmf = child_window_dist(a, i, p, q, tp)
@@ -483,14 +477,14 @@ def test_root_weight_consistency(tp):
 
 
 def test_matrix_matches_child_dist_rates():
-    m = build_offspring_matrix(TP22, 0.3, 0.2)
+    m = window_matrix(TP22, 0.3, 0.2)
     for a in range(1, 8):
         expect = {}
         for i in (1, 2):
             for w, pr in child_window_dist(a, i, 0.3, 0.2, TP22).items():
                 if w:
                     expect[w] = expect.get(w, 0.0) + pr
-        row = m.csr.getrow(a - 1)
+        row = m.getrow(a - 1)
         got = {int(j) + 1: float(v) for j, v in zip(row.indices, row.data)}
         assert expect == pytest.approx(got, abs=1e-14)
 
@@ -547,8 +541,7 @@ def reference_simulate(params, p, q, rng, generations, trials=1):
     the full law blocks for all trials at once.  x counts the windows that
     hold their own base; generation n of the window chain covers heights
     [n, n + k - 1] of the cluster."""
-    child_law = ChildWindowLaw(params, p, q)
-    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
+    blocks = law_blocks(params, p, q)
     n_types = (1 << params.window_slots) - 1
     cur = np.zeros((trials, n_types), dtype=np.int64)
     nxt = np.zeros_like(cur)
@@ -703,8 +696,7 @@ def window_exact_survival(params, p, q, depth):
     law blocks: e_j = prod_i (block_i @ [1, e_{j-1}]) over windows, with
     column 0 the empty window, after depth - k + 1 generations from the
     root-window law."""
-    child_law = ChildWindowLaw(params, p, q)
-    blocks = [_law_block(child_law, i) for i in range(1, params.d + 1)]
+    blocks = law_blocks(params, p, q)
     extinct = np.zeros(blocks[0].shape[0])
     for _ in range(depth - params.k + 1):
         s = np.concatenate([[1.0], extinct])
