@@ -4,10 +4,9 @@ The long-edge threshold q_c(p) is the unique root in q of rho(p, q) = 1,
 where rho is the Perron root of the cluster's exact multi-type mean
 offspring matrix, solved on the ancestral ray (below).  Only the *sign* of
 rho - 1 is guaranteed monotone in q (the supercritical region is an
-interval).  The root finder, Brent's method, keeps a bracket across which
-that sign changes and falls back to bisection steps where its interpolation
-steps do not shrink the bracket fast enough, so its answer rests on the
-sign alone; only its speed depends on rho being smooth in q.  A priori
+interval).  ``qc`` certifies an estimate of the root (below) by that sign
+on either side of it and bisects where the certificate fails, so its answer
+rests on the sign alone; only its speed depends on the estimate.  A priori
 bounds confine the search to [(1 - p d)/d^k, d^-k]: q_c lies above the
 critical curve of the dominating Bin(d, p) + Bin(d^k, q) branching process,
 and is largest at p = 0, where the model is percolation on disjoint d^k-ary
@@ -27,6 +26,18 @@ zero row or column, so d T's right Perron vector nu lifts to R nu >= 0, an
 eigenvector of M, and M's left one mu projects to mu R >= 0, one of d T:
 each Perron root bounds the other.  At (d, k) = (2, 4) that is 15 types,
 not 32767.
+
+The estimate is the long-edge operator's.  The child probability
+pi_s = p a + q b (1 - p a) is affine in q, so d T(q) = R0 + q (R1 - R0), with
+R0 and R1 the ray matrix at q = 0 and q = 1, and d T(q) nu = nu reads
+nu = q K nu for K = (I - R0)^-1 (R1 - R0): 1/q_c is an eigenvalue of K (the
+k-eigenvalue form of reactor criticality: Lewis & Miller, *Computational
+Methods of Neutron Transport*, 1984, ch. 4).  I - R0 is invertible for
+d p < 1, since the graph of R0 is a DAG plus the self-loop d p at the
+all-ones state.  1/q_c is K's largest real eigenvalue: a real eigenvalue
+1/q above it would give d T(q) the eigenvalue 1 at some q in (0, q_c), where
+every eigenvalue of d T(q) has modulus below 1.  K has 2^k - 1 rows, an odd
+number, so it has a real eigenvalue at all.
 
 A ray of at most ``DENSE_START_TYPES`` states is small enough for one dense
 LAPACK eigensolve, whose Perron vector starts the power solve; ``pf_eigen``
@@ -98,18 +109,30 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
     return max(0.0, (1.0 - params.d * p) / params.d**params.k)
 
 
+def _long_edge_root(p: float, params: TreeParams) -> float:
+    """Estimate of q_c: 1 / the largest real eigenvalue of the long-edge
+    operator K = (I - R0)^-1 (R1 - R0), solved densely (every ray has at most
+    ``DENSE_START_TYPES`` states).  LAPACK returns a real eigenvalue with
+    imaginary part exactly 0."""
+    r0 = build_offspring_matrix(params, p, 0.0).csr.toarray()
+    r1 = build_offspring_matrix(params, p, 1.0).csr.toarray()
+    values = np.linalg.eigvals(np.linalg.solve(np.eye(len(r0)) - r0, r1 - r0))
+    return 1.0 / float(values[values.imag == 0.0].real.max())
+
+
 def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     """Critical long-edge probability at short-edge probability p.
 
-    Brent's method (zeroin: Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) on f(q) = rho(p, q) - 1 over the a priori
-    bracket [``branching_lower_bound``, d^-k], until the sign-change bracket
-    is at most ``tol`` wide; ``bisection_width`` is its width and ``q_c``
-    its midpoint, rounded up where needed so that q_c - width/2 does not
-    fall below the bracket.  rho = 1 counts as subcritical.  Each step
-    needs only rho, so it runs a right-only Perron solve (``rho_result``);
-    ``rho_residual`` is the last solve's eigen-residual and ``rho_evals``
-    the number of solves.
+    A bracket across which rho(p, q) - 1 changes sign shrinks from the a
+    priori [``branching_lower_bound``, d^-k] until it is at most ``tol``
+    wide; ``bisection_width`` is its width and ``q_c`` its midpoint, rounded
+    up where needed so that q_c - width/2 does not fall below the bracket.
+    rho = 1 counts as subcritical.  After the two end solves the loop probes
+    q* -/+ tol/4, q* the long-edge estimate (``_long_edge_root``), then
+    bisects; a point not strictly inside the bracket is skipped.  Where both
+    probes confirm q* that is 4 solves.  Each is a right-only Perron solve
+    (``rho_result``); ``rho_residual`` is the last one's eigen-residual and
+    ``rho_evals`` their number.
     """
     check_probabilities(p=p)
     check_tolerance(tol)
@@ -135,73 +158,46 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
         )
     evals = 0
 
-    def f(q):
+    def solve(q):
         nonlocal evals
         evals += 1
-        result = rho_result(p, q, params, tol=solve_tol)
-        return result.rho - 1.0, result
+        return rho_result(p, q, params, tol=solve_tol)
 
     hi = 1.0 / params.d**params.k
-    fc, last = f(hi)
-    if fc < -10.0 * solve_tol:
+    last = solve(hi)
+    if last.rho - 1.0 < -10.0 * solve_tol:
         raise ConsistencyError(
-            f"rho(p={p}, q=d^-k) = {fc + 1.0} < 1: no supercritical bracket endpoint"
+            f"rho(p={p}, q=d^-k) = {last.rho} < 1: no supercritical bracket endpoint"
         )
-    # [b, c] is the sign-change bracket, b the better end and a the previous
-    # b.  q_c <= d^-k a priori, so a reading of rho(d^-k) just under 1 is
-    # solve noise and counts as supercritical.  At p = 0 lower == hi.
-    c, fc = hi, max(fc, solve_tol)
-    a, fa, b, fb = c, fc, c, fc
-    if lower < hi:
-        b = lower
-        fb, last = f(b)
-        if fb > 0.0:
+    # [lo, hi] is the sign-change bracket.  q_c <= d^-k a priori, so a
+    # reading of rho(d^-k) just under 1 is solve noise and counts as
+    # supercritical.  At p = 0 lower == hi.
+    lo = lower
+    if lo < hi:
+        last = solve(lo)
+        if last.rho > 1.0:
             # the gap above the bound is below the solve's resolution; at
-            # q = 0 rho = d p exactly, and the matrix there can be nilpotent
-            b, fb = 0.0, params.d * p - 1.0
-    step = prev_step = c - b
-    min_step = 0.5 * tol
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if abs(c - b) <= tol:
-            break
-        half = 0.5 * (c - b)
-        if abs(prev_step) >= min_step and abs(fa) > abs(fb):
-            # secant through a and b, or inverse quadratic through a, b, c;
-            # the step is taken only if it stays well inside the bracket
-            # and shrinks fast enough, else the step is a bisection
-            s = fb / fa
-            if a == c:
-                num, den = 2.0 * half * s, 1.0 - s
-            else:
-                r, t = fa / fc, fb / fc
-                num = s * (2.0 * half * r * (r - t) - (b - a) * (t - 1.0))
-                den = (r - 1.0) * (t - 1.0) * (s - 1.0)
-            if num > 0.0:
-                den = -den
-            num = abs(num)
-            if 2.0 * num < 3.0 * half * den - abs(min_step * den) and num < abs(
-                0.5 * prev_step * den
-            ):
-                prev_step, step = step, num / den
-            else:
-                prev_step = step = half
-        else:
-            prev_step = step = half
-        a, fa = b, fb
-        b += step if abs(step) > min_step else math.copysign(min_step, half)
-        fb, last = f(b)
+            # q = 0 rho = d p < 1 exactly, and the matrix there can be nilpotent
+            lo = 0.0
+    # the certificate probes the estimate at -/+ tol/4, then bisection ends
+    # the search if either probe landed on the wrong side of the root
+    guess = _long_edge_root(p, params) if hi - lo > tol else hi
+    probes = [guess - 0.25 * tol, guess + 0.25 * tol]
+    while hi - lo > tol:
+        q = probes.pop(0) if probes else 0.5 * (lo + hi)
+        if not lo < q < hi:
+            continue
+        last = solve(q)
         # rho == 1 counts as subcritical
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            step = prev_step = c - b
-    width = abs(c - b)
-    q_crit = 0.5 * (b + c)
+        if last.rho > 1.0:
+            hi = q
+        else:
+            lo = q
+    width = hi - lo
+    q_crit = 0.5 * (lo + hi)
     # the printed bracket q_c -/+ width/2 may not start below the real one
     # through rounding: at a gap under tol the real one starts at the bound
-    while q_crit - 0.5 * width < min(b, c):
+    while q_crit - 0.5 * width < lo:
         q_crit = math.nextafter(q_crit, math.inf)
     return CurvePoint(
         p=p,

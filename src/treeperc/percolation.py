@@ -159,7 +159,7 @@ def conditioned_cluster_sample(
     perc: PercParams,
     size_threshold: int,
     radius: int,
-    trials_budget: int,
+    trials: int,
     seed: int,
 ):
     """Empirical law of the root's neighborhood in clusters larger than n.
@@ -169,13 +169,13 @@ def conditioned_cluster_sample(
     of the k most recent layers hits 0 (critical clusters are a.s. finite,
     so rejected trials terminate).  The returned pmf is over isomorphism
     classes of the rooted radius-``radius`` ball of the cluster graph, both
-    edge kinds undirected.  Raises when the budget is spent with acceptance
+    edge kinds undirected.  Raises when the trials are spent with acceptance
     below ``MIN_ACCEPTANCE``.
     """
     if not 0 <= radius <= 2:
         raise ParameterError(f"neighborhood radius must lie in [0, 2], got {radius}")
-    if trials_budget < 1:
-        raise ParameterError("trials_budget must be >= 1")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     if size_threshold < 0:
         raise ParameterError(f"size_threshold must be >= 0, got {size_threshold}")
     # membership of a vertex depends only on edges above it, so the ball is
@@ -183,7 +183,7 @@ def conditioned_cluster_sample(
     local_height = radius * params.k
     accepted: dict[str, int] = {}
     n_accepted = 0
-    for trial in range(trials_budget):
+    for trial in range(trials):
         oracle = make_oracle(params, perc, seed, trial)
         # sweep until the cluster is known to exceed the threshold or to be
         # finished; the root alone is the size and population before layer 1
@@ -203,11 +203,11 @@ def conditioned_cluster_sample(
         ]
         label = _neighborhood_hash(local, edges, radius)
         accepted[label] = accepted.get(label, 0) + 1
-    rate = n_accepted / trials_budget
+    rate = n_accepted / trials
     if n_accepted == 0 or rate < MIN_ACCEPTANCE:
         raise SizeCapError(
             f"acceptance rate {rate:.2e} below {MIN_ACCEPTANCE} after "
-            f"{trials_budget} trials"
+            f"{trials} trials"
         )
     pmf = {label: c / n_accepted for label, c in sorted(accepted.items())}
     return pmf, rate

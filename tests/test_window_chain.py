@@ -430,6 +430,18 @@ def test_quotient_is_lumped_full_matrix(tp, p, q):
     assert np.abs(lumped - lumped[reps[orbit[1:] - 1] - 1]).max() <= 1e-15
 
 
+@pytest.mark.parametrize("p, q", [(0.25, 0.0315), (0.0, 0.1)])
+def test_quotient_is_lumped_full_matrix_d2k4(p, q):
+    # M R = R (d T) at (2,4), the widest ray, as a sparse product: dense,
+    # the 32767-type window matrix would take 8.6 GB.  The lumping is exact,
+    # so it stands for a power solve of M against the ray's rho
+    tp = TreeParams(2, 4)
+    counts = ray_counts(tp, ray_states(tp, np.arange(1, 1 << tp.window_slots)))
+    assert counts.sum(axis=1).all() and counts.sum(axis=0).all()
+    lumped = window_matrix(tp, p, q) @ counts
+    assert np.abs(lumped - counts @ ray_matrix(tp, p, q)).max() <= 1e-12
+
+
 def test_law_rejects_bad_probabilities():
     for p, q in [(1.5, 0.1), (-0.5, 0.1), (0.2, math.nan), (0.2, 1.0000001)]:
         with pytest.raises(ParameterError):
