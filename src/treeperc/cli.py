@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Decimal
 
@@ -21,11 +22,11 @@ from . import __version__
 from .critical import asymptotics_table, qc, qc_sweep, rho_result
 from .coupling import dominance_test
 from .errors import (
+    MIN_TOL,
     FeasibilityError,
     NonConvergenceError,
     ParameterError,
     SizeCapError,
-    check_tolerance,
 )
 from .percolation import (
     PercParams,
@@ -276,11 +277,16 @@ def cmd_dominance(args):
 
 
 def cmd_matrix(args):
+    smallest = 4.0 * MIN_TOL
+    if not smallest <= args.tol < math.inf:
+        raise ParameterError(
+            f"--tol {args.tol:g} is not in [{smallest:g}, inf): {smallest:g} is the "
+            "smallest tolerance matrix accepts, as it solves at tol/4"
+        )
     # iterate a bit past the requested tolerance so the certified residual
     # still holds after cross-normalizing the two eigenvectors; where rho is
     # too badly conditioned for that, the two solves disagree and it is refused
     tol = 0.25 * args.tol
-    check_tolerance(tol)
     matrix = build_offspring_matrix(TreeParams(args.d, args.k), args.p, args.q)
     transpose = matrix.csr.T.tocsr()
     right = pf_eigen(matrix, tol=tol)

@@ -39,16 +39,20 @@ all-ones state.  1/q_c is K's largest real eigenvalue: a real eigenvalue
 every eigenvalue of d T(q) has modulus below 1.  K has 2^k - 1 rows, an odd
 number, so it has a real eigenvalue at all.
 
-A ray of at most ``DENSE_START_TYPES`` states is small enough for one dense
-LAPACK eigensolve, whose Perron vector starts the power solve; ``pf_eigen``
-then certifies it by its residual, after one step where the dense vector is
-exact to working precision.  A larger ray starts from the uniform vector.
+Each solve reads d T(q) = R0 + q (R1 - R0) off the dense pencil of p
+(``_pencil``), built once per (d, k, p) from the q = 0 and q = 1 ray
+matrices and cached.  A ray of at most ``DENSE_START_TYPES`` states is small
+enough for one dense LAPACK eigensolve, whose Perron vector starts the power
+solve; ``pf_eigen`` then certifies it by its residual, after one step where
+the dense vector is exact to working precision.  A larger ray starts from
+the uniform vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,15 +97,31 @@ def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
 
 
 def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12):
-    """Perron solve of the ray matrix; ``nu`` is indexed by nonzero ray state.
-    A dense start is |Re v| for v the eigenvector of the eigenvalue of
-    largest real part, which for a nonnegative matrix is the Perron root."""
-    matrix = build_offspring_matrix(params, p, q)
+    """Perron solve of the ray matrix R0 + q (R1 - R0), read off the cached
+    pencil of p (``_pencil``); ``nu`` is indexed by nonzero ray state.  A
+    dense start is |Re v| for v the eigenvector of the eigenvalue of largest
+    real part, which for a nonnegative matrix is the Perron root."""
+    check_probabilities(p=p, q=q)
+    r0, dr = _pencil(params, p)
+    matrix = r0 + q * dr
     x0 = None
-    if matrix.n_types <= DENSE_START_TYPES:
-        values, vectors = np.linalg.eig(matrix.csr.toarray())
+    if len(matrix) <= DENSE_START_TYPES:
+        values, vectors = np.linalg.eig(matrix)
         x0 = np.abs(vectors[:, np.argmax(values.real)].real)
     return pf_eigen(matrix, tol=tol, x0=x0)
+
+
+@lru_cache(maxsize=64)
+def _pencil(params: TreeParams, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ray matrix's pencil at p, R0 and R1 - R0 (R0 and R1 the ray matrix
+    at q = 0 and q = 1), as dense read-only arrays: one build per (d, k, p),
+    shared by every solve of ``qc``.  Dense, since ``MAX_WINDOW_BITS`` caps
+    the ray at 15 states."""
+    r0 = build_offspring_matrix(params, p, 0.0).csr.toarray()
+    dr = build_offspring_matrix(params, p, 1.0).csr.toarray() - r0
+    r0.flags.writeable = False
+    dr.flags.writeable = False
+    return r0, dr
 
 
 def branching_lower_bound(p: float, params: TreeParams) -> float:
@@ -112,11 +132,10 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
 def _long_edge_root(p: float, params: TreeParams) -> float:
     """Estimate of q_c: 1 / the largest real eigenvalue of the long-edge
     operator K = (I - R0)^-1 (R1 - R0), solved densely (every ray has at most
-    ``DENSE_START_TYPES`` states).  LAPACK returns a real eigenvalue with
-    imaginary part exactly 0."""
-    r0 = build_offspring_matrix(params, p, 0.0).csr.toarray()
-    r1 = build_offspring_matrix(params, p, 1.0).csr.toarray()
-    values = np.linalg.eigvals(np.linalg.solve(np.eye(len(r0)) - r0, r1 - r0))
+    ``DENSE_START_TYPES`` states) on the cached pencil of p (``_pencil``).
+    LAPACK returns a real eigenvalue with imaginary part exactly 0."""
+    r0, dr = _pencil(params, p)
+    values = np.linalg.eigvals(np.linalg.solve(np.eye(len(r0)) - r0, dr))
     return 1.0 / float(values[values.imag == 0.0].real.max())
 
 

@@ -416,6 +416,12 @@ def test_exit_code_usage(capsys, tmp_path):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "--tol 1e-13" in err and "5e-13" in err, (argv, err)
+    # matrix solves at tol/4: the message names the user's --tol, which
+    # passes the floor itself, and the smallest --tol accepted
+    argv = ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--tol", "3e-13"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--tol 3e-13" in err and "4e-13" in err and "7.5e-14" not in err, err
     assert list(tmp_path.iterdir()) == []
 
 

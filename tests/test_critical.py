@@ -80,6 +80,65 @@ def test_ray_solves_certify_in_one_step():
             assert result.iterations == 1 and result.residual <= 1e-12
 
 
+def direct_rho(params, p, q):
+    """rho solved on the matrix built directly at q, as ``rho_result`` did
+    before the pencil: a cold solve at the default tolerance is only within
+    its backward error of the root, so it starts from the dense Perron
+    vector too."""
+    matrix = build_offspring_matrix(params, p, q)
+    values, vectors = np.linalg.eig(matrix.csr.toarray())
+    return pf_eigen(matrix, x0=np.abs(vectors[:, np.argmax(values.real)].real)).rho
+
+
+def test_pencil_matches_direct_build():
+    # each solve reads d T(q) = R0 + q (R1 - R0) off the cached pencil of p;
+    # the matrix and its Perron root agree with the direct build at q, which
+    # the matrix command still solves
+    eps = np.finfo(float).eps
+    for d, k in [(2, 2), (2, 3), (2, 4), (3, 2), (19, 2)]:
+        tp = TreeParams(d, k)
+        for p in [j / (4 * d) for j in range(5)]:
+            r0, dr = critical._pencil(tp, p)
+            lower = branching_lower_bound(p, tp)
+            for q in (0.0, lower, lower + 1e-3, 0.5 * float(d) ** -k, float(d) ** -k, 0.3, 1.0):
+                direct = build_offspring_matrix(tp, p, q)
+                assert np.abs(r0 + q * dr - direct.csr.toarray()).max() <= 4 * eps * d, (d, k, p, q)
+                expected = direct_rho(tp, p, q)
+                assert abs(critical.rho_result(p, q, tp).rho - expected) <= 1e-13, (d, k, p, q)
+
+
+def test_pencil_built_once_per_p(monkeypatch):
+    builds = []
+
+    def counting_build(params, p, q):
+        builds.append((p, q))
+        return build_offspring_matrix(params, p, q)
+
+    monkeypatch.setattr(critical, "build_offspring_matrix", counting_build)
+    critical._pencil.cache_clear()
+    tp = TreeParams(2, 3)
+    # the two end solves, the long-edge estimate and its two probes share
+    # the q = 0 and q = 1 builds
+    assert qc(0.2, tp).rho_evals == 4
+    assert sorted(q for _, q in builds) == [0.0, 1.0]
+    builds.clear()
+    grid = [0.05, 0.1, 0.15, 0.3, 0.45]
+    qc_sweep(grid, tp)
+    assert len(builds) == 2 * len(grid)
+    assert {p for p, _ in builds} == set(grid)
+
+
+def test_pencil_is_read_only_and_rho_checks_its_arguments():
+    tp = TreeParams(2, 3)
+    for array in critical._pencil(tp, 0.2):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    # the pencil does not check q; rho does before reading it
+    for p, q in ((0.2, 1.5), (0.2, math.nan), (math.nan, 0.1)):
+        with pytest.raises(ParameterError):
+            rho(p, q, tp)
+
+
 def test_quotient_rho_matches_full_rho_at_large_d():
     # (10, 2): 2047 windows with 2^10 top-slot outcomes each against 3 ray
     # states
