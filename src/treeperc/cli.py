@@ -27,6 +27,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
     SizeCapError,
+    check_seed,
 )
 from .percolation import (
     PercParams,
@@ -459,6 +460,8 @@ def main(argv=None) -> int:
     try:
         check_output_path(args.out)
         check_output_path(getattr(args, "dump", None))
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         args.func(args)
     except (SizeCapError, FeasibilityError) as exc:
         print(f"treeperc: {exc}", file=sys.stderr)

@@ -16,15 +16,13 @@ empirical stochastic-dominance test.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import FeasibilityError, ParameterError, check_probabilities
+from .errors import SEED_LIMIT, FeasibilityError, ParameterError, check_probabilities
 from .percolation import sweep_layers
-from .rng import EdgeOracle, derive_trial_seed
+from .rng import EdgeOracle, keyed_hash, keyed_uniforms, realization_seed
 from .tree import TreeParams, long_selector
 
 #: Violation, in combined standard errors, above which ``dominance_test``
@@ -71,9 +69,9 @@ def n_slab_leaves(params: TreeParams) -> int:
 class HatConfig:
     """Edge configuration on the cover slab, materialized lazily.
 
-    Out-edges of a tail are drawn in one batch from a per-tail keyed stream
-    (independent across tails, reproducible across query orders), or supplied
-    by a deterministic rule.
+    Out-edges of a tail are drawn in one batch, one uniform per digit, from a
+    per-tail keyed stream of ``rng`` (independent across tails, reproducible
+    across query orders), or supplied by a deterministic rule.
     """
 
     def __init__(self, params: TreeParams, rule=None, p=None, q=None, seed=None, trial=0):
@@ -85,11 +83,12 @@ class HatConfig:
             if p is None or q is None or seed is None:
                 raise ParameterError("random configs need p, q and a seed")
             check_probabilities(p=p, q=q)
-            self.p, self.q = p, q
-            s = derive_trial_seed(seed, trial) if trial else seed % (1 << 64)
-            self._key = s.to_bytes(8, "little")
-            # bytes per digit of a tail's stream key: 1 while digits fit a byte
+            self._keyed = keyed_hash(realization_seed(seed, trial))
+            # bytes per digit of a tail's stream input: 1 while digits fit a
+            # byte; a zero digit ends the input, so inputs are prefix-free
             self._width = (self.phi_map.n_digits.bit_length() + 7) // 8
+            self._end = bytes(self._width)
+            self._probs = (p,) * params.d + (q,) * params.n_long_children
 
     @classmethod
     def random(cls, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
@@ -105,17 +104,14 @@ class HatConfig:
         hit = self._memo.get(vhat)
         if hit is not None:
             return hit
-        d, n = self.params.d, self.phi_map.n_digits
+        n = self.phi_map.n_digits
         if self._rule is not None:
             out = tuple(j for j in range(1, n + 1) if self._rule(vhat, j))
         else:
-            data = b"".join(j.to_bytes(self._width, "little") for j in vhat)
-            digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
-            rng = random.Random(int.from_bytes(digest, "little"))
+            data = b"".join(j.to_bytes(self._width, "little") for j in vhat) + self._end
+            uniforms = keyed_uniforms(self._keyed, data, n)
             out = tuple(
-                j
-                for j in range(1, n + 1)
-                if rng.random() < (self.p if j <= d else self.q)
+                j for j, u, prob in zip(range(1, n + 1), uniforms, self._probs) if u < prob
             )
         self._memo[vhat] = out
         return out
@@ -362,7 +358,7 @@ def dominance_test(
     for trial in range(trials):
         oracle = EdgeOracle(params, p, q, seed, trial)
         zs.append(leaf_count_Z(params, oracle))
-        config = HatConfig.random(params, p, q - delta, seed + 1, trial)
+        config = HatConfig.random(params, p, q - delta, (seed + 1) % SEED_LIMIT, trial)
         zhs.append(leaf_count_Zhat(params, config))
     top = max(max(zs), max(zhs))
     rows = []

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the shared checks of edge
-probabilities and solver tolerances that raise them."""
+"""Exception types shared across the package, and the shared checks of seeds,
+edge probabilities and solver tolerances that raise them."""
 
 import math
 
@@ -31,6 +31,16 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+#: Seeds are 64-bit words: every stream is keyed by the 8 bytes of one.
+SEED_LIMIT = 1 << 64
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
 
 
 def check_probabilities(**probs: float) -> None:

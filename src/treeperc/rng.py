@@ -6,34 +6,93 @@ are independent across vertices, reproducible across runs and query orders,
 and shareable between different exploration algorithms running on the same
 realization.
 
-Per tail vertex the open out-edges of each kind are drawn in one batch: a
-binomial count via inverse-CDF lookup followed by a uniform subset, which is
-exactly the product-Bernoulli law restricted to that vertex.  This keeps the
-cost per vertex proportional to the number of *open* long edges rather than
-to d^k.
+A stream is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11): its block b is the 64-byte BLAKE2b digest of the
+stream's input, followed for b >= 1 by the 4-byte counter b, keyed with the
+realization's 8-byte seed and read as 8 little-endian uint64 words.  Every
+input is prefix-free (no input is a proper prefix of another), so distinct
+(input, block) pairs hash distinct messages.  A word w gives the uniform
+(w >> 11) 2^-53 in [0, 1).
+
+Per tail vertex the open out-edges of each kind are drawn in one batch from
+the stream at ``bytes(v) + b"\\x00" + kind``: word 0's uniform gives a
+binomial count m by inverse-CDF lookup, and words 1..m a uniform m-subset of
+the n edges by a sparse partial Fisher-Yates shuffle, whose step i swaps in
+index i + ((w (n - i)) >> 64) (Lemire's multiply-shift, ACM TOMACS 2019).
+Count and subset together are the product-Bernoulli law restricted to that
+vertex, up to two grains: the count uniform is a multiple of 2^-53, and each
+shuffle index's probability is off by a relative error below
+(n - i)/2^64 <= 2^-55 for n <= 361, finer than the 2^-53 grain of the count.
+A batch costs one hash while m <= 7 and ceil((m + 1)/8) + 1 beyond, in
+proportion to the number of *open* edges rather than to d^k.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
-from bisect import bisect_left
+import struct
+from bisect import bisect_right
 from functools import lru_cache
+from hashlib import blake2b
 
-from .errors import check_probabilities
+from .errors import SEED_LIMIT, ParameterError, check_probabilities, check_seed
 from .tree import TreeParams, long_selector
 
-_SHORT = b"s"
-_LONG = b"l"
+# the kind suffix of a vertex's stream input; vertex digits are nonzero, so
+# the zero byte ends the vertex and makes every input prefix-free
+_SHORT = b"\x00s"
+_LONG = b"\x00l"
+
+#: One block: a 64-byte digest read as 8 little-endian uint64 words.
+_BLOCK = struct.Struct("<8Q")
+
+#: The spacing of the uniforms: a word keeps its top 53 bits.
+_GRAIN = 2.0**-53
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:
     """Statistically independent 64-bit seed for one trial of an experiment."""
-    payload = master_seed.to_bytes(8, "little", signed=False) + trial.to_bytes(
-        8, "little", signed=False
-    )
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    check_seed(master_seed)
+    if not 0 <= trial < SEED_LIMIT:
+        raise ParameterError(f"trial must lie in [0, 2^64), got {trial}")
+    payload = master_seed.to_bytes(8, "little") + trial.to_bytes(8, "little")
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "little")
+
+
+def realization_seed(seed: int, trial: int) -> int:
+    """The seed of one trial's realization: the master seed itself for
+    trial 0, a derived one for every later trial."""
+    if trial:
+        return derive_trial_seed(seed, trial)
+    check_seed(seed)
+    return seed
+
+
+def keyed_hash(seed: int):
+    """BLAKE2b keyed with a realization's seed, before any input: each
+    stream block hashes a copy of it, so the key block is compressed once."""
+    return blake2b(key=seed.to_bytes(8, "little"), digest_size=64)
+
+
+def _block(keyed, data: bytes, b: int) -> tuple:
+    h = keyed.copy()
+    h.update(data + b.to_bytes(4, "little") if b else data)
+    return _BLOCK.unpack(h.digest())
+
+
+def keyed_words(keyed, data: bytes, count: int) -> tuple:
+    """At least the first ``count`` words of the stream at the prefix-free
+    input ``data`` under ``keyed_hash`` state ``keyed``: whole blocks, in
+    order."""
+    words = _block(keyed, data, 0)
+    for b in range(1, (count + 7) >> 3):
+        words += _block(keyed, data, b)
+    return words
+
+
+def keyed_uniforms(keyed, data: bytes, count: int) -> list[float]:
+    """The first ``count`` uniforms in [0, 1) of the stream at ``data``."""
+    return [(w >> 11) * _GRAIN for w in keyed_words(keyed, data, count)[:count]]
 
 
 def _binomial_cdf(n: int, prob: float) -> list[float]:
@@ -62,13 +121,14 @@ def _binomial_cdf(n: int, prob: float) -> list[float]:
 
 
 @lru_cache(maxsize=64)
-def _oracle_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple, tuple]:
-    """The short and long binomial CDF tables and the list of all d^k long
-    selectors: one build per (d, k, p, q), shared by every oracle (each
-    trial makes its own)."""
+def _oracle_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple, tuple, tuple]:
+    """The short and long binomial CDF tables, the d child digits and the
+    d^k long selectors: one build per (d, k, p, q), shared by every oracle
+    (each trial makes its own)."""
     return (
         tuple(_binomial_cdf(params.d, p)),
         tuple(_binomial_cdf(params.n_long_children, q)),
+        tuple(range(1, params.d + 1)),
         tuple(long_selector(i, params) for i in range(params.n_long_children)),
     )
 
@@ -86,37 +146,45 @@ class EdgeOracle:
         self.params = params
         self.p = p
         self.q = q
-        self.seed = derive_trial_seed(seed, trial) if trial else seed % (1 << 64)
-        self._key = self.seed.to_bytes(8, "little")
-        self._short_cdf, self._long_cdf, self._selectors = _oracle_tables(params, p, q)
+        self.seed = realization_seed(seed, trial)
+        self._keyed = keyed_hash(self.seed)
+        self._short_cdf, self._long_cdf, self._digits, self._selectors = _oracle_tables(
+            params, p, q
+        )
         self._short_memo: dict[tuple, tuple] = {}
         self._long_memo: dict[tuple, tuple] = {}
 
-    def _stream(self, v: tuple, kind: bytes) -> random.Random:
-        data = bytes(v) + b"\x00" + kind
-        digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
-        return random.Random(int.from_bytes(digest, "little"))
+    def _draw(self, v: tuple, kind: bytes, cdf: tuple, table: tuple) -> tuple:
+        """The entries of ``table`` (sorted) at a uniform subset, of size
+        drawn from ``cdf``, of its indices: the open edges of one kind."""
+        data = bytes(v) + kind
+        words = _block(self._keyed, data, 0)
+        n = len(table)
+        # the count of CDF entries <= u: m is 0 on every stream at prob 0, n at 1
+        m = bisect_right(cdf, (words[0] >> 11) * _GRAIN)
+        if m == 0:
+            return ()
+        if m == n:
+            return table
+        if m > 7:
+            words = keyed_words(self._keyed, data, m + 1)
+        # position -> index, only where a swap moved it
+        moved: dict[int, int] = {}
+        for i in range(m):
+            j = i + ((words[i + 1] * (n - i)) >> 64)
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return tuple(table[i] for i in sorted(moved[i] for i in range(m)))
 
     def open_short_children(self, v: tuple) -> tuple:
         """Sorted tuple of child digits j with the short edge v -> v.j open."""
         hit = self._short_memo.get(v)
-        if hit is not None:
-            return hit
-        rng = self._stream(v, _SHORT)
-        m = bisect_left(self._short_cdf, rng.random())
-        out = tuple(sorted(j + 1 for j in rng.sample(range(self.params.d), m)))
-        self._short_memo[v] = out
-        return out
+        if hit is None:
+            hit = self._short_memo[v] = self._draw(v, _SHORT, self._short_cdf, self._digits)
+        return hit
 
     def open_long_children(self, v: tuple) -> tuple:
         """Sorted tuple of selectors s in [d]^k with the long edge v -> v.s open."""
         hit = self._long_memo.get(v)
-        if hit is not None:
-            return hit
-        rng = self._stream(v, _LONG)
-        m = bisect_left(self._long_cdf, rng.random())
-        idx = sorted(rng.sample(range(self.params.n_long_children), m))
-        out = tuple(self._selectors[i] for i in idx)
-        self._long_memo[v] = out
-        return out
-
+        if hit is None:
+            hit = self._long_memo[v] = self._draw(v, _LONG, self._long_cdf, self._selectors)
+        return hit

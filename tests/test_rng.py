@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import binom, chi2, norm
 
+from treeperc.coupling import HatConfig
 from treeperc.errors import ParameterError
 from treeperc.rng import EdgeOracle, _binomial_cdf, derive_trial_seed
-from treeperc.tree import TreeParams
+from treeperc.tree import TreeParams, long_selector
 
 TP = TreeParams(2, 2)
 
@@ -94,3 +97,133 @@ def test_edge_marginals_match_product_law():
         assert abs(c / n - q) < 4 * math.sqrt(q * (1 - q) / n)
     # independence of the two short edges
     assert abs(pair_count / n - p * p) < 4 * math.sqrt(p * p * (1 - p * p) / n)
+
+
+def test_seed_range():
+    # seeds are 64-bit words: one outside [0, 2^64) is refused, not wrapped
+    for bad in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            derive_trial_seed(bad, 1)
+        for trial in (0, 3):
+            with pytest.raises(ParameterError):
+                EdgeOracle(TP, 0.5, 0.5, bad, trial)
+            with pytest.raises(ParameterError):
+                HatConfig.random(TP, 0.5, 0.5, bad, trial)
+    with pytest.raises(ParameterError):
+        derive_trial_seed(1, -1)
+    for good in (0, 2**64 - 1):
+        assert EdgeOracle(TP, 0.5, 0.5, good).seed == good
+        assert EdgeOracle(TP, 0.5, 0.5, good, trial=3).seed == derive_trial_seed(good, 3)
+
+
+def test_certain_and_impossible_edges():
+    # the count uniform lies in [0, 1): q = 1 opens every edge and q = 0 none,
+    # on every stream
+    tp = TreeParams(2, 4)
+    every = tuple(long_selector(i, tp) for i in range(tp.n_long_children))
+    for trial in range(2000):
+        assert EdgeOracle(tp, 1.0, 1.0, 3, trial).open_long_children((1,)) == every
+        assert EdgeOracle(tp, 0.0, 0.0, 3, trial).open_short_children((1,)) == ()
+
+
+# The law tests below draw from fixed seeds chosen before the tests were first
+# run.  Each names its false-alarm rate ALPHA: the chance that it fails on a
+# stream that does have the product-Bernoulli law.
+ALPHA = 1e-4
+
+
+def _pearson_p(observed, expected) -> float:
+    """p-value of Pearson's chi-square test, cells pooled in increasing order
+    of expectation until each expects at least 5."""
+    cells = []
+    obs = exp = 0.0
+    for o, e in sorted(zip(observed, expected), key=lambda cell: cell[1]):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            cells.append((obs, exp))
+            obs = exp = 0.0
+    if exp > 0.0:
+        last_o, last_e = cells.pop()
+        cells.append((last_o + obs, last_e + exp))
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return float(chi2.sf(stat, len(cells) - 1))
+
+
+def _assert_product_law(x: np.ndarray, probs: np.ndarray, alpha: float) -> None:
+    """Rows of ``x`` are independent 0/1 draws of n edges.  Every edge's open
+    frequency must match its probability, and every pair's joint frequency
+    the product of theirs, within the two-sided normal bound at family-wise
+    false-alarm rate ``alpha`` (Bonferroni over all n + n(n-1)/2 checks)."""
+    draws, n = x.shape
+    z = norm.isf(alpha / (2 * (n + n * (n - 1) // 2)))
+    freq = x.mean(axis=0)
+    assert np.all(np.abs(freq - probs) <= z * np.sqrt(probs * (1 - probs) / draws)), freq
+    upper = np.triu_indices(n, 1)
+    joint = (x.T @ x)[upper] / draws
+    pair = np.outer(probs, probs)[upper]
+    worst = np.max(np.abs(joint - pair) / np.sqrt(pair * (1 - pair) / draws))
+    assert worst <= z, worst
+
+
+def _long_draws(tp: TreeParams, q: float, seed: int, draws: int) -> np.ndarray:
+    """One row per trial: which long edges out of vertex (1,) are open."""
+    index = {long_selector(i, tp): i for i in range(tp.n_long_children)}
+    x = np.zeros((draws, tp.n_long_children))
+    for t in range(draws):
+        for s in EdgeOracle(tp, 0.5, q, seed, trial=t).open_long_children((1,)):
+            x[t, index[s]] = 1.0
+    return x
+
+
+def _assert_count_law(x: np.ndarray, q: float) -> None:
+    """The number of open edges per row is Bin(n, q)."""
+    draws, n = x.shape
+    counts = np.bincount(x.sum(axis=1).astype(int), minlength=n + 1)
+    assert _pearson_p(counts, draws * binom.pmf(np.arange(n + 1), n, q)) > ALPHA
+
+
+def test_long_pattern_law_chi_square():
+    # (2,3), q = 0.3: all 2^8 open-set patterns of one vertex's long edges
+    # against the product law; one block per draw
+    tp, q, draws = TreeParams(2, 3), 0.3, 40000
+    x = _long_draws(tp, q, 1901, draws)
+    patterns = np.bincount((x @ (1 << np.arange(8))).astype(int), minlength=256)
+    opened = np.array([bin(s).count("1") for s in range(256)])
+    expected = draws * q**opened * (1 - q) ** (8 - opened)
+    assert _pearson_p(patterns, expected) > ALPHA
+    _assert_count_law(x, q)
+
+
+@pytest.mark.parametrize(
+    "d, k, q, seed, draws",
+    [
+        # m + 1 > 8 words: every draw with 8 <= m < 16 reads a second block
+        (2, 4, 0.9, 1902, 20000),
+        # n = 361 edges: about 23 blocks per draw
+        (19, 2, 0.5, 1903, 6000),
+    ],
+)
+def test_long_edges_product_law_across_blocks(d, k, q, seed, draws):
+    tp = TreeParams(d, k)
+    x = _long_draws(tp, q, seed, draws)
+    _assert_product_law(x, np.full(tp.n_long_children, q), ALPHA)
+    _assert_count_law(x, q)
+
+
+@pytest.mark.parametrize(
+    "d, k, p, q, seed, draws",
+    [
+        # 10 cover digits, two blocks per tail
+        (2, 3, 0.3, 0.6, 1904, 20000),
+        # 380 cover digits of two bytes each, 48 blocks per tail
+        (19, 2, 0.4, 0.5, 1905, 3000),
+    ],
+)
+def test_cover_digits_product_law(d, k, p, q, seed, draws):
+    tp = TreeParams(d, k)
+    n = d + tp.n_long_children
+    x = np.zeros((draws, n))
+    for t in range(draws):
+        for j in HatConfig.random(tp, p, q, seed, t).open_digits((1, 2)):
+            x[t, j - 1] = 1.0
+    _assert_product_law(x, np.array([p] * d + [q] * tp.n_long_children), ALPHA)
