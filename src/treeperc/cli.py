@@ -18,6 +18,10 @@ from decimal import Decimal
 
 import numpy as np
 
+# numpy imports numpy.random (and with it secrets, hmac and base64) on first
+# use; importing it here moves that cost out of a command's first default_rng
+import numpy.random
+
 from . import __version__
 from .critical import asymptotics_table, qc, qc_sweep, rho_result
 from .coupling import dominance_test
@@ -289,9 +293,9 @@ def cmd_matrix(args):
     # too badly conditioned for that, the two solves disagree and it is refused
     tol = 0.25 * args.tol
     matrix = build_offspring_matrix(TreeParams(args.d, args.k), args.p, args.q)
-    transpose = matrix.csr.T.tocsr()
-    right = pf_eigen(matrix, tol=tol)
-    left = pf_eigen(transpose, tol=tol)
+    dense = matrix.dense
+    right = pf_eigen(dense, tol=tol)
+    left = pf_eigen(dense.T, tol=tol)
     rho = right.rho
     mu = left.nu / left.nu.sum()  # left vector sums to one
     nu = right.nu
@@ -300,7 +304,7 @@ def cmd_matrix(args):
         nu = nu / scale  # mu . nu = 1
     residual = max(
         float(np.abs(op.dot(v) - rho * v).max() / max(np.abs(v).max(), 1e-300))
-        for op, v in ((transpose, mu), (matrix.csr, nu))
+        for op, v in ((dense.T, mu), (dense, nu))
     )
     if residual > args.tol:
         raise NonConvergenceError(
@@ -328,7 +332,7 @@ def cmd_matrix(args):
             residual,
             right.iterations + left.iterations,
             matrix.n_types,
-            int(matrix.csr.nnz),
+            int(np.count_nonzero(dense)),
             float(mu.max()),
             float(nu.max()),
         ]],

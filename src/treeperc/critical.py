@@ -41,11 +41,10 @@ number, so it has a real eigenvalue at all.
 
 Each solve reads d T(q) = R0 + q (R1 - R0) off the dense pencil of p
 (``_pencil``), built once per (d, k, p) from the q = 0 and q = 1 ray
-matrices and cached.  A ray of at most ``DENSE_START_TYPES`` states is small
-enough for one dense LAPACK eigensolve, whose Perron vector starts the power
-solve; ``pf_eigen`` then certifies it by its residual, after one step where
-the dense vector is exact to working precision.  A larger ray starts from
-the uniform vector.
+matrices and cached.  A ray has at most 15 states under ``MAX_WINDOW_BITS``,
+small enough for one dense LAPACK eigensolve, whose Perron vector starts the
+power solve; ``pf_eigen`` then certifies it by its residual, after one step
+where the dense vector is exact to working precision.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ from .window_chain import build_offspring_matrix
 DEFAULT_Q_TOL = 1e-10
 #: p within this distance above 1/d short-circuits to q_c = 0.
 BOUNDARY_EPS = 1e-12
-#: Largest ray solved densely for its start vector.  Near rho = 1 (d = 2,
-#: p = 0.2, one x86-64 core) a dense start plus its step took 0.5 ms at 31
-#: states against 1.5 ms for a cold solve, about the same at 63 (1.3-2.1 ms
-#: each), and 8-11 ms against 2-3 ms at 127.
-DENSE_START_TYPES = 31
 
 
 @dataclass
@@ -98,17 +92,14 @@ def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
 
 def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12):
     """Perron solve of the ray matrix R0 + q (R1 - R0), read off the cached
-    pencil of p (``_pencil``); ``nu`` is indexed by nonzero ray state.  A
-    dense start is |Re v| for v the eigenvector of the eigenvalue of largest
-    real part, which for a nonnegative matrix is the Perron root."""
+    pencil of p (``_pencil``); ``nu`` is indexed by nonzero ray state.  The
+    solve starts from |Re v| for v the eigenvector of the eigenvalue of
+    largest real part, which for a nonnegative matrix is the Perron root."""
     check_probabilities(p=p, q=q)
     r0, dr = _pencil(params, p)
     matrix = r0 + q * dr
-    x0 = None
-    if len(matrix) <= DENSE_START_TYPES:
-        values, vectors = np.linalg.eig(matrix)
-        x0 = np.abs(vectors[:, np.argmax(values.real)].real)
-    return pf_eigen(matrix, tol=tol, x0=x0)
+    values, vectors = np.linalg.eig(matrix)
+    return pf_eigen(matrix, tol=tol, x0=np.abs(vectors[:, np.argmax(values.real)].real))
 
 
 @lru_cache(maxsize=64)
@@ -117,8 +108,8 @@ def _pencil(params: TreeParams, p: float) -> tuple[np.ndarray, np.ndarray]:
     at q = 0 and q = 1), as dense read-only arrays: one build per (d, k, p),
     shared by every solve of ``qc``.  Dense, since ``MAX_WINDOW_BITS`` caps
     the ray at 15 states."""
-    r0 = build_offspring_matrix(params, p, 0.0).csr.toarray()
-    dr = build_offspring_matrix(params, p, 1.0).csr.toarray() - r0
+    r0 = build_offspring_matrix(params, p, 0.0).dense
+    dr = build_offspring_matrix(params, p, 1.0).dense - r0
     r0.flags.writeable = False
     dr.flags.writeable = False
     return r0, dr
@@ -131,9 +122,9 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
 
 def _long_edge_root(p: float, params: TreeParams) -> float:
     """Estimate of q_c: 1 / the largest real eigenvalue of the long-edge
-    operator K = (I - R0)^-1 (R1 - R0), solved densely (every ray has at most
-    ``DENSE_START_TYPES`` states) on the cached pencil of p (``_pencil``).
-    LAPACK returns a real eigenvalue with imaginary part exactly 0."""
+    operator K = (I - R0)^-1 (R1 - R0), solved densely on the cached pencil
+    of p (``_pencil``).  LAPACK returns a real eigenvalue with imaginary part
+    exactly 0."""
     r0, dr = _pencil(params, p)
     values = np.linalg.eigvals(np.linalg.solve(np.eye(len(r0)) - r0, dr))
     return 1.0 / float(values[values.imag == 0.0].real.max())

@@ -4,7 +4,9 @@ Power iteration is applied to M + I rather than M itself: the identity shift
 makes the iteration immune to periodicity (a bipartite two-cycle chain, for
 example, would otherwise oscillate), and eigenvectors are unchanged while the
 dominant eigenvalue shifts by exactly one.  Convergence is certified by the
-eigen-residual on the *unshifted* matrix, not by iterate distance.
+eigen-residual on the *unshifted* matrix, not by iterate distance.  The
+matrix is a dense array, as the package's ray matrices are, or anything
+with ``tocsr``, such as a scipy sparse matrix; this module imports no scipy.
 
 The solve is one-sided; the left Perron pair is the same solve on the
 transpose.  It starts from the uniform vector, or from a nonnegative warm
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NonConvergenceError, ParameterError, check_tolerance
 
@@ -59,11 +60,9 @@ class SpectralResult:
 
 
 def _as_matrix(matrix):
-    """Return a CSR matrix or a dense array for a dense array, scipy sparse
-    matrix, or an object exposing ``csr`` (``SparseOffspringMatrix``)."""
-    if hasattr(matrix, "csr"):
-        matrix = matrix.csr
-    if sparse.issparse(matrix):
+    """Return the CSR form of anything with ``tocsr`` (a scipy sparse
+    matrix), else a dense float array."""
+    if hasattr(matrix, "tocsr"):
         matrix = matrix.tocsr()
         if (matrix.data < 0).any():
             raise ParameterError("matrix must be entrywise nonnegative")
@@ -80,15 +79,16 @@ def _null_vector_if_nilpotent(mat):
     """M v = 0 for v the indicator of the empty columns, summing to one, if
     the nonzero pattern has no cycle (M is nilpotent); else None.  Peels empty
     columns, and the rows of the same index, until none is left; entries are
-    left over exactly when the pattern has a cycle."""
-    pattern = sparse.csr_matrix(mat != 0)
-    in_degree = np.bincount(pattern.indices, minlength=pattern.shape[0])
+    left over exactly when the pattern has a cycle.  Dense or CSR alike."""
+    pattern = mat != 0
+    in_degree = np.asarray(pattern.sum(axis=0)).ravel()
     sources = in_degree == 0
     frontier = np.flatnonzero(sources)
     while frontier.size:
-        targets = pattern[frontier].indices
-        np.subtract.at(in_degree, targets, 1)
-        frontier = np.unique(targets[in_degree[targets] == 0])
+        removed = np.asarray(pattern[frontier].sum(axis=0)).ravel()
+        in_degree -= removed
+        # a column empties in the round its last entry is peeled
+        frontier = np.flatnonzero((in_degree == 0) & (removed > 0))
     return None if in_degree.any() else sources / sources.sum()
 
 

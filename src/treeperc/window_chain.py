@@ -22,17 +22,17 @@ the last k cluster indicators of its ancestral ray, and they form a Markov
 chain: each of the slot's d children is set independently with the
 probability pi above, a the slot's own bit (the newest) and b the base's
 (the oldest).  Counting vertices by that state is a (2^k - 1)-type
-Galton-Watson process.  ``_ray_pi`` and ``_ray_shift`` define its step
-once; its mean matrix d * T (``build_offspring_matrix``, behind ``rho``,
-``qc`` and ``matrix``) has the Perron root of the 2^W-type window process,
-and ``simulate_window_chain`` and ``chain_survival`` sample it with one
-binomial draw per generation.
+Galton-Watson process.  ``_ray_pi`` and ``_ray_children`` define its step
+once.  Its mean matrix d * T (``build_offspring_matrix``, behind ``rho``,
+``qc`` and ``matrix``) is that step applied to d vertices of each state,
+held dense (at most 15 states under ``MAX_WINDOW_BITS``), and has the
+Perron root of the 2^W-type window process; ``simulate_window_chain`` and
+``chain_survival`` sample it with one binomial draw per generation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParameterError, SizeCapError, check_probabilities
 from .tree import TreeParams, parent, slot_index, slot_vertex
@@ -46,26 +46,33 @@ MAX_ARRAY_BYTES = 1 << 30
 POPULATION_CAP = 10**8
 
 
-class SparseOffspringMatrix:
-    """Mean offspring rates M(s, s') of the ray process, stored row-sparse.
+class OffspringMatrix:
+    """Mean offspring rates M(s, s') of the ray process, held dense.
 
     A type is a nonzero ray state, a bitmask integer in [1, 2^k) with the
     vertex's own cluster indicator as bit 0 and its (k-1)-th ancestor's as
     bit k-1; row/column index ``s - 1`` names state ``s``.
     """
 
-    def __init__(self, csr: sparse.csr_matrix):
-        self.csr = csr
+    def __init__(self, dense: np.ndarray):
+        self.dense = dense
 
     @property
     def n_types(self) -> int:
-        return self.csr.shape[0]
+        return len(self.dense)
+
+    @property
+    def csr(self):
+        """The rates as a scipy CSR matrix, for readers outside the package;
+        scipy is imported on first read."""
+        from scipy import sparse
+
+        return sparse.csr_matrix(self.dense)
 
     def iter_entries(self):
         """Yield (s, s', rate) in deterministic row-major, column-sorted order."""
-        coo = self.csr.tocoo()
-        for a, b, v in zip(coo.row, coo.col, coo.data):
-            yield int(a) + 1, int(b) + 1, float(v)
+        for a, b in zip(*np.nonzero(self.dense)):
+            yield int(a) + 1, int(b) + 1, float(self.dense[a, b])
 
 
 def _child_slot_maps(params: TreeParams):
@@ -223,29 +230,21 @@ def _ray_children(params: TreeParams, stay: np.ndarray, born: np.ndarray) -> np.
     return nxt
 
 
-def _ray_matrix(params: TreeParams, p: float, q: float) -> sparse.csr_matrix:
+def _ray_matrix(params: TreeParams, p: float, q: float) -> np.ndarray:
     """d * T over the 2^k - 1 nonzero ray states, state s as row and column
-    s - 1: each of the d children of a vertex in state s is set with
-    probability pi_s and then in state ``_ray_shift(s) + 1``, else in state
-    ``_ray_shift(s)``."""
-    n = (1 << params.k) - 1
-    pi = _ray_pi(params, p, q)[1:]
-    to = _ray_shift(params, np.arange(1, n + 1))
-    # the zero state is no type: its entry (only at s = 2^(k-1)) is zeroed
-    # and dropped with the other zeros
-    data = np.column_stack([params.d * (1.0 - pi) * (to > 0), params.d * pi]).ravel()
-    indices = np.column_stack([np.maximum(to - 1, 0), to]).ravel()
-    csr = sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
-    csr.eliminate_zeros()
-    return csr
+    s - 1: the children (``_ray_children``) of d vertices in state s, each
+    set with probability pi_s."""
+    pi = _ray_pi(params, p, q)
+    d = params.d
+    return _ray_children(params, np.diag(d * (1.0 - pi)), np.diag(d * pi))[1:, 1:]
 
 
-def build_offspring_matrix(params: TreeParams, p: float, q: float) -> SparseOffspringMatrix:
+def build_offspring_matrix(params: TreeParams, p: float, q: float) -> OffspringMatrix:
     """Exact mean offspring matrix d * T of the ray process over its 2^k - 1
     nonzero states (``_ray_matrix``), which has the Perron root of the
     window process's 2^W-type mean matrix."""
     check_probabilities(p=p, q=q)
-    return SparseOffspringMatrix(_ray_matrix(params, p, q))
+    return OffspringMatrix(_ray_matrix(params, p, q))
 
 
 def _chain_bytes(params: TreeParams, trials: int, generations: int) -> int:

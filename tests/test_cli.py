@@ -14,7 +14,7 @@ from treeperc import critical
 from treeperc.cli import main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.tree import TreeParams
-from treeperc.window_chain import SparseOffspringMatrix, build_offspring_matrix
+from treeperc.window_chain import OffspringMatrix, build_offspring_matrix
 
 
 def run(tmp_path, name, *argv):
@@ -93,6 +93,85 @@ def test_qc_curve_byte_identical_across_blas_threads(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 3 + 11
+
+
+@pytest.mark.parametrize("d, k, p, q", [(2, 4, 0.1, 0.03), (19, 2, 0.01, 0.01)])
+def test_matrix_byte_identical_across_blas_threads(tmp_path, d, k, p, q):
+    # matrix runs its power solves through BLAS matrix-vector products on
+    # the dense ray matrix; its output may not depend on the thread count
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"matrix_{threads}.csv"
+        subprocess.run(
+            [
+                sys.executable, "-m", "treeperc.cli", "matrix", "--d", str(d), "--k", str(k),
+                "--p", str(p), "--q", str(q), "--format", "csv", "--out", str(out),
+            ],
+            check=True,
+            env=env,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3 + 1
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    # scipy is a test dependency only, and networkx is imported by the one
+    # sampler that needs it
+    code = (
+        "import sys, treeperc.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy', 'networkx'))])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+# one small run of every command, read without scipy
+SCIPY_FREE_RUNS = [
+    ["qc-point", "--d", "2", "--k", "3", "--p", "0.2"],
+    ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:0.5:0.25"],
+    ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3"],
+    # at p = q = 0 the matrix is nilpotent, which the solve finds by peeling
+    ["matrix", "--d", "2", "--k", "2", "--p", "0", "--q", "0"],
+    *(
+        ["survival", "--method", method, "--d", "2", "--k", "2", "--p", "0.2",
+         "--q", "0.1", "--trials", "20", "--depth", "10"]
+        for method in ("chain", "direct")
+    ),
+    *(
+        ["limits", "--regime", regime, "--d", "2", "--k", "2", "--p", "0.2",
+         "--q", "0.1", "--trials", "20", "--horizon", "5", "--horizon-low", "2"]
+        for regime in ("super", "sub", "critical")
+    ),
+    ["dominance", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
+     "--delta", "0.05", "--trials", "20"],
+    ["criteria", "--d", "2", "--k", "2", "--p", "0.25", "--s", "1.0", "--trials", "20"],
+]
+
+
+def test_commands_run_without_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from treeperc.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    dump = tmp_path / "dump.csv"
+    argvs = [
+        argv + ["--out", str(tmp_path / f"run{n}")]
+        for n, argv in enumerate(
+            SCIPY_FREE_RUNS
+            + [["matrix", "--d", "2", "--k", "3", "--p", "0.2", "--q", "0.1", "--dump", str(dump)]]
+        )
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    assert codes == [0] * len(argvs), list(zip(codes, argvs))
+    assert dump.read_text().splitlines()[2] == "row_state_hex,col_state_hex,rate"
 
 
 def test_qc_curve_csv_layout(tmp_path):
@@ -197,7 +276,7 @@ def test_matrix_prints_rho_only_when_certified(tmp_path, capsys, p, q, expect):
     assert code == expect
     if code == 0:
         row = json.loads(out.read_text())["rows"][0]
-        dense = build_offspring_matrix(TreeParams(2, 2), p, q).csr.toarray()
+        dense = build_offspring_matrix(TreeParams(2, 2), p, q).dense
         assert row["residual"] <= 1e-12
         assert abs(row["rho"] - max(np.linalg.eigvals(dense).real)) <= 1e-12
     else:
@@ -240,7 +319,7 @@ def test_write_output_failure_keeps_target(tmp_path):
 def test_matrix_dump_failure_keeps_target(tmp_path, monkeypatch):
     dump = tmp_path / "m.csv"
     dump.write_bytes(b"previous dump\n")
-    entries = SparseOffspringMatrix.iter_entries
+    entries = OffspringMatrix.iter_entries
 
     def failing_entries(self):
         for n, entry in enumerate(entries(self)):
@@ -248,7 +327,7 @@ def test_matrix_dump_failure_keeps_target(tmp_path, monkeypatch):
                 raise OSError("disk full")
             yield entry
 
-    monkeypatch.setattr(SparseOffspringMatrix, "iter_entries", failing_entries)
+    monkeypatch.setattr(OffspringMatrix, "iter_entries", failing_entries)
     with pytest.raises(OSError):
         run(
             tmp_path, "m.json", "matrix", "--d", "2", "--k", "2",

@@ -337,7 +337,7 @@ def ray_counts(params, states, weights=1.0):
 
 
 def ray_matrix(tp, p, q):
-    return build_offspring_matrix(tp, p, q).csr.toarray()
+    return build_offspring_matrix(tp, p, q).dense
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
