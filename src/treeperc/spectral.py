@@ -6,7 +6,7 @@ example, would otherwise oscillate), and eigenvectors are unchanged while the
 dominant eigenvalue shifts by exactly one.  Convergence is certified by the
 eigen-residual on the *unshifted* matrix, not by iterate distance.  The
 matrix is a dense array, as the package's ray matrices are, or anything
-with ``tocsr``, such as a scipy sparse matrix; this module imports no scipy.
+with ``tocsr``, such as the sparse window matrices of the tests.
 
 The solve is one-sided; the left Perron pair is the same solve on the
 transpose.  It starts from the uniform vector, or from a nonnegative warm
@@ -60,8 +60,8 @@ class SpectralResult:
 
 
 def _as_matrix(matrix):
-    """Return the CSR form of anything with ``tocsr`` (a scipy sparse
-    matrix), else a dense float array."""
+    """Return the CSR form of anything with ``tocsr`` (a sparse matrix),
+    else a dense float array."""
     if hasattr(matrix, "tocsr"):
         matrix = matrix.tocsr()
         if (matrix.data < 0).any():
