@@ -61,7 +61,8 @@ from .tree import TreeParams
 from .window_chain import build_offspring_matrix
 
 DEFAULT_Q_TOL = 1e-10
-#: p within this distance above 1/d short-circuits to q_c = 0.
+#: p above 1/d - BOUNDARY_EPS short-circuits to q_c = lower_bound, which is 0
+#: from p = 1/d on.
 BOUNDARY_EPS = 1e-12
 
 
@@ -163,7 +164,7 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
         return CurvePoint(
-            p=p, q_c=0.0, lower_bound=lower, gap=0.0, rho_residual=0.0,
+            p=p, q_c=lower, lower_bound=lower, gap=0.0, rho_residual=0.0,
             bisection_width=0.0, rho_evals=0,
         )
     evals = 0

@@ -375,6 +375,10 @@ def criteria_eval(params: TreeParams, p: float, s: float, trials: int, seed: int
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    # at p d >= 1 the short cluster is supercritical and a trial only ends
+    # at the cluster cap
+    if p * params.d >= 1.0:
+        raise ParameterError("criteria require p d < 1")
     dk = float(params.d) ** params.k
     q = (1.0 - p * params.d) / dk + s / dk**2
     if not 0.0 <= q <= 1.0:

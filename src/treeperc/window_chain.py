@@ -12,9 +12,11 @@ window ``A`` factorizes:
   the base vertex itself is in A (long edge from the base).
 
 These are exactly the edges a height-layered exploration has not queried
-before, so the chain is Markov.  :class:`ChildWindowLaw` is the one encoding
-of this law, vectorised over parent windows, and the exact pmf
-``child_window_dist`` reads it; ``initial_window_dist`` is the root's.
+before, so the chain is Markov.  The root's window is the short-edge
+subtree cut at height k-1: a slot is set with probability p if its parent
+slot is, else never.  Both laws set one slot at a time, independently, in
+slot order (``_set_slots``); ``child_window_dist`` and
+``initial_window_dist`` are their exact pmfs.
 
 The one mean matrix, and the count-level simulation, run on the ancestral
 ray instead.  A top slot's k bits along its path from the window's base are
@@ -75,40 +77,6 @@ class OffspringMatrix:
             yield int(a) + 1, int(b) + 1, float(self.dense[a, b])
 
 
-def _child_slot_maps(params: TreeParams):
-    """Per child digit i: slot targets of the deterministic part and slot
-    sources of the top-slot short-edge indicators."""
-    d, base, t = params.d, params.top_slot_base, params.n_top_slots
-    low_targets = []
-    top_sources = []
-    for i in range(1, d + 1):
-        low_targets.append(
-            np.array(
-                [slot_index((i,) + slot_vertex(j, params), params) for j in range(base)],
-                dtype=np.int64,
-            )
-        )
-        top_sources.append(
-            np.array(
-                [
-                    slot_index((i,) + parent(slot_vertex(base + u, params)), params)
-                    for u in range(t)
-                ],
-                dtype=np.int64,
-            )
-        )
-    return low_targets, top_sources
-
-
-def _low_part(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The deterministic slots of height <= k-2 of one child's window, for
-    each parent window in ``a``: slot j is bit ``targets[j]`` of the parent."""
-    det = np.zeros_like(a)
-    for j, tgt in enumerate(targets):
-        det |= (a >> tgt & 1) << j
-    return det
-
-
 def _open_prob(p: float, q: float, a, b):
     """Probability that a top slot is set: the short edge from its parent
     (in the window iff ``a``) or the long edge from the base (in the window
@@ -116,37 +84,20 @@ def _open_prob(p: float, q: float, a, b):
     return 1.0 - (1.0 - p * a) * (1.0 - q * b)
 
 
-class ChildWindowLaw:
-    """One-step law of the window of child ``i`` given parent windows ``A``.
-
-    ``law(a, i)`` takes an int64 array of n nonempty parent windows and a
-    child digit i in [1, d] and returns ``(windows, probs)``, both of shape
-    (n, 2^t) for t top slots.  Column m is the outcome whose top slots are
-    the set bits of m, so windows increase along each row; outcomes of
-    probability zero are kept.  The product over top slots is built in slot
-    order, one factor per slot.
-    """
-
-    def __init__(self, params: TreeParams, p: float, q: float):
-        check_probabilities(p=p, q=q)
-        self.params = params
-        self.p = p
-        self.q = q
-        self._low_targets, self._top_sources = _child_slot_maps(params)
-        self._top_windows = (
-            np.arange(1 << params.n_top_slots, dtype=np.int64) << params.top_slot_base
-        )
-
-    def __call__(self, a: np.ndarray, child: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 1 <= child <= self.params.d:
-            raise ParameterError(f"child digit {child} outside [1, {self.params.d}]")
-        det = _low_part(a, self._low_targets[child - 1])
-        b = a & 1
-        probs = np.ones((len(a), 1))
-        for src in self._top_sources[child - 1]:
-            pi = _open_prob(self.p, self.q, a >> src & 1, b)[:, None]
-            probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=1)
-        return det[:, None] | self._top_windows, probs
+def _set_slots(pmf: dict[int, float], slots, prob) -> dict[int, float]:
+    """Set each slot j of ``slots`` in turn, independently, with probability
+    ``prob(w, j)`` in the outcome w so far: one factor per slot, in slot
+    order.  Each slot lies above every bit set before it, so the outcomes
+    that leave it unset, then those that set it, stay in increasing window
+    order.  Outcomes of zero mass are dropped."""
+    for j in slots:
+        off, on = [], []
+        for w, pr in pmf.items():
+            pi = prob(w, j)
+            off.append((w, pr * (1.0 - pi)))
+            on.append((w | 1 << j, pr * pi))
+        pmf = {w: pr for w, pr in off + on if pr > 0.0}
+    return pmf
 
 
 def _check_bytes(need: int, what: str) -> None:
@@ -158,45 +109,42 @@ def _check_bytes(need: int, what: str) -> None:
 
 
 def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams) -> dict[int, float]:
-    """Exact pmf over the child's window (0 encodes the empty window)."""
+    """Exact pmf over the child's window (0 encodes the empty window), in
+    increasing window order.  A low slot is set iff its vertex below the
+    child is in ``a``; a top slot j is set with ``_open_prob`` of its
+    parent's bit in ``a`` and the base's."""
     if a <= 0:
         raise ParameterError("parent window must be nonempty")
-    windows, probs = ChildWindowLaw(params, p, q)(np.array([a], dtype=np.int64), child)
-    keep = probs[0] > 0.0
-    return dict(zip(windows[0, keep].tolist(), probs[0, keep].tolist()))
+    check_probabilities(p=p, q=q)
+    if not 1 <= child <= params.d:
+        raise ParameterError(f"child digit {child} outside [1, {params.d}]")
+
+    def bit(u):  # whether vertex u below the child is in the parent window
+        return a >> slot_index((child,) + u, params) & 1
+
+    base = params.top_slot_base
+    low = sum(bit(slot_vertex(j, params)) << j for j in range(base))
+    top = {
+        j: _open_prob(p, q, bit(parent(slot_vertex(j, params))), a & 1)
+        for j in range(base, params.window_slots)
+    }
+    return _set_slots({low: 1.0}, top, lambda w, j: top[j])
 
 
 def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
-    """Law of the root's window: short-edge subtrees truncated at height k-1.
+    """Law of the root's window: short-edge subtrees truncated at height k-1,
+    in increasing window order.  Slot j is set with probability p if its
+    parent slot (j - 1) // d is set, else never.
 
     Supported on windows that contain the root slot and are closed under
     taking parents; the empty window has mass zero since the root always
     belongs to its own cluster.
     """
-    base = params.top_slot_base
+    check_probabilities(p=p)
     d = params.d
-    # grow the subtree level by level: state maps window -> prob
-    pmf = {1: 1.0}
-    for j in range(base):  # slots whose children lie in the slab
-        child_slots = [d * j + c for c in range(1, d + 1)]
-        nxt: dict[int, float] = {}
-        for w, pr in pmf.items():
-            if not w >> j & 1:
-                nxt[w] = nxt.get(w, 0.0) + pr
-                continue
-            for mask in range(1 << d):
-                prob = pr
-                add = 0
-                for c in range(d):
-                    if mask >> c & 1:
-                        prob *= p
-                        add |= 1 << child_slots[c]
-                    else:
-                        prob *= 1.0 - p
-                if prob > 0.0:
-                    nxt[w | add] = nxt.get(w | add, 0.0) + prob
-        pmf = nxt
-    return pmf
+    return _set_slots(
+        {1: 1.0}, range(1, params.window_slots), lambda w, j: p * (w >> (j - 1) // d & 1)
+    )
 
 
 def _ray_pi(params: TreeParams, p: float, q: float) -> np.ndarray:

@@ -486,6 +486,11 @@ def test_exit_code_usage(capsys, tmp_path):
         # the two-term expansion needs p^2 d < 1, and the k range must be nonempty
         ["asymptotics", "--d", "2", "--p", "0.8", "--k-min", "2", "--k-max", "3"],
         ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "4", "--k-max", "2"],
+        # criteria need p d < 1: above it the short cluster is supercritical
+        *(
+            ["criteria", "--d", "2", "--k", "2", "--p", p, "--s", "1", "--trials", "1"]
+            for p in ("0.5", "0.6")
+        ),
         # output paths that cannot be written are refused before computing
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", missing],
         ["qc-point", "--d", "2", "--k", "2", "--p", "0.6", "--out", str(tmp_path)],

@@ -8,6 +8,7 @@ import pytest
 from treeperc import critical
 from treeperc.cli import parse_grid
 from treeperc.critical import (
+    BOUNDARY_EPS,
     asymptotics_table,
     branching_lower_bound,
     qc,
@@ -185,6 +186,15 @@ def test_qc_known_endpoint():
 def test_qc_above_threshold_is_zero():
     point = qc(0.6, TP)
     assert point.q_c == 0.0 and point.gap == 0.0
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 2), (19, 2)])
+def test_qc_not_below_lower_bound_next_to_threshold(d, k):
+    # within BOUNDARY_EPS below p = 1/d, q_c is the bound, which is positive
+    for p in (1.0 / d - 0.5 * BOUNDARY_EPS, 1.0 / d - 1e-13, 1.0 / d):
+        point = qc(p, TreeParams(d, k))
+        assert point.q_c >= point.lower_bound and point.gap == point.q_c - point.lower_bound
+    assert qc(1.0 / d - 0.5 * BOUNDARY_EPS, TreeParams(d, k)).q_c > 0.0
 
 
 def test_qc_interior_point_and_mc_bracket():

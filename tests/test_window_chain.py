@@ -11,10 +11,9 @@ import pytest
 from treeperc.cli import main
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.percolation import PercParams, estimate_survival, explore_layers, make_oracle
-from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
+from treeperc.tree import TreeParams, slot_index, slot_vertex
 from treeperc.window_chain import (
     MAX_ARRAY_BYTES,
-    ChildWindowLaw,
     _chain_bytes,
     _ray_children,
     _ray_pi,
@@ -25,45 +24,11 @@ from treeperc.window_chain import (
     initial_window_dist,
     simulate_window_chain,
 )
-from window_law import law_blocks, window_matrix
+from window_law import ChildWindowLaw, law_blocks, window_matrix
 
 TP22 = TreeParams(2, 2)
 TP23 = TreeParams(2, 3)
 TP32 = TreeParams(3, 2)
-
-
-def reference_top_probs(a, child, p, q, params):
-    """Scalar reading of the child-window law: the deterministic low bits
-    and the activation probability of each top slot, in slot order."""
-    base, t = params.top_slot_base, params.n_top_slots
-    det = 0
-    for j in range(base):
-        if a >> slot_index((child,) + slot_vertex(j, params), params) & 1:
-            det |= 1 << j
-    b = a & 1
-    probs = []
-    for u in range(t):
-        src = slot_index((child,) + parent(slot_vertex(base + u, params)), params)
-        aa = a >> src & 1
-        probs.append(1.0 - (1.0 - p * aa) * (1.0 - q * b))
-    return det, probs
-
-
-def reference_child_dist(a, child, p, q, params):
-    """Child-window pmf by slot-by-slot convolution of the scalar law."""
-    det, top_probs = reference_top_probs(a, child, p, q, params)
-    base = params.top_slot_base
-    pmf = {det: 1.0}
-    for u, pi in enumerate(top_probs):
-        nxt = {}
-        bit = 1 << (base + u)
-        for w, pr in pmf.items():
-            if pi < 1.0:
-                nxt[w] = nxt.get(w, 0.0) + pr * (1.0 - pi)
-            if pi > 0.0:
-                nxt[w | bit] = nxt.get(w | bit, 0.0) + pr * pi
-        pmf = nxt
-    return pmf
 
 
 def test_initial_dist_hand_example():
@@ -132,6 +97,46 @@ def test_child_dist_deterministic_cases():
     assert pmf == {0b110: pytest.approx(1.0)}
 
 
+@pytest.mark.parametrize("tp", [TP22, TP32])
+def test_child_dist_rejects_child_digit_outside_range(tp):
+    for child in (0, tp.d + 1):
+        with pytest.raises(ParameterError, match="child digit"):
+            child_window_dist(1, child, 0.3, 0.2, tp)
+
+
+# sha256 over the root-window pmf and the child-window pmfs at six windows
+# and every child digit, recorded from the nested-loop root law (its items
+# sorted, as they now come in increasing window order) and the vectorised
+# child law that the slot-by-slot law replaced
+WINDOW_PMF_SHA256 = {
+    ((2, 3), 0.3, 0.2): "e5602bd20bbbf76121a41cca66667c824df2f6621df74e3b53d5fba135341639",
+    ((2, 3), 0.17, 0.0861): "a6f8fb76992eeeb0a0bac30858d6a7295c34c50c6b3f99b058259905b32147df",
+    ((2, 3), 1.0, 0.0): "3603acd201b6555518a6b1f658c2e311fe81a2adc0190edefcb72cc8f59eaa02",
+    ((2, 3), 0.0, 1.0): "7e57039fe84cecfe7cb108477d03f3dc8a17a5fb6cdb503ef29d78c70836cf4d",
+    ((3, 2), 0.3, 0.2): "e8f7a59a4fd2314cae9ec14542859f8e33a2c463e64cdae4f11a47e34c067539",
+    ((3, 2), 0.17, 0.0861): "d70357aca182fd50697edfbbde60ae419e1f52de555c73dded4c879e714f383d",
+    ((3, 2), 1.0, 0.0): "acd7e55bbcf31ce73b509b4e6c6e15dc537bc3b6986404517a13f67a58d1f869",
+    ((3, 2), 0.0, 1.0): "607a0b5ec3f1d696598d36e0833dc92c901cbcc6e4e04ccf1c55d77e6d6211b5",
+    ((2, 4), 0.3, 0.2): "0de2cab5fdfd73a4b19f77d30817a49ce822fcd9ac2116003a7fafea2bcdbcd7",
+    ((2, 4), 0.17, 0.0861): "4b9d907d627759e016bfc4bdda08e6eaa3d714ad516206396a9dd6ce698920dc",
+    ((2, 4), 1.0, 0.0): "1ec5aa1db4ba93b174b7bcde181907b2ded1c4e4b30fb40062d33e17d306e5da",
+    ((2, 4), 0.0, 1.0): "73a9d6e83e3e1a06eec2dc64938f9e9db6f844c6f5d92a3135397d6fa9e5f831",
+}
+
+
+@pytest.mark.parametrize("dk, p, q", list(WINDOW_PMF_SHA256))
+def test_window_pmfs_pinned(dk, p, q):
+    tp = TreeParams(*dk)
+    top = (1 << tp.window_slots) - 1
+    pmfs = [initial_window_dist(tp, p)] + [
+        child_window_dist(a, i, p, q, tp)
+        for a in (1, 3, 5, top // 3, top // 5 * 2 + 1, top)
+        for i in range(1, tp.d + 1)
+    ]
+    got = repr([list(pmf.items()) for pmf in pmfs]).encode()
+    assert hashlib.sha256(got).hexdigest() == WINDOW_PMF_SHA256[dk, p, q]
+
+
 def test_transition_rule_against_direct_slab_percolation():
     """Tabulate the child-window law by simulating the cluster directly."""
     tp = TP22
@@ -181,9 +186,14 @@ def test_transition_rule_against_direct_slab_percolation():
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("q", [0.0, 0.2, 1.0])
 def test_child_dist_matches_scalar_reference_bitwise(tp, p, q):
-    for a in range(1, 1 << tp.window_slots):
-        for i in range(1, tp.d + 1):
-            assert child_window_dist(a, i, p, q, tp) == reference_child_dist(a, i, p, q, tp)
+    # the slot-by-slot pmf against the vectorised law, outcome order included
+    windows = np.arange(1, 1 << tp.window_slots, dtype=np.int64)
+    for i in range(1, tp.d + 1):
+        rows, probs = ChildWindowLaw(tp, p, q)(windows, i)
+        for a, row, prob in zip(windows.tolist(), rows, probs):
+            keep = prob > 0.0
+            expect = list(zip(row[keep].tolist(), prob[keep].tolist()))
+            assert list(child_window_dist(a, i, p, q, tp).items()) == expect
 
 
 @pytest.mark.parametrize("tp", [TP22, TP23, TP32])
@@ -193,7 +203,7 @@ def test_matrix_matches_scalar_reference(tp, p, q):
     dense = np.zeros((n, n))
     for a in range(1, n + 1):
         for i in range(1, tp.d + 1):
-            for w, pr in reference_child_dist(a, i, p, q, tp).items():
+            for w, pr in child_window_dist(a, i, p, q, tp).items():
                 if w:
                     dense[a - 1, w - 1] += pr
     m = window_matrix(tp, p, q).toarray()
@@ -450,6 +460,9 @@ def test_law_rejects_bad_probabilities():
             child_window_dist(1, 1, p, q, TP22)
         with pytest.raises(ParameterError):
             simulate_window_chain(TP22, p, q, np.random.default_rng(0), 3)
+    for p in (1.5, -0.5, math.nan):
+        with pytest.raises(ParameterError):
+            initial_window_dist(TP22, p)
 
 
 def test_build_matrix_hand_example():
