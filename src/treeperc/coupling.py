@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .errors import SEED_LIMIT, FeasibilityError, ParameterError, check_probabilities
 from .percolation import sweep_layers
-from .rng import EdgeOracle, keyed_hash, keyed_uniforms, realization_seed
+from .rng import EdgeOracle, edge_tables, keyed_hash, open_edges, realization_seed
 from .tree import TreeParams, long_selector
 
 #: Violation, in combined standard errors, above which ``dominance_test``
@@ -66,12 +67,22 @@ def n_slab_leaves(params: TreeParams) -> int:
     return sum(params.d**h for h in range(lo, hi))
 
 
+@lru_cache(maxsize=64)
+def _cover_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple]:
+    """The short and long (binomial CDF, digit table) pairs of ``open_edges``
+    on the cover: the two-range tree's, with long digits d+1..d+d^k in place
+    of the selectors; one build per (d, k, p, q)."""
+    short, (long_cdf, _selectors) = edge_tables(params, p, q)
+    return short, (long_cdf, tuple(range(params.d + 1, params.d + params.n_long_children + 1)))
+
+
 class HatConfig:
     """Edge configuration on the cover slab, materialized lazily.
 
-    Out-edges of a tail are drawn in one batch, one uniform per digit, from a
-    per-tail keyed stream of ``rng`` (independent across tails, reproducible
-    across query orders), or supplied by a deterministic rule.
+    Out-edges of a tail are drawn in one batch by ``rng.open_edges``, the
+    draw of the two-range tree's edge oracle, from a per-tail keyed stream
+    (independent across tails, reproducible across query orders), or
+    supplied by a deterministic rule.
     """
 
     def __init__(self, params: TreeParams, rule=None, p=None, q=None, seed=None, trial=0):
@@ -88,7 +99,7 @@ class HatConfig:
             # byte; a zero digit ends the input, so inputs are prefix-free
             self._width = (self.phi_map.n_digits.bit_length() + 7) // 8
             self._end = bytes(self._width)
-            self._probs = (p,) * params.d + (q,) * params.n_long_children
+            self._short, self._long = _cover_tables(params, p, q)
 
     @classmethod
     def random(cls, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
@@ -104,15 +115,12 @@ class HatConfig:
         hit = self._memo.get(vhat)
         if hit is not None:
             return hit
-        n = self.phi_map.n_digits
         if self._rule is not None:
-            out = tuple(j for j in range(1, n + 1) if self._rule(vhat, j))
+            out = tuple(j for j in range(1, self.phi_map.n_digits + 1) if self._rule(vhat, j))
         else:
             data = b"".join(j.to_bytes(self._width, "little") for j in vhat) + self._end
-            uniforms = keyed_uniforms(self._keyed, data, n)
-            out = tuple(
-                j for j, u, prob in zip(range(1, n + 1), uniforms, self._probs) if u < prob
-            )
+            short, long = open_edges(self._keyed, data, self._short, self._long)
+            out = short + long
         self._memo[vhat] = out
         return out
 

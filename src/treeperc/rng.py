@@ -14,17 +14,19 @@ input is prefix-free (no input is a proper prefix of another), so distinct
 (input, block) pairs hash distinct messages.  A word w gives the uniform
 (w >> 11) 2^-53 in [0, 1).
 
-Per tail vertex the open out-edges of each kind are drawn in one batch from
-the stream at ``bytes(v) + b"\\x00" + kind``: word 0's uniform gives a
-binomial count m by inverse-CDF lookup, and words 1..m a uniform m-subset of
-the n edges by a sparse partial Fisher-Yates shuffle, whose step i swaps in
-index i + ((w (n - i)) >> 64) (Lemire's multiply-shift, ACM TOMACS 2019).
-Count and subset together are the product-Bernoulli law restricted to that
-vertex, up to two grains: the count uniform is a multiple of 2^-53, and each
-shuffle index's probability is off by a relative error below
-(n - i)/2^64 <= 2^-55 for n <= 361, finer than the 2^-53 grain of the count.
-A batch costs one hash while m <= 7 and ceil((m + 1)/8) + 1 beyond, in
-proportion to the number of *open* edges rather than to d^k.
+``open_edges`` draws all of a tail's open out-edges, short and long, from
+its one stream (vertex v's is at ``bytes(v) + b"\\x00"``).  Word 0's uniform
+gives the short count m_s and word 1's the long count m_l by inverse-CDF
+lookup, so probability 0 or 1 is exact on every stream.  The next m_s words
+draw a uniform m_s-subset of the short edges, and the m_l words after them
+one of the long edges, by a sparse partial Fisher-Yates shuffle whose step i
+swaps in index i + ((w (n - i)) >> 64) (Lemire's multiply-shift, ACM TOMACS
+2019).  Counts and subsets together are the product-Bernoulli law of the
+tail's edges, up to two grains: a count uniform is a multiple of 2^-53, and
+each shuffle index's probability is off by a relative error below
+(n - i)/2^64 <= 2^-55 for n <= 361, finer than the counts' grain.  A draw
+hashes one block while m_s + m_l <= 6, and a further block per 8 words
+beyond, in proportion to the number of *open* edges rather than to d^k.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ from hashlib import blake2b
 
 from .errors import SEED_LIMIT, ParameterError, check_probabilities, check_seed
 from .tree import TreeParams, long_selector
-
-# the kind suffix of a vertex's stream input; vertex digits are nonzero, so
-# the zero byte ends the vertex and makes every input prefix-free
-_SHORT = b"\x00s"
-_LONG = b"\x00l"
 
 #: One block: a 64-byte digest read as 8 little-endian uint64 words.
 _BLOCK = struct.Struct("<8Q")
@@ -80,21 +77,6 @@ def _block(keyed, data: bytes, b: int) -> tuple:
     return _BLOCK.unpack(h.digest())
 
 
-def keyed_words(keyed, data: bytes, count: int) -> tuple:
-    """At least the first ``count`` words of the stream at the prefix-free
-    input ``data`` under ``keyed_hash`` state ``keyed``: whole blocks, in
-    order."""
-    words = _block(keyed, data, 0)
-    for b in range(1, (count + 7) >> 3):
-        words += _block(keyed, data, b)
-    return words
-
-
-def keyed_uniforms(keyed, data: bytes, count: int) -> list[float]:
-    """The first ``count`` uniforms in [0, 1) of the stream at ``data``."""
-    return [(w >> 11) * _GRAIN for w in keyed_words(keyed, data, count)[:count]]
-
-
 def _binomial_cdf(n: int, prob: float) -> list[float]:
     """Cumulative Bin(n, prob) table for inverse-CDF sampling."""
     cdf = []
@@ -121,24 +103,56 @@ def _binomial_cdf(n: int, prob: float) -> list[float]:
 
 
 @lru_cache(maxsize=64)
-def _oracle_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple, tuple, tuple]:
-    """The short and long binomial CDF tables, the d child digits and the
-    d^k long selectors: one build per (d, k, p, q), shared by every oracle
-    (each trial makes its own)."""
+def edge_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple]:
+    """The short and long (binomial CDF, edge table) pairs of ``open_edges``
+    on the two-range tree, whose tables are the d child digits and the d^k
+    long selectors: one build per (d, k, p, q), shared by every oracle (each
+    trial makes its own) and, for the CDFs, by the cover slab."""
+    n = params.n_long_children
     return (
-        tuple(_binomial_cdf(params.d, p)),
-        tuple(_binomial_cdf(params.n_long_children, q)),
-        tuple(range(1, params.d + 1)),
-        tuple(long_selector(i, params) for i in range(params.n_long_children)),
+        (tuple(_binomial_cdf(params.d, p)), tuple(range(1, params.d + 1))),
+        (tuple(_binomial_cdf(n, q)), tuple(long_selector(i, params) for i in range(n))),
     )
+
+
+def _subset(table: tuple, m: int, words: tuple, at: int) -> tuple:
+    """The entries of ``table`` (sorted) at a uniform m-subset of its indices,
+    shuffled by the words from ``at`` on."""
+    n = len(table)
+    if m == 0:
+        return ()
+    if m == n:
+        return table
+    # position -> index, only where a swap moved it
+    moved: dict[int, int] = {}
+    for i in range(m):
+        j = i + ((words[at + i] * (n - i)) >> 64)
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return tuple(table[i] for i in sorted(moved[i] for i in range(m)))
+
+
+def open_edges(keyed, data: bytes, short: tuple, long: tuple) -> tuple[tuple, tuple]:
+    """The open (short, long) out-edges of one tail, each a sorted tuple, from
+    the stream at the prefix-free input ``data`` under ``keyed_hash`` state
+    ``keyed``; ``short`` and ``long`` are (binomial CDF, edge table) pairs."""
+    (short_cdf, short_table), (long_cdf, long_table) = short, long
+    words = _block(keyed, data, 0)
+    # the count of CDF entries <= u: m is 0 on every stream at prob 0, n at 1
+    m_s = bisect_right(short_cdf, (words[0] >> 11) * _GRAIN)
+    m_l = bisect_right(long_cdf, (words[1] >> 11) * _GRAIN)
+    # 2 + m_s + m_l words in all: a further block once they pass 8
+    for b in range(1, (m_s + m_l + 9) >> 3):
+        words += _block(keyed, data, b)
+    return _subset(short_table, m_s, words, 2), _subset(long_table, m_l, words, 2 + m_s)
 
 
 class EdgeOracle:
     """Memoized sampler of edge statuses for one percolation realization.
 
     Short edges out of a vertex are open with probability ``p``, long edges
-    with probability ``q``.  Re-queries return the memoized batch; distinct
-    vertices use independent streams keyed by (master seed, vertex, kind).
+    with probability ``q``.  Both kinds are drawn together by ``open_edges``
+    from the vertex's stream at its first query; re-queries of either kind
+    return the memoized draw.
     """
 
     def __init__(self, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
@@ -148,43 +162,19 @@ class EdgeOracle:
         self.q = q
         self.seed = realization_seed(seed, trial)
         self._keyed = keyed_hash(self.seed)
-        self._short_cdf, self._long_cdf, self._digits, self._selectors = _oracle_tables(
-            params, p, q
-        )
-        self._short_memo: dict[tuple, tuple] = {}
-        self._long_memo: dict[tuple, tuple] = {}
+        self._short, self._long = edge_tables(params, p, q)
+        self._memo: dict[tuple, tuple] = {}
 
-    def _draw(self, v: tuple, kind: bytes, cdf: tuple, table: tuple) -> tuple:
-        """The entries of ``table`` (sorted) at a uniform subset, of size
-        drawn from ``cdf``, of its indices: the open edges of one kind."""
-        data = bytes(v) + kind
-        words = _block(self._keyed, data, 0)
-        n = len(table)
-        # the count of CDF entries <= u: m is 0 on every stream at prob 0, n at 1
-        m = bisect_right(cdf, (words[0] >> 11) * _GRAIN)
-        if m == 0:
-            return ()
-        if m == n:
-            return table
-        if m > 7:
-            words = keyed_words(self._keyed, data, m + 1)
-        # position -> index, only where a swap moved it
-        moved: dict[int, int] = {}
-        for i in range(m):
-            j = i + ((words[i + 1] * (n - i)) >> 64)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return tuple(table[i] for i in sorted(moved[i] for i in range(m)))
+    def _open(self, v: tuple) -> tuple:
+        # vertex digits are nonzero, so the zero byte ends the vertex and
+        # makes every input prefix-free
+        self._memo[v] = edges = open_edges(self._keyed, bytes(v) + b"\x00", self._short, self._long)
+        return edges
 
     def open_short_children(self, v: tuple) -> tuple:
         """Sorted tuple of child digits j with the short edge v -> v.j open."""
-        hit = self._short_memo.get(v)
-        if hit is None:
-            hit = self._short_memo[v] = self._draw(v, _SHORT, self._short_cdf, self._digits)
-        return hit
+        return (self._memo.get(v) or self._open(v))[0]
 
     def open_long_children(self, v: tuple) -> tuple:
         """Sorted tuple of selectors s in [d]^k with the long edge v -> v.s open."""
-        hit = self._long_memo.get(v)
-        if hit is None:
-            hit = self._long_memo[v] = self._draw(v, _LONG, self._long_cdf, self._selectors)
-        return hit
+        return (self._memo.get(v) or self._open(v))[1]

@@ -113,8 +113,8 @@ def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams
     increasing window order.  A low slot is set iff its vertex below the
     child is in ``a``; a top slot j is set with ``_open_prob`` of its
     parent's bit in ``a`` and the base's."""
-    if a <= 0:
-        raise ParameterError("parent window must be nonempty")
+    if not 0 < a < 1 << params.window_slots:
+        raise ParameterError(f"parent window {a} must be a nonempty set of {params.window_slots} slots")
     check_probabilities(p=p, q=q)
     if not 1 <= child <= params.d:
         raise ParameterError(f"child digit {child} outside [1, {params.d}]")

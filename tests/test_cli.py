@@ -142,8 +142,11 @@ SCIPY_FREE_RUNS = [
     *(
         ["limits", "--regime", regime, "--d", "2", "--k", "2", "--p", "0.2",
          "--q", "0.1", "--trials", "20", "--horizon", "5", "--horizon-low", "2"]
-        for regime in ("super", "sub", "critical")
+        for regime in ("super", "sub")
     ),
+    # every cluster exceeds size 0, so acceptance is certain on any stream
+    ["limits", "--regime", "critical", "--d", "2", "--k", "2", "--p", "0.2",
+     "--trials", "20", "--size-threshold", "0"],
     ["dominance", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25",
      "--delta", "0.05", "--trials", "20"],
     ["criteria", "--d", "2", "--k", "2", "--p", "0.25", "--s", "1.0", "--trials", "20"],
@@ -367,34 +370,32 @@ def test_limits_sub_regime(tmp_path):
 # percolation or to the edge stream in rng moves them.
 CRITICAL_CSV = (
     "# treeperc 0.1.0\n"
-    "# config: acceptance_rate=0.2733333333333333 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q={q} radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
+    "# config: acceptance_rate=0.31 command=limits d=2 horizon=25 horizon_low=15 k=2 p=0.2 q={q} radius=1 regime=critical seed=20240817 size_threshold=10 trials=300\n"
     "# seed: 20240817\n"
     "neighborhood_class,probability\n"
-    "22e2c3a890828f57890f0001152735b1,0.024390243902439025\n"
-    "29862a67825a096525a8286876a1d29c,0.024390243902439025\n"
-    "2d743d23e0edf74063bea6c6e2abf816,0.45121951219512196\n"
-    "4a323a974c700ac53fd693d4ce6ca9f2,0.036585365853658534\n"
-    "7fd7a2a64de15d554bb487d82fb3ad8d,0.012195121951219513\n"
-    "85eca55ecfd32074bfe202c8896891b6,0.4268292682926829\n"
-    "c8aef8c7b66d5d2b6a46d49de54acc8a,0.024390243902439025\n"
+    "29862a67825a096525a8286876a1d29c,0.010752688172043012\n"
+    "2d743d23e0edf74063bea6c6e2abf816,0.3978494623655914\n"
+    "4a323a974c700ac53fd693d4ce6ca9f2,0.03225806451612903\n"
+    "85eca55ecfd32074bfe202c8896891b6,0.44086021505376344\n"
+    "c8aef8c7b66d5d2b6a46d49de54acc8a,0.11827956989247312\n"
 )
 
 DOMINANCE_CSV = (
     "# treeperc 0.1.0\n"
-    "# config: command=dominance d=2 delta=0.05 dominates=False k=2 max_violation_sigma=4.162264888316523 p=0.2 q=0.25 seed=20240817 trials=200\n"
+    "# config: command=dominance d=2 delta=0.05 dominates=True k=2 max_violation_sigma=2.5197951509967504 p=0.2 q=0.25 seed=20240817 trials=200\n"
     "# seed: 20240817\n"
     "threshold,surv_Z,se_Z,surv_Zhat,se_Zhat,violation_sigma\n"
     "0,1.0,0.0,1.0,0.0,0.0\n"
-    "1,0.655,0.033613613313656115,0.54,0.035242020373412196,2.3613042107609887\n"
-    "2,0.525,0.035311117229563836,0.35,0.033726843908080104,3.583857795343966\n"
-    "3,0.375,0.03423265984407288,0.2,0.028284271247461905,3.9409267092970293\n"
-    "4,0.24,0.030199337741083,0.115,0.022558257911461158,3.3161340388305787\n"
-    "5,0.18,0.027166155414412252,0.05,0.015411035007422441,4.162264888316523\n"
-    "6,0.12,0.022978250586152115,0.035,0.012995191418367026,3.2198933219105728\n"
-    "7,0.065,0.017432010784760317,0.02,0.009899494936611665,2.2447450298048532\n"
-    "8,0.035,0.012995191418367026,0.015,0.008595056718835542,1.2836610876113603\n"
-    "9,0.025,0.011039701082909808,0.015,0.008595056718835542,0.7147416898918634\n"
-    "10,0.01,0.007035623639735145,0.005,0.004987484335815001,0.5797710356524484\n"
+    "1,0.71,0.03208582241426889,0.6,0.034641016151377546,2.3296407095063176\n"
+    "2,0.565,0.03505531343462785,0.44,0.03509985754956849,2.5197951509967504\n"
+    "3,0.395,0.03456696399743547,0.33,0.0332490601370926,1.355233214905313\n"
+    "4,0.295,0.03224709289222828,0.215,0.029049526674285075,1.843225009046585\n"
+    "5,0.21,0.028801041647829335,0.13,0.02378024390118823,2.141918210406663\n"
+    "6,0.13,0.02378024390118823,0.075,0.018624580532189176,1.82085767547575\n"
+    "7,0.07,0.01804161855266872,0.055,0.016120638945153507,0.6199749948461352\n"
+    "8,0.015,0.008595056718835542,0.035,0.012995191418367026,0.0\n"
+    "9,0.01,0.007035623639735145,0.015,0.008595056718835542,0.0\n"
+    "10,0.0,0.0,0.005,0.004987484335815001,0.0\n"
     "11,0.0,0.0,0.0,0.0,0.0\n"
 )
 

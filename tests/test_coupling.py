@@ -154,7 +154,7 @@ def test_explore_pinned():
             expl = explore_hat_to_C(tp, cfg)
             for part in (expl.vertices, expl.edges, expl.conflicts):
                 h.update(repr(sorted(part)).encode())
-    assert h.hexdigest() == "c2b159e5c2785996c955efa8ddb7708592c2a1c0c6c9a34680370b1b9de3318c"
+    assert h.hexdigest() == "f707c0f22886d12db485de51a8a711cfbbb13b4c58b59ab4b469269a2c30e837"
 
 
 def test_pathwise_leaf_inequality():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2, norm
 
+from treeperc import rng
 from treeperc.coupling import HatConfig
 from treeperc.errors import ParameterError
 from treeperc.rng import EdgeOracle, _binomial_cdf, derive_trial_seed
@@ -46,12 +47,66 @@ def test_oracles_share_tables():
     # oracle reads one build of them
     a = EdgeOracle(TreeParams(3, 2), 0.2, 0.05, 1, trial=1)
     b = EdgeOracle(TreeParams(3, 2), 0.2, 0.05, 2, trial=7)
-    assert a._short_cdf is b._short_cdf
-    assert a._long_cdf is b._long_cdf
-    assert a._selectors is b._selectors
-    assert list(a._long_cdf) == _binomial_cdf(9, 0.05)
-    assert len(a._selectors) == 9
-    assert EdgeOracle(TreeParams(3, 2), 0.2, 0.06, 1)._long_cdf is not a._long_cdf
+    assert a._short is b._short
+    assert a._long is b._long
+    assert list(a._long[0]) == _binomial_cdf(9, 0.05)
+    assert len(a._long[1]) == 9
+    assert EdgeOracle(TreeParams(3, 2), 0.2, 0.06, 1)._long is not a._long
+
+
+def test_cover_configs_share_tables():
+    # the cover draws on the oracle's CDFs, with long digits d+1..d+d^k in
+    # place of the selectors, one build per (d, k, p, q)
+    tp = TreeParams(3, 2)
+    a = HatConfig.random(tp, 0.2, 0.05, 1, trial=1)
+    b = HatConfig.random(tp, 0.2, 0.05, 2, trial=7)
+    assert a._short is b._short
+    assert a._long is b._long
+    oracle = EdgeOracle(tp, 0.2, 0.05, 3)
+    assert a._short is oracle._short
+    assert a._long[0] is oracle._long[0]
+    assert a._long[1] == tuple(range(4, 13))
+    assert HatConfig.random(tp, 0.2, 0.06, 1)._long is not a._long
+
+
+def _count_blocks(monkeypatch) -> list:
+    """The counter of every stream block hashed from here on."""
+    calls = []
+    block = rng._block
+
+    def counting(keyed, data, b):
+        calls.append(b)
+        return block(keyed, data, b)
+
+    monkeypatch.setattr(rng, "_block", counting)
+    return calls
+
+
+def test_one_block_per_vertex_for_both_kinds(monkeypatch):
+    # at (2,2) at most 2 + 4 edges are open, so both kinds of a vertex come
+    # from one block, hashed at the first query of either
+    calls = _count_blocks(monkeypatch)
+    for trial in range(200):
+        oracle = EdgeOracle(TP, 0.5, 0.5, 11, trial)
+        for v in ((1,), (2, 1)):
+            oracle.open_long_children(v)
+            oracle.open_short_children(v)
+            oracle.open_long_children(v)
+    assert calls == [0] * 400
+
+
+def test_cover_tail_blocks_grow_with_open_digits(monkeypatch):
+    # (19,2): 380 cover digits, one block while at most 6 are open and one
+    # more per 8 words beyond; one uniform per digit would hash 48 blocks
+    tp = TreeParams(19, 2)
+    calls = _count_blocks(monkeypatch)
+    few = set()
+    for trial in range(300):
+        before = len(calls)
+        m = len(HatConfig.random(tp, 0.1, 0.015, 12, trial).open_digits((3,)))
+        assert calls[before:] == list(range((m + 9) >> 3))
+        few.add(m <= 6)
+    assert few == {True, False}
 
 
 def test_trials_differ_and_seeds_differ():
@@ -165,14 +220,23 @@ def _assert_product_law(x: np.ndarray, probs: np.ndarray, alpha: float) -> None:
     assert worst <= z, worst
 
 
-def _long_draws(tp: TreeParams, q: float, seed: int, draws: int) -> np.ndarray:
-    """One row per trial: which long edges out of vertex (1,) are open."""
-    index = {long_selector(i, tp): i for i in range(tp.n_long_children)}
-    x = np.zeros((draws, tp.n_long_children))
+def _vertex_draws(tp: TreeParams, p: float, q: float, seed: int, draws: int) -> np.ndarray:
+    """One row per trial: which of the d short and then the d^k long edges out
+    of vertex (1,) are open."""
+    index = {long_selector(i, tp): tp.d + i for i in range(tp.n_long_children)}
+    x = np.zeros((draws, tp.d + tp.n_long_children))
     for t in range(draws):
-        for s in EdgeOracle(tp, 0.5, q, seed, trial=t).open_long_children((1,)):
+        oracle = EdgeOracle(tp, p, q, seed, trial=t)
+        for j in oracle.open_short_children((1,)):
+            x[t, j - 1] = 1.0
+        for s in oracle.open_long_children((1,)):
             x[t, index[s]] = 1.0
     return x
+
+
+def _long_draws(tp: TreeParams, q: float, seed: int, draws: int) -> np.ndarray:
+    """One row per trial: which long edges out of vertex (1,) are open."""
+    return _vertex_draws(tp, 0.5, q, seed, draws)[:, tp.d :]
 
 
 def _assert_count_law(x: np.ndarray, q: float) -> None:
@@ -184,7 +248,7 @@ def _assert_count_law(x: np.ndarray, q: float) -> None:
 
 def test_long_pattern_law_chi_square():
     # (2,3), q = 0.3: all 2^8 open-set patterns of one vertex's long edges
-    # against the product law; one block per draw
+    # against the product law; one block per draw while m_s + m_l <= 6
     tp, q, draws = TreeParams(2, 3), 0.3, 40000
     x = _long_draws(tp, q, 1901, draws)
     patterns = np.bincount((x @ (1 << np.arange(8))).astype(int), minlength=256)
@@ -197,9 +261,9 @@ def test_long_pattern_law_chi_square():
 @pytest.mark.parametrize(
     "d, k, q, seed, draws",
     [
-        # m + 1 > 8 words: every draw with 8 <= m < 16 reads a second block
+        # 2 + m_s + m_l > 8 words: nearly every draw reads a second block
         (2, 4, 0.9, 1902, 20000),
-        # n = 361 edges: about 23 blocks per draw
+        # n = 361 edges: about 24 blocks per draw
         (19, 2, 0.5, 1903, 6000),
     ],
 )
@@ -213,9 +277,9 @@ def test_long_edges_product_law_across_blocks(d, k, q, seed, draws):
 @pytest.mark.parametrize(
     "d, k, p, q, seed, draws",
     [
-        # 10 cover digits, two blocks per tail
+        # 10 cover digits, a second block when more than 6 are open
         (2, 3, 0.3, 0.6, 1904, 20000),
-        # 380 cover digits of two bytes each, 48 blocks per tail
+        # 380 cover digits of two bytes each, about 24 blocks per tail
         (19, 2, 0.4, 0.5, 1905, 3000),
     ],
 )
@@ -227,3 +291,22 @@ def test_cover_digits_product_law(d, k, p, q, seed, draws):
         for j in HatConfig.random(tp, p, q, seed, t).open_digits((1, 2)):
             x[t, j - 1] = 1.0
     _assert_product_law(x, np.array([p] * d + [q] * tp.n_long_children), ALPHA)
+
+
+@pytest.mark.parametrize(
+    "d, k, p, q, seed, draws",
+    [
+        # 10 edges, a second block on about 1.5% of draws
+        (2, 3, 0.4, 0.3, 1906, 20000),
+        # 18 edges, m_s + m_l > 6 on nearly every draw
+        (2, 4, 0.9, 0.9, 1907, 20000),
+    ],
+)
+def test_short_and_long_edges_joint_product_law(d, k, p, q, seed, draws):
+    # both kinds come from one stream: each edge open at its own probability
+    # and every short-long pair independent, as every pair within a kind
+    tp = TreeParams(d, k)
+    x = _vertex_draws(tp, p, q, seed, draws)
+    _assert_product_law(x, np.array([p] * d + [q] * tp.n_long_children), ALPHA)
+    _assert_count_law(x[:, :d], p)
+    _assert_count_law(x[:, d:], q)

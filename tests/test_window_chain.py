@@ -104,6 +104,16 @@ def test_child_dist_rejects_child_digit_outside_range(tp):
             child_window_dist(1, child, 0.3, 0.2, tp)
 
 
+@pytest.mark.parametrize("tp", [TP22, TP32])
+def test_child_dist_rejects_window_outside_slab(tp):
+    # a window is a bitmask over the slab's W slots: 0 and anything past
+    # bit W - 1 are no window
+    for a in (0, -1, 1 << tp.window_slots, 1 << 10):
+        with pytest.raises(ParameterError, match="parent window"):
+            child_window_dist(a, 1, 0.3, 0.2, tp)
+    assert child_window_dist((1 << tp.window_slots) - 1, 1, 0.3, 0.2, tp)
+
+
 # sha256 over the root-window pmf and the child-window pmfs at six windows
 # and every child digit, recorded from the nested-loop root law (its items
 # sorted, as they now come in increasing window order) and the vectorised
