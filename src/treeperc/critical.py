@@ -10,7 +10,8 @@ rests on the sign alone; only its speed depends on the estimate.  A priori
 bounds confine the search to [(1 - p d)/d^k, d^-k]: q_c lies above the
 critical curve of the dominating Bin(d, p) + Bin(d^k, q) branching process,
 and is largest at p = 0, where the model is percolation on disjoint d^k-ary
-trees.
+trees.  The certificate's two solves come first; the ends of that bracket
+are solved only where it fails, so a confirmed point costs 2 solves.
 
 rho is solved on the ancestral ray, not on windows.  In the oriented tree
 every path to a vertex runs through its ancestors, so the indicators of its
@@ -138,12 +139,14 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     priori [``branching_lower_bound``, d^-k] until it is at most ``tol``
     wide; ``bisection_width`` is its width and ``q_c`` its midpoint, rounded
     up where needed so that q_c - width/2 does not fall below the bracket.
-    rho = 1 counts as subcritical.  After the two end solves the loop probes
-    q* -/+ tol/4, q* the long-edge estimate (``_long_edge_root``), then
-    bisects; a point not strictly inside the bracket is skipped.  Where both
-    probes confirm q* that is 4 solves.  Each is a right-only Perron solve
-    (``rho_result``); ``rho_residual`` is the last one's eigen-residual and
-    ``rho_evals`` their number.
+    rho = 1 counts as subcritical.  The search first probes q* -/+ tol/4,
+    q* the long-edge estimate (``_long_edge_root``); where both probes lie
+    inside the a priori bracket and confirm q*, that is the answer, in 2
+    solves.  Otherwise it solves the two ends, reuses the probes and bisects;
+    a point not strictly inside the bracket is skipped, and no q is solved
+    twice.  Each solve is a right-only Perron solve (``rho_result``);
+    ``rho_residual`` is the last one's eigen-residual and ``rho_evals``
+    their number.
     """
     check_probabilities(p=p)
     check_tolerance(tol)
@@ -167,33 +170,41 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
             p=p, q_c=lower, lower_bound=lower, gap=0.0, rho_residual=0.0,
             bisection_width=0.0, rho_evals=0,
         )
-    evals = 0
+    results = {}  # q -> its solve: no q is solved twice
 
     def solve(q):
-        nonlocal evals
-        evals += 1
-        return rho_result(p, q, params, tol=solve_tol)
+        if q not in results:
+            results[q] = rho_result(p, q, params, tol=solve_tol)
+        return results[q]
 
-    hi = 1.0 / params.d**params.k
+    # [lo, hi] is the sign-change bracket, a priori [lower, d^-k]; at p = 0
+    # lower == hi.  The certificate probes the estimate at -/+ tol/4 first:
+    # where both lie inside the bracket and straddle the root, the end
+    # solves change nothing, and the search ends there
+    lo, hi = lower, 1.0 / params.d**params.k
+    guess = _long_edge_root(p, params) if hi - lo > tol else hi
+    probes = [guess - 0.25 * tol, guess + 0.25 * tol]
+    if lo < probes[0] and probes[1] < hi and solve(probes[0]).rho <= 1.0:
+        last = solve(probes[1])
+        if last.rho > 1.0:
+            return _bracket_point(p, lower, probes[0], probes[1], last, len(results))
     last = solve(hi)
     if last.rho - 1.0 < -10.0 * solve_tol:
         raise ConsistencyError(
             f"rho(p={p}, q=d^-k) = {last.rho} < 1: no supercritical bracket endpoint"
         )
-    # [lo, hi] is the sign-change bracket.  q_c <= d^-k a priori, so a
-    # reading of rho(d^-k) just under 1 is solve noise and counts as
-    # supercritical.  At p = 0 lower == hi.
-    lo = lower
+    # q_c <= d^-k a priori, so a reading of rho(d^-k) just under 1 is solve
+    # noise and counts as supercritical
     if lo < hi:
         last = solve(lo)
-        if last.rho > 1.0:
+        if last.rho > 1.0 and hi - lo > tol:
             # the gap above the bound is below the solve's resolution; at
-            # q = 0 rho = d p < 1 exactly, and the matrix there can be nilpotent
+            # q = 0 rho = d p < 1 exactly, and the matrix there can be
+            # nilpotent.  A bracket already within tol keeps the bound
             lo = 0.0
-    # the certificate probes the estimate at -/+ tol/4, then bisection ends
-    # the search if either probe landed on the wrong side of the root
-    guess = _long_edge_root(p, params) if hi - lo > tol else hi
-    probes = [guess - 0.25 * tol, guess + 0.25 * tol]
+    # the probes again, from memory, then bisection if either landed on the
+    # wrong side of the root; a point not strictly inside the bracket is
+    # skipped
     while hi - lo > tol:
         q = probes.pop(0) if probes else 0.5 * (lo + hi)
         if not lo < q < hi:
@@ -204,10 +215,16 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
             hi = q
         else:
             lo = q
+    return _bracket_point(p, lower, lo, hi, last, len(results))
+
+
+def _bracket_point(p, lower, lo, hi, last, evals) -> CurvePoint:
+    """The point of the final bracket [lo, hi], ``last`` its last solve:
+    q_c is the midpoint, rounded up where needed so that the printed bracket
+    q_c -/+ width/2 does not start below the real one (at a gap under tol
+    the real one starts at the bound)."""
     width = hi - lo
     q_crit = 0.5 * (lo + hi)
-    # the printed bracket q_c -/+ width/2 may not start below the real one
-    # through rounding: at a gap under tol the real one starts at the bound
     while q_crit - 0.5 * width < lo:
         q_crit = math.nextafter(q_crit, math.inf)
     return CurvePoint(

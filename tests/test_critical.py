@@ -20,6 +20,7 @@ from treeperc.errors import MIN_TOL, ConsistencyError, ParameterError
 from treeperc.spectral import SpectralResult, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
+from qc_order import qc_end_solves_first
 from window_law import window_matrix
 
 TP = TreeParams(2, 2)
@@ -117,9 +118,9 @@ def test_pencil_built_once_per_p(monkeypatch):
     monkeypatch.setattr(critical, "build_offspring_matrix", counting_build)
     critical._pencil.cache_clear()
     tp = TreeParams(2, 3)
-    # the two end solves, the long-edge estimate and its two probes share
-    # the q = 0 and q = 1 builds
-    assert qc(0.2, tp).rho_evals == 4
+    # the long-edge estimate and its two probes share the q = 0 and q = 1
+    # builds
+    assert qc(0.2, tp).rho_evals == 2
     assert sorted(q for _, q in builds) == [0.0, 1.0]
     builds.clear()
     grid = [0.05, 0.1, 0.15, 0.3, 0.45]
@@ -257,18 +258,20 @@ def test_qc_counts_rho_equal_one_as_subcritical(monkeypatch):
     half = 0.5 * point.bisection_width
     assert half <= 0.5 * tol
     assert point.q_c - half <= root < point.q_c + half
-    assert point.rho_evals == len(calls)
+    # both probes read 1, so the search falls back, and solves no q twice
+    assert point.rho_evals == len(calls) == len(set(calls)) > 2
 
 
 def test_qc_falls_back_to_zero_below_unresolved_bound(monkeypatch):
     # a solve that reads rho > 1 at the lower bound moves the bracket's lower
-    # end to q = 0, where rho = d p is known and no solve runs
+    # end to q = 0, where rho = d p is known and no solve runs; the first
+    # probe reads rho > 1, so both ends are solved
     tol = 1e-10
     lower = branching_lower_bound(0.2, TP)
     root = lower - 0.01
     calls = fake_rho(monkeypatch, lambda q: 1.0 + 4.0 * (q - root))
     point = qc(0.2, TP, tol=tol)
-    assert calls[:2] == [0.25, lower] and 0.0 not in calls
+    assert 0.25 in calls and lower in calls and 0.0 not in calls
     assert abs(point.q_c - root) <= tol
 
 
@@ -290,12 +293,12 @@ def test_qc_curve_within_benchmark_gate(curve_d2k3):
 
 
 def test_qc_curve_solves_per_point(curve_d2k3):
-    # the two end solves and the long-edge estimate's two certificate
-    # solves at every interior point, where bisection from q = 0 needed
-    # about 32; p = 0 needs one solve and p = 1/d none
+    # the long-edge estimate's two certificate solves at every interior
+    # point, where bisection from q = 0 needed about 32; p = 0 needs one
+    # solve and p = 1/d none
     for point in curve_d2k3:
         if 0.0 < point.p < 0.5 - 1e-12:
-            assert point.rho_evals == 4, point
+            assert point.rho_evals == 2, point
 
 
 def test_cold_solves_agree_with_dense_start(curve_d2k3):
@@ -322,7 +325,7 @@ def smallest_tol(d, k):
 
 def test_qc_certificate_holds():
     # the long-edge estimate's two probes confirm it wherever the root lies
-    # more than tol above the lower bound: 4 solves, and rho - 1 changes sign
+    # more than tol above the lower bound: 2 solves, and rho - 1 changes sign
     # across the reported bracket
     for d, k in [(2, 2), (2, 3), (2, 4), (3, 3), (19, 2)]:
         tp = TreeParams(d, k)
@@ -332,7 +335,7 @@ def test_qc_certificate_holds():
                 if point.gap <= tol:
                     continue
                 half = 0.5 * point.bisection_width
-                assert point.rho_evals == 4, (d, k, tol, point)
+                assert point.rho_evals == 2, (d, k, tol, point)
                 assert rho(point.p, point.q_c - half, tp) <= 1.0 < rho(point.p, point.q_c + half, tp)
 
 
@@ -348,6 +351,77 @@ def test_qc_falls_back_to_bisection(monkeypatch):
                 point = qc(p, TreeParams(d, 2), tol=tol)
                 assert abs(point.q_c - exact) <= tol
                 assert point.rho_evals > 4
+
+
+def test_qc_probes_first(monkeypatch):
+    # where the probes confirm the estimate, they are the only solves; the
+    # gaps above the bound exceed tol at these points (at (19, 2) they are
+    # 7e-8 to 1e-6)
+    calls = []
+    solve = critical.rho_result
+
+    def spy(p, q, params, tol=1e-12):
+        calls.append(q)
+        return solve(p, q, params, tol=tol)
+
+    monkeypatch.setattr(critical, "rho_result", spy)
+    for d, k in [(2, 2), (2, 4), (3, 3), (19, 2)]:
+        tp = TreeParams(d, k)
+        for p, tol in ((0.1 / d, 1e-10), (0.5 / d, 1e-8), (0.9 / d, 1e-10)):
+            calls.clear()
+            guess = critical._long_edge_root(p, tp)
+            point = qc(p, tp, tol=tol)
+            assert calls == [guess - 0.25 * tol, guess + 0.25 * tol], (d, k, p)
+            assert point.bisection_width == calls[1] - calls[0]
+
+
+def test_qc_fallback_still_checks_supercritical_end(monkeypatch):
+    # an estimate outside the bracket sends the search to the end solves,
+    # where rho(d^-k) < 1 is inconsistent with q_c <= d^-k
+    calls = fake_rho(monkeypatch, lambda q: 0.5)
+    monkeypatch.setattr(critical, "_long_edge_root", lambda p, params: 2.0)
+    with pytest.raises(ConsistencyError):
+        qc(0.2, TP)
+    assert calls == [0.25]
+
+
+@pytest.mark.parametrize("d, k", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("tol", [1e-4, 0.9])
+def test_qc_stays_in_bracket_narrower_than_tol(d, k, tol):
+    # at p = 1e-9 the a priori bracket is about 1.2e-10 wide, and the solve
+    # at its lower end reads rho > 1 from rounding: the search may not leave
+    # the bracket for q = 0 when it is already within tol
+    tp = TreeParams(d, k)
+    point = qc(1e-9, tp, tol=tol)
+    half = 0.5 * point.bisection_width
+    assert point.lower_bound <= point.q_c - half
+    assert point.q_c + half <= float(d) ** -k
+    assert 0.0 < point.gap < point.bisection_width
+
+
+def curve_bits(point):
+    """Every field of a CurvePoint but ``rho_evals``, bit for bit."""
+    fields = (point.p, point.q_c, point.lower_bound, point.gap, point.rho_residual,
+              point.bisection_width)
+    return tuple(float(x).hex() for x in fields)
+
+
+def test_qc_agrees_with_end_solves_first(curve_d2k3):
+    # solving the ends only where the probes fail changes the solve count
+    # and nothing else
+    tp = TreeParams(2, 3)
+    for point in curve_d2k3[:-1]:
+        oracle = qc_end_solves_first(point.p, tp, 1e-10)
+        assert curve_bits(point) == curve_bits(oracle), point.p
+        assert point.rho_evals <= oracle.rho_evals
+    for d, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (19, 2)]:
+        tp = TreeParams(d, k)
+        for tol in (1e-4, 1e-8, smallest_tol(d, k)):
+            for j in range(20):
+                p = j / (20 * d)
+                point, oracle = qc(p, tp, tol=tol), qc_end_solves_first(p, tp, tol)
+                assert curve_bits(point) == curve_bits(oracle), (d, k, tol, p)
+                assert point.rho_evals <= oracle.rho_evals
 
 
 def test_qc_bracket_stays_above_lower_bound(curve_d2k3):
