@@ -4,7 +4,9 @@ The cover is the (d + d^k)-ary tree: every vertex points to d "short" and
 d^k "long" children, so its cluster is the family tree of the branching
 process with offspring Bin(d, p) + Bin(d^k, q).  A digit substitution map
 sends cover vertices onto tree vertices, short digits to single digits and
-long digits to k-digit blocks.  Finite slabs on both sides are cut at image
+long digits to k-digit blocks.  Tree vertices are ``tree``'s byte strings;
+cover vertices stay tuples of ints, since cover digits run up to d + d^k,
+beyond one byte at (19, 2).  Finite slabs on both sides are cut at image
 height 2k, with leaves at image heights [2k, 3k).
 
 This module provides the substitution map, lazy slab configurations, leaf
@@ -24,7 +26,7 @@ from itertools import islice
 from .errors import SEED_LIMIT, FeasibilityError, ParameterError, check_probabilities
 from .percolation import sweep_layers
 from .rng import EdgeOracle, edge_tables, keyed_hash, open_edges, realization_seed
-from .tree import TreeParams, long_selector
+from .tree import ROOT, TreeParams, long_selector
 
 #: Violation, in combined standard errors, above which ``dominance_test``
 #: rejects dominance.
@@ -49,11 +51,11 @@ class PhiMap:
             raise ParameterError(f"digit {j} outside [1, {self.n_digits}]")
         return j > self.params.d
 
-    def phi(self, j: int) -> tuple:
-        """Image block of one cover digit."""
+    def phi(self, j: int) -> bytes:
+        """Image block of one cover digit, as tree digit bytes."""
         if self.is_long_digit(j):
             return long_selector(j - self.params.d - 1, self.params)
-        return (j,)
+        return bytes((j,))
 
 
 def leaf_band(params: TreeParams) -> tuple[int, int]:
@@ -70,10 +72,12 @@ def n_slab_leaves(params: TreeParams) -> int:
 @lru_cache(maxsize=64)
 def _cover_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple]:
     """The short and long (binomial CDF, digit table) pairs of ``open_edges``
-    on the cover: the two-range tree's, with long digits d+1..d+d^k in place
-    of the selectors; one build per (d, k, p, q)."""
-    short, (long_cdf, _selectors) = edge_tables(params, p, q)
-    return short, (long_cdf, tuple(range(params.d + 1, params.d + params.n_long_children + 1)))
+    on the cover: the two-range tree's CDFs, with the int digits 1..d and
+    d+1..d+d^k in place of the tree's digit bytes and selectors; one build
+    per (d, k, p, q)."""
+    (short_cdf, _digits), (long_cdf, _selectors) = edge_tables(params, p, q)
+    d, n = params.d, params.d + params.n_long_children
+    return (short_cdf, tuple(range(1, d + 1))), (long_cdf, tuple(range(d + 1, n + 1)))
 
 
 class HatConfig:
@@ -209,12 +213,12 @@ def explore_hat_to_C(params: TreeParams, config: HatConfig) -> HatExploration:
     phi_map = config.phi_map
     d, k = params.d, params.k
     cut = 2 * params.k
-    c_vertices = {()}
+    c_vertices = {ROOT}
     c_edges: set = set()
     explored = {()}  # cover vertices visited without conflict
     conflicts: set = set()
     # cover vertices carried as (path, image height, image vertex)
-    root = ((), 0, ())
+    root = ((), 0, ROOT)
 
     def closure(frontier, long: bool):
         """Depth-first walk from ``frontier`` over open long edges, or over

@@ -138,7 +138,8 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     A bracket across which rho(p, q) - 1 changes sign shrinks from the a
     priori [``branching_lower_bound``, d^-k] until it is at most ``tol``
     wide; ``bisection_width`` is its width and ``q_c`` its midpoint, rounded
-    up where needed so that q_c - width/2 does not fall below the bracket.
+    up where needed so that q_c - width/2 does not fall below the bracket,
+    which never starts below the bound.
     rho = 1 counts as subcritical.  The search first probes q* -/+ tol/4,
     q* the long-edge estimate (``_long_edge_root``); where both probes lie
     inside the a priori bracket and confirm q*, that is the answer, in 2
@@ -219,10 +220,13 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
 
 
 def _bracket_point(p, lower, lo, hi, last, evals) -> CurvePoint:
-    """The point of the final bracket [lo, hi], ``last`` its last solve:
-    q_c is the midpoint, rounded up where needed so that the printed bracket
-    q_c -/+ width/2 does not start below the real one (at a gap under tol
-    the real one starts at the bound)."""
+    """The point of the final bracket [lo, hi], ``last`` its last solve.
+    q_c lies above the bound a priori, so a bracket that the fall back to
+    q = 0 carried below it is cut at the bound (an end below it moves up to
+    it).  q_c is the midpoint, rounded up where needed so that the printed
+    bracket q_c -/+ width/2 does not start below the cut one."""
+    lo = max(lo, lower)
+    hi = max(hi, lo)
     width = hi - lo
     q_crit = 0.5 * (lo + hi)
     while q_crit - 0.5 * width < lo:

@@ -13,6 +13,8 @@ Every walk over the lazy edge oracle goes through one of two kernels:
   process over admissible-set shapes (``expand_admissible`` takes one step
   of it, ``criteria_eval`` two).
 
+Vertices are the byte strings of ``tree`` (``ROOT`` is ``b""``): a head is
+its tail plus the one-byte digit or k-byte selector the oracle returns.
 Closed-form expectations for the long-boundary count and the two-point short
 cluster are included for cross-checking the samplers.
 """
@@ -57,11 +59,12 @@ class LayerStats:
 class AdmissibleSet:
     """A boundary piece: its base vertex and shape relative to the base.
 
-    ``rel_type`` is a window bitmask over the base's slab; the slot-0 bit is
-    always set since the base belongs to the set.
+    ``base`` is a vertex (a byte string of digits); ``rel_type`` is a window
+    bitmask over the base's slab; the slot-0 bit is always set since the
+    base belongs to the set.
     """
 
-    base: tuple
+    base: bytes
     rel_type: int
 
     def __post_init__(self):
@@ -87,29 +90,32 @@ def sweep_layers(oracle: EdgeOracle):
     A vertex of height n is in the cluster iff its parent is and the short
     edge between them is open, or n >= k and its k-th ancestor is and the
     long edge is open.  For n = 1, 2, ... yields ``(layer, population)``:
-    the set of cluster vertices at height n and the number of cluster
-    vertices at heights [n-k+1, n].  Only those k layers are held; raises
-    ``SizeCapError`` as soon as they would hold more than
-    ``DEFAULT_CLUSTER_CAP``, while the layer is built.
+    the cluster vertices at height n, as the keys of a dict, and the number
+    of cluster vertices at heights [n-k+1, n].  A dict keeps insertion
+    order, so the walk visits vertices in the same order in every process:
+    a set of byte strings would iterate in the order of their salted hashes.
+    Only those k layers are held; raises ``SizeCapError`` as soon as they
+    would hold more than ``DEFAULT_CLUSTER_CAP``, while the layer is built.
     """
     k = oracle.params.k
-    window: list[set] = [set() for _ in range(k)]
-    window[0].add(ROOT)
+    short, long = oracle.open_short_children, oracle.open_long_children
+    window: list[dict] = [{} for _ in range(k)]
+    window[0][ROOT] = None
     population = 1
     for n in count(1):
         # the other k-1 layers stay; the height n-k one is evicted
         kept = population - len(window[n % k])
         room = DEFAULT_CLUSTER_CAP - kept  # checked once per parent vertex
-        layer: set = set()
+        layer: dict = {}
         for u in window[(n - 1) % k]:
-            for j in oracle.open_short_children(u):
-                layer.add(u + (j,))
+            for j in short(u):
+                layer[u + j] = None
             if len(layer) > room:
                 raise _cap_error(kept + len(layer))
         if n >= k:
             for u in window[n % k]:
-                for s in oracle.open_long_children(u):
-                    layer.add(u + s)
+                for s in long(u):
+                    layer[u + s] = None
                 if len(layer) > room:
                     raise _cap_error(kept + len(layer))
         window[n % k] = layer
@@ -129,9 +135,9 @@ def explore_layers(
     return LayerStats(x=x)
 
 
-def open_children(oracle: EdgeOracle, u: tuple) -> list:
+def open_children(oracle: EdgeOracle, u: bytes) -> list:
     """Heads of the open short edges, then of the open long edges, out of u."""
-    return [u + (j,) for j in oracle.open_short_children(u)] + [
+    return [u + j for j in oracle.open_short_children(u)] + [
         u + s for s in oracle.open_long_children(u)
     ]
 
@@ -223,7 +229,7 @@ def short_cluster(vertices, oracle: EdgeOracle) -> set:
     while frontier:
         u = frontier.pop()
         for j in oracle.open_short_children(u):
-            v = u + (j,)
+            v = u + j
             if v not in cluster:
                 cluster.add(v)
                 frontier.append(v)
@@ -266,10 +272,10 @@ def decompose(boundary: set, params: TreeParams) -> list[AdmissibleSet]:
     for i, u in enumerate(members):
         for j in range(i):
             w = members[j]
-            if len(w) < len(u) and u[: len(w)] == w:
+            if len(w) < len(u) and u.startswith(w):
                 if len(u) - len(w) >= params.k:
                     raise ConsistencyError(
-                        f"boundary vertices {w} and {u} are {len(u) - len(w)} "
+                        f"boundary vertices {tuple(w)} and {tuple(u)} are {len(u) - len(w)} "
                         f">= k={params.k} levels apart in the same subtree"
                     )
                 ri, rj = find(i), find(j)
@@ -284,9 +290,9 @@ def decompose(boundary: set, params: TreeParams) -> list[AdmissibleSet]:
         bits = 0
         for m in group:
             rel = m[len(base):]
-            if m[: len(base)] != base or len(rel) >= params.k:
+            if not m.startswith(base) or len(rel) >= params.k:
                 raise ConsistencyError(
-                    f"vertex {m} does not lie in the slab of base {base}"
+                    f"vertex {tuple(m)} does not lie in the slab of base {tuple(base)}"
                 )
             bits |= 1 << slot_index(rel, params)
         out.append(AdmissibleSet(base=base, rel_type=bits))

@@ -15,14 +15,17 @@ input is prefix-free (no input is a proper prefix of another), so distinct
 (w >> 11) 2^-53 in [0, 1).
 
 ``open_edges`` draws all of a tail's open out-edges, short and long, from
-its one stream (vertex v's is at ``bytes(v) + b"\\x00"``).  Word 0's uniform
-gives the short count m_s and word 1's the long count m_l by inverse-CDF
-lookup, so probability 0 or 1 is exact on every stream.  The next m_s words
-draw a uniform m_s-subset of the short edges, and the m_l words after them
-one of the long edges, by a sparse partial Fisher-Yates shuffle whose step i
-swaps in index i + ((w (n - i)) >> 64) (Lemire's multiply-shift, ACM TOMACS
-2019).  Counts and subsets together are the product-Bernoulli law of the
-tail's edges, up to two grains: a count uniform is a multiple of 2^-53, and
+its one stream (vertex v's is at ``v + b"\\x00"``, v being the byte string
+of its digits).  Word 0's uniform gives the short count m_s and word 1's the
+long count m_l by inverse-CDF lookup, so probability 0 or 1 is exact on
+every stream.  The next m_s words draw a uniform m_s-subset of the short
+edges, and the m_l words after them one of the long edges, by a sparse
+partial Fisher-Yates shuffle whose step i swaps in index
+i + ((w (n - i)) >> 64) (Lemire's multiply-shift, ACM TOMACS 2019).  A kind
+with one open edge, the common case near criticality, takes that first
+step's index (w n) >> 64 directly: the same draw, without the shuffle.
+Counts and subsets together are the product-Bernoulli law of the tail's
+edges, up to two grains: a count uniform is a multiple of 2^-53, and
 each shuffle index's probability is off by a relative error below
 (n - i)/2^64 <= 2^-55 for n <= 361, finer than the counts' grain.  A draw
 hashes one block while m_s + m_l <= 6, and a further block per 8 words
@@ -105,12 +108,13 @@ def _binomial_cdf(n: int, prob: float) -> list[float]:
 @lru_cache(maxsize=64)
 def edge_tables(params: TreeParams, p: float, q: float) -> tuple[tuple, tuple]:
     """The short and long (binomial CDF, edge table) pairs of ``open_edges``
-    on the two-range tree, whose tables are the d child digits and the d^k
-    long selectors: one build per (d, k, p, q), shared by every oracle (each
-    trial makes its own) and, for the CDFs, by the cover slab."""
+    on the two-range tree, whose tables are the d one-byte child digits and
+    the d^k k-byte long selectors, so a head is its tail plus an entry: one
+    build per (d, k, p, q), shared by every oracle (each trial makes its own)
+    and, for the CDFs, by the cover slab."""
     n = params.n_long_children
     return (
-        (tuple(_binomial_cdf(params.d, p)), tuple(range(1, params.d + 1))),
+        (tuple(_binomial_cdf(params.d, p)), tuple(bytes((j,)) for j in range(1, params.d + 1))),
         (tuple(_binomial_cdf(n, q)), tuple(long_selector(i, params) for i in range(n))),
     )
 
@@ -119,8 +123,6 @@ def _subset(table: tuple, m: int, words: tuple, at: int) -> tuple:
     """The entries of ``table`` (sorted) at a uniform m-subset of its indices,
     shuffled by the words from ``at`` on."""
     n = len(table)
-    if m == 0:
-        return ()
     if m == n:
         return table
     # position -> index, only where a swap moved it
@@ -129,6 +131,14 @@ def _subset(table: tuple, m: int, words: tuple, at: int) -> tuple:
         j = i + ((words[at + i] * (n - i)) >> 64)
         moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
     return tuple(table[i] for i in sorted(moved[i] for i in range(m)))
+
+
+def _pick(table: tuple, m: int, words: tuple, at: int) -> tuple:
+    """``_subset(table, m, words, at)``; at m = 1 the index of the shuffle's
+    first step, (w n) >> 64, picks the one entry directly."""
+    if m > 1:
+        return _subset(table, m, words, at)
+    return (table[(words[at] * len(table)) >> 64],) if m else ()
 
 
 def open_edges(keyed, data: bytes, short: tuple, long: tuple) -> tuple[tuple, tuple]:
@@ -143,7 +153,7 @@ def open_edges(keyed, data: bytes, short: tuple, long: tuple) -> tuple[tuple, tu
     # 2 + m_s + m_l words in all: a further block once they pass 8
     for b in range(1, (m_s + m_l + 9) >> 3):
         words += _block(keyed, data, b)
-    return _subset(short_table, m_s, words, 2), _subset(long_table, m_l, words, 2 + m_s)
+    return _pick(short_table, m_s, words, 2), _pick(long_table, m_l, words, 2 + m_s)
 
 
 class EdgeOracle:
@@ -163,18 +173,20 @@ class EdgeOracle:
         self.seed = realization_seed(seed, trial)
         self._keyed = keyed_hash(self.seed)
         self._short, self._long = edge_tables(params, p, q)
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[bytes, tuple] = {}
 
-    def _open(self, v: tuple) -> tuple:
+    def _open(self, v: bytes) -> tuple:
         # vertex digits are nonzero, so the zero byte ends the vertex and
         # makes every input prefix-free
-        self._memo[v] = edges = open_edges(self._keyed, bytes(v) + b"\x00", self._short, self._long)
+        self._memo[v] = edges = open_edges(self._keyed, v + b"\x00", self._short, self._long)
         return edges
 
-    def open_short_children(self, v: tuple) -> tuple:
-        """Sorted tuple of child digits j with the short edge v -> v.j open."""
+    def open_short_children(self, v: bytes) -> tuple:
+        """Sorted tuple of one-byte child digits j with the short edge
+        v -> v + j open."""
         return (self._memo.get(v) or self._open(v))[0]
 
-    def open_long_children(self, v: tuple) -> tuple:
-        """Sorted tuple of selectors s in [d]^k with the long edge v -> v.s open."""
+    def open_long_children(self, v: bytes) -> tuple:
+        """Sorted tuple of k-byte selectors s in [d]^k with the long edge
+        v -> v + s open."""
         return (self._memo.get(v) or self._open(v))[1]

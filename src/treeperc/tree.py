@@ -1,10 +1,14 @@
 """Addressing and combinatorics of the two-range oriented tree.
 
-Vertices are finite sequences over {1..d}, stored as plain tuples; the empty
-tuple is the root.  Every vertex points to its d children with short edges and
-to its d^k descendants k levels below with long edges.  The "window" of a
-vertex is the slab of its descendants fewer than k levels down; windows are
-encoded as bitmasks over a breadth-first slot order.
+Vertices are finite sequences over {1..d}, stored as byte strings, one byte
+per digit (``TreeParams`` caps d far below 256); the empty string is the
+root.  A vertex is thus its own stream input prefix for the edge oracle, and
+a set or memo key whose hash is computed once.  Every vertex points to its d
+children with short edges and to its d^k descendants k levels below with
+long edges; a child is ``v + j`` for a one-byte digit j, a long descendant
+``v + s`` for a k-byte selector s.  The "window" of a vertex is the slab of
+its descendants fewer than k levels down; windows are encoded as bitmasks
+over a breadth-first slot order.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from dataclasses import dataclass
 from .errors import OutOfSlabError, ParameterError, SizeCapError
 
 #: Largest admissible window bitmask width.  The exact window chain is
-#: exponential in this width, so larger (d, k) are rejected outright.
+#: exponential in this width, so larger (d, k) are rejected outright.  A
+#: window holds 1 + d slots at least, so the cap also keeps d <= 19 and every
+#: digit fits one byte.
 MAX_WINDOW_BITS = 20
 
-ROOT: tuple = ()
+ROOT = b""
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,16 @@ class TreeParams:
         return self.d ** (self.k - 1)
 
 
-def parent(v: tuple) -> tuple:
+def parent(v: bytes) -> bytes:
     if not v:
         raise ValueError("the root has no parent")
     return v[:-1]
 
 
-def slot_index(u: tuple, params: TreeParams) -> int:
+def slot_index(u: bytes, params: TreeParams) -> int:
     """Breadth-first slot of a window vertex: slot(o)=0, slot(u.j)=d*slot(u)+j."""
     if len(u) >= params.k:
-        raise OutOfSlabError(f"vertex {u} has height {len(u)} >= k={params.k}")
+        raise OutOfSlabError(f"vertex {tuple(u)} has height {len(u)} >= k={params.k}")
     i = 0
     for digit in u:
         if not 1 <= digit <= params.d:
@@ -74,7 +80,7 @@ def slot_index(u: tuple, params: TreeParams) -> int:
     return i
 
 
-def slot_vertex(i: int, params: TreeParams) -> tuple:
+def slot_vertex(i: int, params: TreeParams) -> bytes:
     """Inverse of :func:`slot_index`."""
     if not 0 <= i < params.window_slots:
         raise OutOfSlabError(f"slot {i} outside [0, {params.window_slots})")
@@ -82,7 +88,7 @@ def slot_vertex(i: int, params: TreeParams) -> tuple:
     while i > 0:
         digits.append((i - 1) % params.d + 1)
         i = (i - 1) // params.d
-    return tuple(reversed(digits))
+    return bytes(reversed(digits))
 
 
 def slot_height(i: int, params: TreeParams) -> int:
@@ -109,18 +115,19 @@ def window_height(bits: int, params: TreeParams) -> int:
     return slot_height(bits.bit_length() - 1, params)
 
 
-def window_vertices(bits: int, params: TreeParams) -> list[tuple]:
+def window_vertices(bits: int, params: TreeParams) -> list[bytes]:
     """Window bitmask as a list of (relative) vertex paths, slot order."""
     return [slot_vertex(i, params) for i in range(params.window_slots) if bits >> i & 1]
 
 
-def long_selector(index: int, params: TreeParams) -> tuple:
-    """The index-th element of [d]^k in lexicographic order (0-based index)."""
+def long_selector(index: int, params: TreeParams) -> bytes:
+    """The index-th element of [d]^k in lexicographic order (0-based index),
+    as the k-byte string a long edge appends to its tail."""
     if not 0 <= index < params.n_long_children:
         raise ValueError(f"long selector index {index} outside [0, {params.n_long_children})")
     digits = []
     for _ in range(params.k):
         digits.append(index % params.d + 1)
         index //= params.d
-    return tuple(reversed(digits))
+    return bytes(reversed(digits))
 

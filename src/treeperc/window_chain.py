@@ -120,7 +120,7 @@ def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams
         raise ParameterError(f"child digit {child} outside [1, {params.d}]")
 
     def bit(u):  # whether vertex u below the child is in the parent window
-        return a >> slot_index((child,) + u, params) & 1
+        return a >> slot_index(bytes((child,)) + u, params) & 1
 
     base = params.top_slot_base
     low = sum(bit(slot_vertex(j, params)) << j for j in range(base))

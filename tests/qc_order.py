@@ -6,7 +6,8 @@ bisects, as ``critical.qc`` did before it probed first.  It solves on
 ``critical.rho_result`` and estimates on ``critical._long_edge_root``, so
 ``qc``'s answer can be checked against it field by field: only the number
 of solves may differ.  It resets the bracket's lower end to 0 only while
-the a priori bracket is wider than tol, as ``qc`` does.
+the a priori bracket is wider than tol, and cuts the final bracket at the
+bound, as ``qc`` does.
 """
 
 import math
@@ -48,6 +49,8 @@ def qc_end_solves_first(p, params, tol):
             hi = q
         else:
             lo = q
+    lo = max(lo, lower)
+    hi = max(hi, lo)
     width = hi - lo
     q_crit = 0.5 * (lo + hi)
     while q_crit - 0.5 * width < lo:

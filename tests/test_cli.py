@@ -116,6 +116,55 @@ def test_matrix_byte_identical_across_blas_threads(tmp_path, d, k, p, q):
     assert len(outputs[0].splitlines()) == 3 + 1
 
 
+HASH_SEED_RUNS = {
+    "survival": ["survival", "--method", "direct", "--d", "2", "--k", "3", "--p", "0.2",
+                 "--q", "0.0861", "--depth", "60", "--trials", "300"],
+    "dominance": ["dominance", "--d", "2", "--k", "3", "--p", "0.3", "--q", "0.1",
+                  "--delta", "0.02", "--trials", "200"],
+    "limits": ["limits", "--regime", "critical", "--d", "2", "--k", "3", "--p", "0.2",
+               "--trials", "200", "--size-threshold", "8", "--radius", "2"],
+    "criteria": ["criteria", "--d", "2", "--k", "3", "--p", "0.3", "--s", "1.0",
+                 "--trials", "300"],
+}
+
+# the sweep's cap message counts the layer as far as it got, so it shows the
+# order in which the sweep visits a layer's vertices
+CAP_MESSAGES = """
+import treeperc.percolation as P
+from treeperc.tree import TreeParams
+P.DEFAULT_CLUSTER_CAP = 300
+tp, perc = TreeParams(2, 3), P.PercParams(0.8, 0.5)
+for trial in range(8):
+    try:
+        P.explore_layers(tp, perc, P.make_oracle(tp, perc, 1, trial), 40)
+    except P.SizeCapError as exc:
+        print(exc)
+"""
+
+
+def test_outputs_byte_identical_across_hash_seeds(tmp_path):
+    # tree vertices are byte strings, whose hashes Python salts per process;
+    # no output, nor the order of a sweep, may depend on the salt
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        for name, argv in HASH_SEED_RUNS.items():
+            out = tmp_path / f"{name}_{hash_seed}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "treeperc.cli", *argv, "--out", str(out)],
+                check=True,
+                env=env,
+            )
+            outputs.setdefault(name, []).append(out.read_bytes())
+        cap = subprocess.run(
+            [sys.executable, "-c", CAP_MESSAGES], check=True, env=env, capture_output=True
+        )
+        outputs.setdefault("cap", []).append(cap.stdout)
+    for name, (first, second) in outputs.items():
+        assert first == second, name
+    assert len(outputs["cap"][0].splitlines()) == 8
+
+
 def test_cli_import_loads_no_scipy_or_networkx():
     # scipy is a test dependency only, and networkx is imported by the one
     # sampler that needs it

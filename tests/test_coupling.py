@@ -38,7 +38,7 @@ def test_phi_round_trip_and_height(vhat):
     # phi is injective, so a block decodes to the one cover digit it came from
     inverse = {pm.phi(j): j for j in range(1, pm.n_digits + 1)}
     assert len(inverse) == pm.n_digits
-    img = sum((pm.phi(j) for j in vhat), ())
+    img = b"".join(pm.phi(j) for j in vhat)
     # blocks have length 1 (short) or k (long); decode blockwise and compare
     decoded = []
     pos = 0
@@ -71,7 +71,8 @@ def test_phi_long_order_is_lexicographic():
         pm = PhiMap(tp)
         blocks = [pm.phi(j) for j in range(1, pm.n_digits + 1)]
         digits = range(1, tp.d + 1)
-        assert blocks == [(j,) for j in digits] + list(itertools.product(digits, repeat=tp.k))
+        selectors = itertools.product(digits, repeat=tp.k)
+        assert blocks == [bytes((j,)) for j in digits] + [bytes(s) for s in selectors]
 
 
 def test_leaf_band_and_count():
@@ -108,7 +109,7 @@ def test_omega_bar_leaf_counts():
     expl = explore_hat_to_C(TP, cfg)
     assert expl.leaf_count(TP) == 0
     # the constructed subgraph is the short-reachable ball of height <= k
-    assert expl.vertices == {v for v in _short_ball(TP.d, TP.k)}
+    assert expl.vertices == {bytes(v) for v in _short_ball(TP.d, TP.k)}
     # every open long edge from the explored part hits a conflict
     assert expl.conflicts
     for v in expl.conflicts:
@@ -127,7 +128,7 @@ def _short_ball(d, k):
 def test_explore_all_closed():
     cfg = HatConfig.from_rule(TP, lambda tail, digit: False)
     expl = explore_hat_to_C(TP, cfg)
-    assert expl.vertices == {()}
+    assert expl.vertices == {b""}
     assert expl.edges == set() and expl.conflicts == set()
 
 
@@ -142,7 +143,8 @@ def test_explore_image_heights_within_slab():
 
 
 def test_explore_pinned():
-    # sha256 of the sorted output over fixed configurations
+    # sha256 of the sorted output over fixed configurations; tree vertices
+    # are hashed as digit tuples, cover vertices are tuples already
     h = hashlib.sha256()
     for tp in (TP, TreeParams(2, 3), TreeParams(3, 2)):
         configs = [omega_bar(tp)] + [
@@ -152,7 +154,9 @@ def test_explore_pinned():
         ]
         for cfg in configs:
             expl = explore_hat_to_C(tp, cfg)
-            for part in (expl.vertices, expl.edges, expl.conflicts):
+            vertices = {tuple(v) for v in expl.vertices}
+            edges = {(tuple(tail), tuple(head)) for tail, head in expl.edges}
+            for part in (vertices, edges, expl.conflicts):
                 h.update(repr(sorted(part)).encode())
     assert h.hexdigest() == "f707c0f22886d12db485de51a8a711cfbbb13b4c58b59ab4b469269a2c30e837"
 

@@ -272,7 +272,10 @@ def test_qc_falls_back_to_zero_below_unresolved_bound(monkeypatch):
     calls = fake_rho(monkeypatch, lambda q: 1.0 + 4.0 * (q - root))
     point = qc(0.2, TP, tol=tol)
     assert 0.25 in calls and lower in calls and 0.0 not in calls
-    assert abs(point.q_c - root) <= tol
+    # the bisection closes on the stand-in's root, below the bound; q_c lies
+    # above the bound a priori, so the reported bracket is cut there
+    assert any(abs(q - root) <= tol for q in calls)
+    assert point.q_c == point.lower_bound == lower and point.bisection_width == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +431,17 @@ def test_qc_bracket_stays_above_lower_bound(curve_d2k3):
     for point in curve_d2k3:
         if point.p < 0.5 - 1e-12:
             assert point.q_c - 0.5 * point.bisection_width >= point.lower_bound
+
+
+@pytest.mark.parametrize("d, k", [(2, 4), (3, 3)])
+def test_qc_bracket_not_below_bound_when_a_priori_bracket_exceeds_tol(d, k):
+    # at p = 1e-9 the a priori bracket is about 1.2e-10 wide, above tol, and
+    # the solve at its lower end reads rho > 1 from rounding; the bisection
+    # below the bound that follows may not move the reported bracket there
+    point = qc(1e-9, TreeParams(d, k), tol=1e-10)
+    assert point.gap >= 0.0
+    assert point.q_c - 0.5 * point.bisection_width >= point.lower_bound
+    assert point.q_c + 0.5 * point.bisection_width <= float(d) ** -k
 
 
 def test_qc_rejects_tolerance_below_floor():

@@ -83,7 +83,7 @@ def test_long_boundary_trivial():
     oracle = make_oracle(TP, PercParams(0.5, 0.0), 3)
     assert long_boundary({ROOT}, oracle) == set()
     oracle = make_oracle(TP, PercParams(0.0, 1.0), 3)
-    assert long_boundary({ROOT}, oracle) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert long_boundary({ROOT}, oracle) == {b"\x01\x01", b"\x01\x02", b"\x02\x01", b"\x02\x02"}
 
 
 def test_long_boundary_mean_matches_formula():
@@ -119,30 +119,31 @@ def test_pair_cluster_mean_matches_formula():
     tot = 0
     for t in range(trials):
         oracle = make_oracle(TP, perc, 29, t)
-        tot += len(short_cluster({ROOT, (1,)}, oracle))
+        tot += len(short_cluster({ROOT, b"\x01"}, oracle))
     expect = exact_mean_short_cluster_pair(0b011, perc, TP)
     assert abs(tot / trials - expect) < 0.08
 
 
 def test_decompose_examples():
     assert decompose(set(), TP) == []
-    single = decompose({(1, 2)}, TP)
-    assert single == [AdmissibleSet(base=(1, 2), rel_type=1)]
-    two = decompose({(1, 1), (1, 1, 2), (2, 2, 1)}, TP)
+    single = decompose({b"\x01\x02"}, TP)
+    assert single == [AdmissibleSet(base=b"\x01\x02", rel_type=1)]
+    two = decompose({b"\x01\x01", b"\x01\x01\x02", b"\x02\x02\x01"}, TP)
     assert len(two) == 2
     by_base = {b.base: b for b in two}
-    assert by_base[(1, 1)].rel_type == 0b001 | (1 << 2)  # base and child 2
-    assert by_base[(2, 2, 1)].rel_type == 1
+    assert by_base[b"\x01\x01"].rel_type == 0b001 | (1 << 2)  # base and child 2
+    assert by_base[b"\x02\x02\x01"].rel_type == 1
 
 
 def test_decompose_rejects_bad_geometry():
-    with pytest.raises(ConsistencyError):
-        decompose({(1,), (1, 2, 1)}, TP)  # k levels apart in one subtree
+    # k levels apart in one subtree; the message shows the vertices' digits
+    with pytest.raises(ConsistencyError, match=r"\(1,\) and \(1, 2, 1\) are 2 >= k=2"):
+        decompose({b"\x01", b"\x01\x02\x01"}, TP)
 
 
 def test_admissible_set_requires_base():
     with pytest.raises(ConsistencyError):
-        AdmissibleSet(base=(1,), rel_type=0b010)
+        AdmissibleSet(base=b"\x01", rel_type=0b010)
 
 
 def test_boundary_geometry_pathwise():
@@ -189,7 +190,7 @@ def test_disjoint_union_matches_direct_cluster():
             u = dq.popleft()
             g = best[u]
             for j in oracle.open_short_children(u):
-                v = u + (j,)
+                v = u + j
                 if best.get(v, gens + 1) > g:
                     best[v] = g
                     dq.append(v)
@@ -235,7 +236,7 @@ def test_fkg_pair_survival():
         alive1 = _alive(o1, {ROOT}, depth)
         single_dead += not alive1
         o2 = make_oracle(TP, perc, 62, t)
-        alive2 = _alive(o2, {ROOT, (1,)}, depth)
+        alive2 = _alive(o2, {ROOT, b"\x01"}, depth)
         pair_dead += not alive2
     ps, pp = single_dead / trials, pair_dead / trials
     se = 3 * math.sqrt(2.0 / trials)
@@ -252,7 +253,7 @@ def _alive(oracle, start, depth):
         layer = set()
         for u in window[(n - 1) % k]:
             for j in oracle.open_short_children(u):
-                layer.add(u + (j,))
+                layer.add(u + j)
         for u in window[n % k]:
             for s in oracle.open_long_children(u):
                 layer.add(u + s)
@@ -309,7 +310,7 @@ def test_conditioned_sample_unconditioned_radius1():
     assert rate == 1.0
     assert abs(sum(pmf.values()) - 1.0) < 1e-12
     # the class of the isolated root has probability (1-p)^2 (1-q)^4
-    isolated = _neighborhood_hash({()}, [], 1)
+    isolated = _neighborhood_hash({ROOT}, [], 1)
     expect = (1 - p) ** 2 * (1 - q) ** 4
     se = math.sqrt(expect * (1 - expect) / 4000)
     assert abs(pmf[isolated] - expect) < 4 * se
@@ -370,7 +371,7 @@ def reference_reach(oracle, expand_below=None, stop_above=None):
         u = stack.pop()
         if expand_below is not None and len(u) >= expand_below:
             continue
-        heads = [u + (j,) for j in oracle.open_short_children(u)]
+        heads = [u + j for j in oracle.open_short_children(u)]
         heads += [u + s for s in oracle.open_long_children(u)]
         for v in heads:
             if v not in cluster:

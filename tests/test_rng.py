@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,13 +34,13 @@ def test_probability_validation():
 def test_memoized_and_order_independent():
     a = EdgeOracle(TP, 0.4, 0.3, 99)
     b = EdgeOracle(TP, 0.4, 0.3, 99)
-    verts = [(), (1,), (2, 2), (1, 2, 1)]
+    verts = [b"", b"\x01", b"\x02\x02", b"\x01\x02\x01"]
     # query in opposite orders
     fwd = [(a.open_short_children(v), a.open_long_children(v)) for v in verts]
     rev = [(b.open_long_children(v), b.open_short_children(v)) for v in reversed(verts)]
     rev = [(s, l) for l, s in reversed(rev)]
     assert fwd == rev
-    assert a.open_short_children(()) is a.open_short_children(())
+    assert a.open_short_children(b"") is a.open_short_children(b"")
 
 
 def test_oracles_share_tables():
@@ -55,15 +56,17 @@ def test_oracles_share_tables():
 
 
 def test_cover_configs_share_tables():
-    # the cover draws on the oracle's CDFs, with long digits d+1..d+d^k in
-    # place of the selectors, one build per (d, k, p, q)
+    # the cover draws on the oracle's CDFs, with int digits 1..d and
+    # d+1..d+d^k in place of the digit bytes and selectors, one build per
+    # (d, k, p, q)
     tp = TreeParams(3, 2)
     a = HatConfig.random(tp, 0.2, 0.05, 1, trial=1)
     b = HatConfig.random(tp, 0.2, 0.05, 2, trial=7)
     assert a._short is b._short
     assert a._long is b._long
     oracle = EdgeOracle(tp, 0.2, 0.05, 3)
-    assert a._short is oracle._short
+    assert a._short[0] is oracle._short[0]
+    assert a._short[1] == (1, 2, 3)
     assert a._long[0] is oracle._long[0]
     assert a._long[1] == tuple(range(4, 13))
     assert HatConfig.random(tp, 0.2, 0.06, 1)._long is not a._long
@@ -88,11 +91,28 @@ def test_one_block_per_vertex_for_both_kinds(monkeypatch):
     calls = _count_blocks(monkeypatch)
     for trial in range(200):
         oracle = EdgeOracle(TP, 0.5, 0.5, 11, trial)
-        for v in ((1,), (2, 1)):
+        for v in (b"\x01", b"\x02\x01"):
             oracle.open_long_children(v)
             oracle.open_short_children(v)
             oracle.open_long_children(v)
     assert calls == [0] * 400
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 361])
+def test_one_edge_pick_is_the_shuffle_first_step(n):
+    # one open edge of a kind is picked by the index of the shuffle's first
+    # step alone: the same entry as the shuffle's, for random words at every
+    # offset and for the words at the ends of each index's range
+    table = tuple(range(1000, 1000 + n))
+    gen = random.Random(n)
+    words = [gen.getrandbits(64) for _ in range(20000)]
+    words += [0, 2**64 - 1] + [(i * 2**64) // n + e for i in range(1, n) for e in (-1, 0)]
+    words += [0] * (-len(words) % 8)
+    for start in range(0, len(words), 8):
+        block = tuple(words[start : start + 8])
+        for at in range(8):
+            assert rng._pick(table, 1, block, at) == rng._subset(table, 1, block, at)
+    assert rng._pick(table, 0, block, 0) == rng._subset(table, 0, block, 0) == ()
 
 
 def test_cover_tail_blocks_grow_with_open_digits(monkeypatch):
@@ -112,21 +132,21 @@ def test_cover_tail_blocks_grow_with_open_digits(monkeypatch):
 def test_trials_differ_and_seeds_differ():
     base = EdgeOracle(TP, 0.5, 0.5, 7, trial=0)
     samples = {
-        (EdgeOracle(TP, 0.5, 0.5, 7, trial=t).open_short_children(()),
-         EdgeOracle(TP, 0.5, 0.5, 7, trial=t).open_long_children(()))
+        (EdgeOracle(TP, 0.5, 0.5, 7, trial=t).open_short_children(b""),
+         EdgeOracle(TP, 0.5, 0.5, 7, trial=t).open_long_children(b""))
         for t in range(64)
     }
     assert len(samples) > 1
-    assert base.open_short_children(()) == EdgeOracle(TP, 0.5, 0.5, 7).open_short_children(())
+    assert base.open_short_children(b"") == EdgeOracle(TP, 0.5, 0.5, 7).open_short_children(b"")
 
 
 def test_membership_wrappers():
     o = EdgeOracle(TP, 1.0, 1.0, 5)
-    assert o.open_short_children(()) == (1, 2)
-    assert (2, 2) in o.open_long_children((1,))
+    assert o.open_short_children(b"") == (b"\x01", b"\x02")
+    assert b"\x02\x02" in o.open_long_children(b"\x01")
     closed = EdgeOracle(TP, 0.0, 0.0, 5)
-    assert closed.open_short_children(()) == ()
-    assert closed.open_long_children(()) == ()
+    assert closed.open_short_children(b"") == ()
+    assert closed.open_long_children(b"") == ()
 
 
 def test_edge_marginals_match_product_law():
@@ -138,13 +158,13 @@ def test_edge_marginals_match_product_law():
     pair_count = 0
     for t in range(n):
         o = EdgeOracle(TP, p, q, 2024, trial=t)
-        s = o.open_short_children((1,))
-        l = o.open_long_children((1,))
+        s = o.open_short_children(b"\x01")
+        l = o.open_long_children(b"\x01")
         for j in s:
-            short_counts[j - 1] += 1
+            short_counts[j[0] - 1] += 1
         for sel in l:
             long_counts[(sel[0] - 1) * 2 + sel[1] - 1] += 1
-        if 1 in s and 2 in s:
+        if b"\x01" in s and b"\x02" in s:
             pair_count += 1
     for c in short_counts:
         assert abs(c / n - p) < 4 * math.sqrt(p * (1 - p) / n)
@@ -177,8 +197,8 @@ def test_certain_and_impossible_edges():
     tp = TreeParams(2, 4)
     every = tuple(long_selector(i, tp) for i in range(tp.n_long_children))
     for trial in range(2000):
-        assert EdgeOracle(tp, 1.0, 1.0, 3, trial).open_long_children((1,)) == every
-        assert EdgeOracle(tp, 0.0, 0.0, 3, trial).open_short_children((1,)) == ()
+        assert EdgeOracle(tp, 1.0, 1.0, 3, trial).open_long_children(b"\x01") == every
+        assert EdgeOracle(tp, 0.0, 0.0, 3, trial).open_short_children(b"\x01") == ()
 
 
 # The law tests below draw from fixed seeds chosen before the tests were first
@@ -227,9 +247,9 @@ def _vertex_draws(tp: TreeParams, p: float, q: float, seed: int, draws: int) -> 
     x = np.zeros((draws, tp.d + tp.n_long_children))
     for t in range(draws):
         oracle = EdgeOracle(tp, p, q, seed, trial=t)
-        for j in oracle.open_short_children((1,)):
-            x[t, j - 1] = 1.0
-        for s in oracle.open_long_children((1,)):
+        for j in oracle.open_short_children(b"\x01"):
+            x[t, j[0] - 1] = 1.0
+        for s in oracle.open_long_children(b"\x01"):
             x[t, index[s]] = 1.0
     return x
 

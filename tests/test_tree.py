@@ -36,9 +36,23 @@ def test_params_counts():
 
 
 def test_basic_addressing():
-    assert parent((1, 2)) == (1,)
+    assert parent(b"\x01\x02") == b"\x01"
     with pytest.raises(ValueError):
-        parent(())
+        parent(b"")
+
+
+def test_digits_fit_one_byte():
+    # a vertex stores one digit per byte: every (d, k) under the width cap
+    # has d <= 255, since a window holds the root and its d children
+    accepted = []
+    for d in range(2, 300):
+        for k in range(2, 12):
+            try:
+                accepted.append(TreeParams(d, k))
+            except SizeCapError:
+                pass
+    assert TreeParams(19, 2) in accepted
+    assert all(tp.d <= 255 for tp in accepted)
 
 
 params_strategy = st.sampled_from([TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 2), TreeParams(2, 4)])
@@ -47,7 +61,7 @@ params_strategy = st.sampled_from([TreeParams(2, 2), TreeParams(2, 3), TreeParam
 @given(params_strategy, st.data())
 def test_slot_round_trip(tp, data):
     h = data.draw(st.integers(0, tp.k - 1))
-    v = tuple(data.draw(st.integers(1, tp.d)) for _ in range(h))
+    v = bytes(data.draw(st.integers(1, tp.d)) for _ in range(h))
     i = slot_index(v, tp)
     assert slot_vertex(i, tp) == v
     assert slot_height(i, tp) == h
@@ -69,15 +83,16 @@ def test_long_selector_round_trip(tp, data):
 def test_long_selector_order_is_lexicographic():
     for tp in (TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 2)):
         sels = [long_selector(i, tp) for i in range(tp.n_long_children)]
-        assert sels == list(itertools.product(range(1, tp.d + 1), repeat=tp.k))
+        assert sels == [bytes(s) for s in itertools.product(range(1, tp.d + 1), repeat=tp.k)]
         with pytest.raises(ValueError):
             long_selector(tp.n_long_children, tp)
 
 
 def test_slot_rejects_out_of_slab():
     tp = TreeParams(2, 2)
-    with pytest.raises(OutOfSlabError):
-        slot_index((1, 1), tp)
+    # the message shows the vertex's digits, not a bytes repr
+    with pytest.raises(OutOfSlabError, match=r"vertex \(1, 1\) has height 2"):
+        slot_index(b"\x01\x01", tp)
     with pytest.raises(OutOfSlabError):
         slot_vertex(3, tp)
 

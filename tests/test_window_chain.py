@@ -156,21 +156,21 @@ def test_transition_rule_against_direct_slab_percolation():
     for t in range(trials):
         oracle = make_oracle(tp, PercParams(p, q), 4242, t)
         layers = explore_layers(tp, PercParams(p, q), oracle, 2)
-        cluster = {()}
+        cluster = {b""}
         # rebuild the cluster set from scratch for heights <= 2
-        for u in [()]:
+        for u in [b""]:
             for j in oracle.open_short_children(u):
-                cluster.add((j,))
-        for u in [(1,), (2,)]:
+                cluster.add(j)
+        for u in [b"\x01", b"\x02"]:
             if u in cluster:
                 for j in oracle.open_short_children(u):
-                    cluster.add(u + (j,))
-        for s in oracle.open_long_children(()):
+                    cluster.add(u + j)
+        for s in oracle.open_long_children(b""):
             cluster.add(s)
         for i in (1, 2):
-            w = 1 if (i,) in cluster else 0
+            w = 1 if bytes((i,)) in cluster else 0
             for j in (1, 2):
-                if (i, j) in cluster:
+                if bytes((i, j)) in cluster:
                     w |= 1 << slot_index((j,), tp)
             counts[i][w] = counts[i].get(w, 0) + 1
         assert layers.x[0] == 1
@@ -793,14 +793,15 @@ def test_mean_x1_matches_direct_exploration():
 
 def swap_subtrees(tp, at, a, b):
     """The window map of the slab automorphism that swaps the subtrees below
-    children ``at + (a,)`` and ``at + (b,)``, as an array over all windows."""
+    children ``at + bytes((a,))`` and ``at + bytes((b,))``, as an array over
+    all windows."""
     windows = np.arange(1 << tp.window_slots, dtype=np.int64)
     image = np.zeros_like(windows)
     h = len(at)
     for s in range(tp.window_slots):
         v = slot_vertex(s, tp)
         if len(v) > h and v[:h] == at and v[h] in (a, b):
-            v = v[:h] + (a + b - v[h],) + v[h + 1 :]
+            v = v[:h] + bytes((a + b - v[h],)) + v[h + 1 :]
         image |= (windows >> s & 1) << slot_index(v, tp)
     return image
 
@@ -831,8 +832,8 @@ def test_window_orbit_counts(d, k, nonempty):
 @pytest.mark.parametrize("tp", [TP23, TreeParams(2, 4)])
 def test_window_orbits_invariant_under_swaps(tp):
     orbit, _ = window_orbits(tp)
-    root_swap = swap_subtrees(tp, (), 1, 2)
-    depth1_swap = swap_subtrees(tp, (1,), 1, 2)
+    root_swap = swap_subtrees(tp, b"", 1, 2)
+    depth1_swap = swap_subtrees(tp, b"\x01", 1, 2)
     assert (orbit[root_swap] == orbit).all()
     assert (orbit[depth1_swap] == orbit).all()
     # both move windows: {(1,)} to {(2,)}, and {(1,1)} to {(1,2)}

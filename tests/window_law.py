@@ -24,14 +24,14 @@ def _child_slot_maps(params: TreeParams):
     for i in range(1, d + 1):
         low_targets.append(
             np.array(
-                [slot_index((i,) + slot_vertex(j, params), params) for j in range(base)],
+                [slot_index(bytes((i,)) + slot_vertex(j, params), params) for j in range(base)],
                 dtype=np.int64,
             )
         )
         top_sources.append(
             np.array(
                 [
-                    slot_index((i,) + parent(slot_vertex(base + u, params)), params)
+                    slot_index(bytes((i,)) + parent(slot_vertex(base + u, params)), params)
                     for u in range(t)
                 ],
                 dtype=np.int64,
