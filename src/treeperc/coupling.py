@@ -90,7 +90,6 @@ class HatConfig:
     """
 
     def __init__(self, params: TreeParams, rule=None, p=None, q=None, seed=None, trial=0):
-        self.params = params
         self.phi_map = PhiMap(params)
         self._rule = rule
         self._memo: dict[tuple, tuple] = {}
@@ -211,38 +210,36 @@ def explore_hat_to_C(params: TreeParams, config: HatConfig) -> HatExploration:
     be at most the cover cluster's.
     """
     phi_map = config.phi_map
-    d, k = params.d, params.k
+    d = params.d
     cut = 2 * params.k
     c_vertices = {ROOT}
     c_edges: set = set()
-    explored = {()}  # cover vertices visited without conflict
     conflicts: set = set()
-    # cover vertices carried as (path, image height, image vertex)
-    root = ((), 0, ROOT)
+    # cover vertices carried as (path, image vertex)
+    root = ((), ROOT)
 
     def closure(frontier, long: bool):
         """Depth-first walk from ``frontier`` over open long edges, or over
-        open short edges; returns the cover vertices it added."""
+        open short edges; returns the cover vertices it added.  The cover is
+        a tree, the frontiers are disjoint and each closure follows one edge
+        kind, so no cover vertex is reached twice."""
         added = []
         stack = list(frontier)
         while stack:
-            u, w, img = stack.pop()
-            if w >= cut:
+            u, img = stack.pop()
+            if len(img) >= cut:
                 continue
             for j in config.open_digits(u):
                 if (j > d) != long:
                     continue
                 v = u + (j,)
-                if v in explored or v in conflicts:
-                    continue
                 head_img = img + phi_map.phi(j)
                 c_edges.add((img, head_img))
                 if head_img in c_vertices:
                     conflicts.add(v)
                     continue
                 c_vertices.add(head_img)
-                explored.add(v)
-                node = (v, w + (k if long else 1), head_img)
+                node = (v, head_img)
                 added.append(node)
                 stack.append(node)
         return added
@@ -341,8 +338,6 @@ class DominanceReport:
     rows: list
     max_violation_sigma: float
     dominates: bool
-    trials: int
-    delta: float
 
 
 def dominance_test(
@@ -398,6 +393,4 @@ def dominance_test(
         rows=rows,
         max_violation_sigma=worst,
         dominates=worst <= SIGMA_LIMIT,
-        trials=trials,
-        delta=delta,
     )

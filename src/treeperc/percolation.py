@@ -254,49 +254,24 @@ def long_boundary(cluster: set, oracle: EdgeOracle) -> set:
 def decompose(boundary: set, params: TreeParams) -> list[AdmissibleSet]:
     """Split a long boundary into admissible sets.
 
-    Two boundary vertices are grouped when one is a strict prefix of the
-    other fewer than k levels up (union-find closure of that relation); each
-    group's base is its unique shortest member.
+    A boundary vertex joins the set based at its shortest boundary prefix, or
+    bases its own set if it has none; it must lie fewer than k levels below
+    that base.  Two vertices share a base exactly when a chain of boundary
+    prefix relations links them: a boundary prefix of a base would be a
+    shorter boundary prefix of every vertex in its set.
     """
-    if not boundary:
-        return []
-    members = sorted(boundary, key=len)
-    parent_idx = list(range(len(members)))
-
-    def find(i):
-        while parent_idx[i] != i:
-            parent_idx[i] = parent_idx[parent_idx[i]]
-            i = parent_idx[i]
-        return i
-
-    for i, u in enumerate(members):
-        for j in range(i):
-            w = members[j]
-            if len(w) < len(u) and u.startswith(w):
-                if len(u) - len(w) >= params.k:
-                    raise ConsistencyError(
-                        f"boundary vertices {tuple(w)} and {tuple(u)} are {len(u) - len(w)} "
-                        f">= k={params.k} levels apart in the same subtree"
-                    )
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent_idx[ri] = rj
-    groups: dict[int, list] = {}
-    for i in range(len(members)):
-        groups.setdefault(find(i), []).append(members[i])
-    out = []
-    for group in groups.values():
-        base = min(group, key=len)
-        bits = 0
-        for m in group:
-            rel = m[len(base):]
-            if not m.startswith(base) or len(rel) >= params.k:
-                raise ConsistencyError(
-                    f"vertex {tuple(m)} does not lie in the slab of base {tuple(base)}"
-                )
-            bits |= 1 << slot_index(rel, params)
-        out.append(AdmissibleSet(base=base, rel_type=bits))
-    return sorted(out, key=lambda b: b.base)
+    bits: dict[bytes, int] = {}
+    # by (height, digits): every base is in ``bits`` before the vertices above
+    # it, and the first violation raised does not depend on set order
+    for u in sorted(boundary, key=lambda v: (len(v), v)):
+        base = next((u[:h] for h in range(len(u)) if u[:h] in bits), u)
+        if len(u) - len(base) >= params.k:
+            raise ConsistencyError(
+                f"boundary vertices {tuple(base)} and {tuple(u)} are {len(u) - len(base)} "
+                f">= k={params.k} levels apart in the same subtree"
+            )
+        bits[base] = bits.get(base, 0) | 1 << slot_index(u[len(base):], params)
+    return [AdmissibleSet(base=base, rel_type=rel) for base, rel in sorted(bits.items())]
 
 
 def expand_admissible(b: AdmissibleSet, oracle: EdgeOracle, params: TreeParams):

@@ -168,8 +168,6 @@ class EdgeOracle:
     def __init__(self, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
         check_probabilities(p=p, q=q)
         self.params = params
-        self.p = p
-        self.q = q
         self.seed = realization_seed(seed, trial)
         self._keyed = keyed_hash(self.seed)
         self._short, self._long = edge_tables(params, p, q)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 import math
 import random
 
@@ -159,6 +160,29 @@ def test_explore_pinned():
             for part in (vertices, edges, expl.conflicts):
                 h.update(repr(sorted(part)).encode())
     assert h.hexdigest() == "f707c0f22886d12db485de51a8a711cfbbb13b4c58b59ab4b469269a2c30e837"
+
+
+def test_explore_asks_each_tail_once_per_edge_kind():
+    # the cover is a tree and each closure follows one edge kind, so the walk
+    # reaches no cover vertex twice and asks a tail at most twice
+    for tp in (TP, TreeParams(2, 3), TreeParams(3, 2)):
+        configs = [omega_bar(tp)] + [
+            HatConfig.random(tp, p, q, seed)
+            for seed in range(20)
+            for p, q in ((0.3, 0.05), (0.5, 0.3), (0.7, 0.6))
+        ]
+        for cfg in configs:
+            asks = Counter()
+            open_digits = cfg.open_digits
+
+            def counted(vhat, open_digits=open_digits, asks=asks):
+                asks[vhat] += 1
+                return open_digits(vhat)
+
+            cfg.open_digits = counted
+            explore_hat_to_C(tp, cfg)
+            assert asks[()] == 2  # short closure, then long closure
+            assert max(asks.values()) == 2
 
 
 def test_pathwise_leaf_inequality():

@@ -139,6 +139,23 @@ def test_decompose_rejects_bad_geometry():
     # k levels apart in one subtree; the message shows the vertices' digits
     with pytest.raises(ConsistencyError, match=r"\(1,\) and \(1, 2, 1\) are 2 >= k=2"):
         decompose({b"\x01", b"\x01\x02\x01"}, TP)
+    # several violations: the message names the first vertex in (height,
+    # digits) order and its base, whatever the hash seed
+    with pytest.raises(ConsistencyError, match=r"\(\) and \(1, 1\) are 2 >= k=2"):
+        decompose({b"", b"\x01\x01", b"\x02\x01", b"\x02\x02"}, TP)
+
+
+def test_decompose_pinned():
+    # sha256 of the pieces of 300 seeded long boundaries at each point; the
+    # pieces have 1 to 5 vertices (at (2,2): 173 of size 2, 85 of size 3)
+    h = hashlib.sha256()
+    for (d, k), (p, q) in (((2, 2), (0.3, 0.5)), ((2, 3), (0.3, 0.3)), ((3, 2), (0.2, 0.3))):
+        tp, perc = TreeParams(d, k), PercParams(p, q)
+        for t in range(300):
+            o = make_oracle(tp, perc, 3, t)
+            pieces = decompose(long_boundary(short_cluster({ROOT}, o), o), tp)
+            h.update(repr([(tuple(b.base), b.rel_type) for b in pieces]).encode())
+    assert h.hexdigest() == "fe4328d1f5192023f3e0b081d5e1bac9150d0e42641651163dccd29923a25720"
 
 
 def test_admissible_set_requires_base():
