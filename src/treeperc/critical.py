@@ -248,8 +248,8 @@ def qc_sweep(p_grid, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> list[Cur
 
 def s_star(p: float, d: int) -> float:
     """Second-order coefficient of the large-k expansion of q_c."""
-    if p * p * d >= 1.0:
-        raise ConsistencyError(f"s_star requires p^2 d < 1, got p={p}, d={d}")
+    if p * d >= 1.0:
+        raise ConsistencyError(f"s_star requires p d < 1, got p={p}, d={d}")
     return (1.0 - p * d) ** 2 * p * p * d / (1.0 - p * p * d)
 
 
@@ -257,9 +257,10 @@ def asymptotics_table(
     p: float, k_values, d: int, tol: float = 1e-9
 ) -> list[AsymptoticsRow]:
     """Rescaled residuals of q_c against the two-term large-k expansion,
-    which needs p^2 d < 1."""
-    if p * p * d >= 1.0:
-        raise ParameterError(f"the expansion needs p^2 d < 1, got p={p}, d={d}")
+    which needs p d < 1: from p = 1/d on q_c is 0 and the leading term
+    (1 - pd)/d^k is not positive."""
+    if p * d >= 1.0:
+        raise ParameterError(f"the expansion needs p d < 1, got p={p}, d={d}")
     target = s_star(p, d)
     rows = []
     # every (d, k) passes its size cap before the first q_c is computed

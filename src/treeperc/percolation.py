@@ -22,7 +22,9 @@ cluster are included for cross-checking the samplers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import count, islice
 
 from .errors import ConsistencyError, ParameterError, SizeCapError, check_probabilities
@@ -146,18 +148,30 @@ def _neighborhood_hash(cluster: set, edges, radius: int) -> str:
     """Canonical label of the rooted radius-m ball of the cluster graph.
 
     Edges are undirected for the metric.  Rooted-graph classes are separated
-    by a Weisfeiler-Lehman hash seeded with distance-from-root labels, which
-    distinguishes every pair arising at radius <= 2 on these graphs.
+    by the Weisfeiler-Lehman subtree hash (Shervashidze et al., JMLR 12, 2011),
+    four rounds seeded with distance-from-root labels, which distinguishes
+    every pair arising at radius <= 2 on these graphs.
     """
-    import networkx as nx  # only the conditioned sampler needs it
+    nbrs = {v: set() for v in cluster}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    labels, frontier = {ROOT: "0"}, {ROOT}
+    for dist in range(1, radius + 1):
+        frontier = {w for v in frontier for w in nbrs[v]} - labels.keys()
+        labels.update(dict.fromkeys(frontier, str(dist)))
+    counts = []
+    for _ in range(4):
+        labels = {
+            v: _digest(label + "".join(sorted(labels[w] for w in nbrs[v] if w in labels)))
+            for v, label in labels.items()
+        }
+        counts.extend(sorted(Counter(labels.values()).items()))
+    return _digest(str(tuple(counts)))
 
-    g = nx.Graph()
-    g.add_nodes_from(cluster)
-    g.add_edges_from(edges)
-    dists = nx.single_source_shortest_path_length(g, ROOT, cutoff=radius)
-    ball = g.subgraph(dists).copy()
-    nx.set_node_attributes(ball, dists, "dist")
-    return nx.weisfeiler_lehman_graph_hash(ball, node_attr="dist", iterations=4)
+
+def _digest(text: str) -> str:
+    return blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def conditioned_cluster_sample(

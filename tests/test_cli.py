@@ -166,8 +166,7 @@ def test_outputs_byte_identical_across_hash_seeds(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_or_networkx():
-    # scipy is a test dependency only, and networkx is imported by the one
-    # sampler that needs it
+    # scipy and networkx are test dependencies only
     code = (
         "import sys, treeperc.cli; "
         "print([m for m in sys.modules if m.startswith(('scipy', 'networkx'))])"
@@ -176,7 +175,7 @@ def test_cli_import_loads_no_scipy_or_networkx():
     assert done.stdout.strip() == "[]"
 
 
-# one small run of every command, read without scipy
+# one small run of every command, read without scipy or networkx
 SCIPY_FREE_RUNS = [
     ["qc-point", "--d", "2", "--k", "3", "--p", "0.2"],
     ["qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:0.5:0.25"],
@@ -202,10 +201,10 @@ SCIPY_FREE_RUNS = [
 ]
 
 
-def test_commands_run_without_scipy(tmp_path):
+def test_commands_run_without_scipy_or_networkx(tmp_path):
     script = (
         "import json, sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules['scipy'] = sys.modules['networkx'] = None\n"
         "from treeperc.cli import main\n"
         "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
@@ -533,8 +532,10 @@ def test_exit_code_usage(capsys, tmp_path):
              "--trials", "20", "--horizon", "5", "--horizon-low", "2"]
             for regime in ("super", "sub")
         ),
-        # the two-term expansion needs p^2 d < 1, and the k range must be nonempty
+        # the two-term expansion needs p d < 1, and the k range must be nonempty
         ["asymptotics", "--d", "2", "--p", "0.8", "--k-min", "2", "--k-max", "3"],
+        ["asymptotics", "--d", "2", "--p", "0.6", "--k-min", "2", "--k-max", "3"],
+        ["asymptotics", "--d", "3", "--p", "0.4", "--k-min", "2", "--k-max", "2"],
         ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "4", "--k-max", "2"],
         # criteria need p d < 1: above it the short cluster is supercritical
         *(

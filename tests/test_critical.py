@@ -477,8 +477,10 @@ def test_lower_bound_field():
 def test_s_star_formula():
     assert s_star(0.25, 2) == pytest.approx(0.25**2 * 2 * 0.5**2 / (1 - 0.125))
     assert s_star(0.25, 2) == pytest.approx(0.0357142857, abs=1e-9)
-    with pytest.raises(ConsistencyError):
-        s_star(0.8, 2)
+    # p d >= 1, whether or not p^2 d < 1
+    for p in (0.8, 0.6):
+        with pytest.raises(ConsistencyError):
+            s_star(p, 2)
 
 
 def test_asymptotics_small_k():

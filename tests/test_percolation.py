@@ -2,8 +2,10 @@ import hashlib
 import math
 import re
 
+import networkx as nx
 import pytest
 
+from treeperc import percolation
 from treeperc.coupling import leaf_band, leaf_count_Z
 from treeperc.errors import ConsistencyError, ParameterError, SizeCapError
 from treeperc.percolation import (
@@ -458,6 +460,59 @@ def test_conditioned_sample_pinned(d, k, radius):
     )
     digest = hashlib.sha256(repr(sorted(pmf.items())).encode()).hexdigest()
     assert (rate, digest) == CONDITIONED_PINS[(d, k, radius)]
+
+
+@pytest.fixture(scope="module")
+def sampled_balls():
+    """(label, ball) for every ball the conditioned sampler draws in 500
+    trials at radii 0-2 and size thresholds 0 and 10 on three tree shapes;
+    each ball is the induced networkx graph, its vertices carrying their
+    distance from the root as "dist"."""
+    balls = []
+    label_of = percolation._neighborhood_hash
+
+    def record(cluster, edges, radius):
+        g = nx.Graph(edges)
+        g.add_nodes_from(cluster)
+        dists = nx.single_source_shortest_path_length(g, ROOT, cutoff=radius)
+        ball = g.subgraph(dists).copy()
+        nx.set_node_attributes(ball, dists, "dist")
+        balls.append((label_of(cluster, edges, radius), ball))
+        return balls[-1][0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(percolation, "_neighborhood_hash", record)
+        for (d, k), p, q in [
+            ((2, 2), 0.2, 0.15), ((2, 2), 0.4, 0.2), ((2, 3), 0.3, 0.05), ((3, 2), 0.2, 0.05)
+        ]:
+            for radius in (0, 1, 2):
+                for threshold in (0, 10):
+                    conditioned_cluster_sample(
+                        TreeParams(d, k), PercParams(p, q), threshold, radius, 500, 7
+                    )
+    return balls
+
+
+def test_neighborhood_hash_matches_networkx(sampled_balls):
+    # the label is networkx's WL graph hash of the ball, bitwise
+    assert len(sampled_balls) > 8000
+    for label, ball in sampled_balls:
+        assert label == nx.weisfeiler_lehman_graph_hash(ball, node_attr="dist", iterations=4)
+
+
+def test_neighborhood_hash_separates_sampled_classes(sampled_balls):
+    # two sampled balls share a label iff they are isomorphic as graphs with
+    # distance-from-root labels
+    same_dist = lambda a, b: a["dist"] == b["dist"]
+    classes = {}
+    for label, ball in sampled_balls:
+        classes.setdefault(label, []).append(ball)
+    assert len(classes) > 100
+    for first, *rest in classes.values():
+        assert all(nx.is_isomorphic(first, ball, node_match=same_dist) for ball in rest)
+    firsts = [balls[0] for balls in classes.values()]
+    for i, a in enumerate(firsts):
+        assert not any(nx.is_isomorphic(a, b, node_match=same_dist) for b in firsts[:i])
 
 
 # Sums over 200 seeded oracles.
