@@ -1,8 +1,12 @@
 """Command line front end: argument parsing, orchestration, CSV/JSON output.
 
-Every command writes either CSV with '#'-prefixed metadata lines or a JSON
-object carrying the same metadata under "meta".  Outputs are deterministic
-for a fixed seed (the default seed is a constant, not the clock).
+Each flag that several commands share (the model parameters, the Monte Carlo
+trials and seed, the output path and format) is declared once, in a parent
+parser; each ``--tol`` default is the library default of the solver it sets.
+Every command writes one table through ``emit``: CSV with '#'-prefixed
+metadata lines, or a JSON object carrying the same metadata under "meta",
+with a non-finite value written as null.  Outputs are deterministic for a
+fixed seed (the default seed is a constant, not the clock).
 
 Exit codes: 0 success, 2 usage error, 3 cap or feasibility error,
 4 non-convergence.
@@ -23,15 +27,22 @@ import numpy as np
 import numpy.random
 
 from . import __version__
-from .critical import asymptotics_table, qc, qc_sweep, rho_result
+from .critical import (
+    DEFAULT_ASYMPTOTICS_TOL,
+    DEFAULT_Q_TOL,
+    asymptotics_table,
+    qc,
+    qc_sweep,
+    rho_result,
+)
 from .coupling import dominance_test
 from .errors import (
-    MIN_TOL,
     FeasibilityError,
     NonConvergenceError,
     ParameterError,
     SizeCapError,
     check_seed,
+    check_solve_tolerance,
 )
 from .percolation import (
     PercParams,
@@ -45,7 +56,7 @@ from .window_chain import (
     chain_survival,
     simulate_window_chain,
 )
-from .spectral import pf_eigen
+from .spectral import DEFAULT_TOL, pf_eigen
 
 DEFAULT_SEED = 20240817
 
@@ -89,20 +100,14 @@ def _meta(args, **extra) -> dict:
     return {"version": __version__, "config": cfg, "seed": getattr(args, "seed", None)}
 
 
-def _fmt(v):
-    if isinstance(v, np.integer):
-        v = int(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _json_scalar(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
+def _cell(v, fmt: str):
+    """A table value as ``fmt`` writes it: a numpy scalar as the Python value
+    it holds; in CSV a float by its repr, in JSON a non-finite one as null."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if fmt == "csv":
+        return repr(v) if isinstance(v, float) else str(v)
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def write_output(path: str, write) -> None:
@@ -135,34 +140,36 @@ def check_output_path(path: str | None) -> None:
         raise ParameterError(f"output path {path!r} is a directory or lies in a missing one")
 
 
-def emit(args, meta: dict, header: list[str], rows: list[list]):
-    """Write one result table as CSV (commented metadata) or JSON."""
+def emit(out: str, fmt: str, meta: dict, header: list[str], rows) -> None:
+    """Write one result table to ``out`` as CSV (commented metadata) or JSON.
+    JSON allows no NaN or infinity, so that any strict parser reads it."""
 
     def write(stream):
-        if args.format == "json":
+        if fmt == "json":
+            config = {k: _cell(v, fmt) for k, v in meta["config"].items()}
             payload = {
-                "meta": meta,
-                "rows": [dict(zip(header, row)) for row in rows],
+                "meta": {**meta, "config": config},
+                "rows": [{h: _cell(v, fmt) for h, v in zip(header, row)} for row in rows],
             }
-            json.dump(payload, stream, indent=2, sort_keys=True, default=_json_scalar)
+            json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
             stream.write("\n")
         else:
             stream.write(f"# treeperc {meta['version']}\n")
-            cfg = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta["config"].items()))
+            cfg = " ".join(f"{k}={_cell(v, fmt)}" for k, v in sorted(meta["config"].items()))
             stream.write(f"# config: {cfg}\n")
             if meta.get("seed") is not None:
                 stream.write(f"# seed: {meta['seed']}\n")
             stream.write(",".join(header) + "\n")
             for row in rows:
-                stream.write(",".join(_fmt(v) for v in row) + "\n")
+                stream.write(",".join(_cell(v, fmt) for v in row) + "\n")
 
-    write_output(args.out, write)
+    write_output(out, write)
 
 
 def cmd_qc_point(args):
     point = qc(args.p, TreeParams(args.d, args.k), tol=args.tol)
     emit(
-        args,
+        args.out, args.format,
         _meta(args),
         ["p", "qc", "lower_bound", "gap", "rho_residual", "bisection_width"],
         [[point.p, point.q_c, point.lower_bound, point.gap, point.rho_residual, point.bisection_width]],
@@ -172,7 +179,7 @@ def cmd_qc_point(args):
 def cmd_qc_curve(args):
     points = qc_sweep(parse_grid(args.p_grid), TreeParams(args.d, args.k), tol=args.tol)
     emit(
-        args,
+        args.out, args.format,
         _meta(args),
         ["p", "qc", "lower_bound", "gap", "rho_residual"],
         [[pt.p, pt.q_c, pt.lower_bound, pt.gap, pt.rho_residual] for pt in points],
@@ -186,7 +193,7 @@ def cmd_asymptotics(args):
         args.p, range(args.k_min, args.k_max + 1), args.d, tol=args.tol
     )
     emit(
-        args,
+        args.out, args.format,
         _meta(args),
         ["k", "qc", "s_k", "s_star", "residual"],
         [[r.k, r.q_c, r.s_k, r.s_star, r.residual] for r in rows],
@@ -203,7 +210,7 @@ def cmd_survival(args):
         rng = np.random.default_rng(args.seed)
         freq, se = chain_survival(params, args.p, args.q, args.depth, args.trials, rng)
     meta = _meta(args, depth_proxy="alive means a vertex at height in [depth-k+1, depth]")
-    emit(args, meta, ["frequency", "se"], [[freq, se]])
+    emit(args.out, args.format, meta, ["frequency", "se"], [[freq, se]])
 
 
 def cmd_limits(args):
@@ -223,7 +230,7 @@ def cmd_limits(args):
             [n, mean_x[n], mean_x[n + 1] / mean_x[n] if mean_x[n] > 0 else float("nan"), rho_val]
             for n in range(args.horizon + 1)
         ]
-        emit(args, _meta(args), ["n", "mean_x", "growth_ratio", "rho"], rows)
+        emit(args.out, args.format, _meta(args), ["n", "mean_x", "growth_ratio", "rho"], rows)
     elif args.regime == "sub":
         rng = np.random.default_rng(args.seed)
         n1, n2 = args.horizon_low, args.horizon
@@ -235,7 +242,8 @@ def cmd_limits(args):
         support = sorted(set(pmf1) | set(pmf2))
         tv = 0.5 * sum(abs(pmf1.get(i, 0.0) - pmf2.get(i, 0.0)) for i in support)
         rows = [[i, pmf1.get(i, 0.0), pmf2.get(i, 0.0), tv] for i in support]
-        emit(args, _meta(args, n_low=n1, n_high=n2), ["i", "pmf_low", "pmf_high", "tv"], rows)
+        meta = _meta(args, n_low=n1, n_high=n2)
+        emit(args.out, args.format, meta, ["i", "pmf_low", "pmf_high", "tv"], rows)
     else:
         point = qc(args.p, params)
         pmf, rate = conditioned_cluster_sample(
@@ -248,7 +256,7 @@ def cmd_limits(args):
         )
         meta = _meta(args, q=point.q_c, acceptance_rate=rate)
         emit(
-            args,
+            args.out, args.format,
             meta,
             ["neighborhood_class", "probability"],
             [[label, pr] for label, pr in pmf.items()],
@@ -271,7 +279,7 @@ def cmd_dominance(args):
     )
     meta = _meta(args, dominates=report.dominates, max_violation_sigma=report.max_violation_sigma)
     emit(
-        args,
+        args.out, args.format,
         meta,
         ["threshold", "surv_Z", "se_Z", "surv_Zhat", "se_Zhat", "violation_sigma"],
         [
@@ -282,16 +290,10 @@ def cmd_dominance(args):
 
 
 def cmd_matrix(args):
-    smallest = 4.0 * MIN_TOL
-    if not smallest <= args.tol < math.inf:
-        raise ParameterError(
-            f"--tol {args.tol:g} is not in [{smallest:g}, inf): {smallest:g} is the "
-            "smallest tolerance matrix accepts, as it solves at tol/4"
-        )
     # iterate a bit past the requested tolerance so the certified residual
     # still holds after cross-normalizing the two eigenvectors; where rho is
     # too badly conditioned for that, the two solves disagree and it is refused
-    tol = 0.25 * args.tol
+    tol = check_solve_tolerance(args.tol, 1, 4, "matrix accepts, as it solves at tol/4")
     matrix = build_offspring_matrix(TreeParams(args.d, args.k), args.p, args.q)
     dense = matrix.dense
     right = pf_eigen(dense, tol=tol)
@@ -314,17 +316,14 @@ def cmd_matrix(args):
             iterations=right.iterations + left.iterations,
         )
     if args.dump:
-
-        def write(fh):
-            fh.write(f"# treeperc {__version__}\n")
-            fh.write(f"# config: d={args.d} k={args.k} p={_fmt(args.p)} q={_fmt(args.q)}\n")
-            fh.write("row_state_hex,col_state_hex,rate\n")
-            for a, b, rate in matrix.iter_entries():
-                fh.write(f"{a:x},{b:x},{_fmt(rate)}\n")
-
-        write_output(args.dump, write)
+        config = {"d": args.d, "k": args.k, "p": args.p, "q": args.q}
+        emit(
+            args.dump, "csv", {"version": __version__, "config": config},
+            ["row_state_hex", "col_state_hex", "rate"],
+            ([f"{a:x}", f"{b:x}", rate] for a, b, rate in matrix.iter_entries()),
+        )
     emit(
-        args,
+        args.out, args.format,
         _meta(args),
         ["rho", "residual", "iterations", "n_types", "nnz", "mu_max", "nu_max"],
         [[
@@ -345,7 +344,7 @@ def cmd_criteria(args):
     )
     meta = _meta(args, q=q)
     emit(
-        args,
+        args.out, args.format,
         meta,
         ["lhs_a", "se_a", "lhs_a_lo", "lhs_a_hi", "lhs_b", "se_b", "lhs_b_lo", "lhs_b_hi"],
         [[
@@ -355,53 +354,56 @@ def cmd_criteria(args):
     )
 
 
-def _add_common(sp, *, seed=True, fmt="csv"):
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sp.add_argument("--format", choices=("csv", "json"), default=fmt)
-    if seed:
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The treeperc parser.  Each flag that several commands take is declared
+    once, in a parent parser that each of them lists.  argparse shares a
+    parent's actions between the commands that list it, so a default set on
+    one command would change it for all: ``--format`` has one parent per
+    default, and ``limits`` declares its own optional ``--q``."""
     parser = argparse.ArgumentParser(
         prog="treeperc",
         description="critical curves and Monte Carlo experiments for "
         "two-range oriented percolation on trees",
     )
     parser.add_argument("--version", action="version", version=f"treeperc {__version__}")
+    d, k, p, q, q_tol, mc, to_csv, to_json = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8)
+    )
+    d.add_argument("--d", type=int, required=True)
+    k.add_argument("--k", type=int, required=True)
+    p.add_argument("--p", type=float, required=True)
+    q.add_argument("--q", type=float, required=True)
+    q_tol.add_argument("--tol", type=float, default=DEFAULT_Q_TOL)
+    mc.add_argument("--trials", type=int, default=10**5)
+    mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for out, fmt in ((to_csv, "csv"), (to_json, "json")):
+        out.add_argument("--out", default="-", help="output path, '-' for stdout")
+        out.add_argument("--format", choices=("csv", "json"), default=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("qc-point", help="critical long-edge probability at one p")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    _add_common(sp, seed=False, fmt="json")
-    sp.set_defaults(func=cmd_qc_point)
+    def command(name, func, parents, help):
+        sp = sub.add_parser(name, parents=parents, help=help)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("qc-curve", help="critical curve over a p grid")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    command(
+        "qc-point", cmd_qc_point, [d, k, p, q_tol, to_json],
+        "critical long-edge probability at one p",
+    )
+    sp = command("qc-curve", cmd_qc_curve, [d, k, q_tol, to_csv], "critical curve over a p grid")
     sp.add_argument("--p-grid", required=True, help="inclusive a:b:step")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_qc_curve)
 
-    sp = sub.add_parser("asymptotics", help="two-term large-k expansion residuals")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp = command(
+        "asymptotics", cmd_asymptotics, [d, p, to_csv], "two-term large-k expansion residuals"
+    )
     sp.add_argument("--k-min", type=int, required=True)
     sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_asymptotics)
+    sp.add_argument("--tol", type=float, default=DEFAULT_ASYMPTOTICS_TOL)
 
-    sp = sub.add_parser("survival", help="Monte Carlo survival frequency at depth")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--trials", type=int, default=10**5)
+    sp = command(
+        "survival", cmd_survival, [d, k, p, q, mc, to_json],
+        "Monte Carlo survival frequency at depth",
+    )
     sp.add_argument("--depth", type=int, default=60)
     sp.add_argument(
         "--method",
@@ -409,52 +411,35 @@ def build_parser() -> argparse.ArgumentParser:
         default="chain",
         help="count-level chain simulation or per-vertex exploration",
     )
-    _add_common(sp, fmt="json")
-    sp.set_defaults(func=cmd_survival)
 
-    sp = sub.add_parser("limits", help="long-horizon layer-count diagnostics")
+    sp = command(
+        "limits", cmd_limits, [d, k, p, mc, to_csv], "long-horizon layer-count diagnostics"
+    )
     sp.add_argument("--regime", choices=("super", "sub", "critical"), required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, help="ignored for --regime critical")
-    sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--horizon", type=int, default=25)
     sp.add_argument("--horizon-low", type=int, default=15, help="sub regime only")
     sp.add_argument("--size-threshold", type=int, default=50, help="critical regime")
     sp.add_argument("--radius", type=int, default=1, help="critical regime")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_limits)
 
-    sp = sub.add_parser("dominance", help="slab leaf-count stochastic dominance test")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp = command(
+        "dominance", cmd_dominance, [d, k, p, q, mc, to_csv],
+        "slab leaf-count stochastic dominance test",
+    )
     sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--trials", type=int, default=10**5)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_dominance)
 
-    sp = sub.add_parser("matrix", help="Perron pair of the ray mean matrix d*T, optional dump")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp = command(
+        "matrix", cmd_matrix, [d, k, p, q, to_json],
+        "Perron pair of the ray mean matrix d*T, optional dump",
+    )
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--dump", help="write the entries of d*T as CSV to this path")
-    _add_common(sp, seed=False, fmt="json")
-    sp.set_defaults(func=cmd_matrix)
 
-    sp = sub.add_parser("criteria", help="survival/extinction functional estimates")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp = command(
+        "criteria", cmd_criteria, [d, k, p, mc, to_json],
+        "survival/extinction functional estimates",
+    )
     sp.add_argument("--s", type=float, required=True, help="second-order offset")
-    sp.add_argument("--trials", type=int, default=10**5)
-    _add_common(sp, fmt="json")
-    sp.set_defaults(func=cmd_criteria)
-
     return parser
 
 

@@ -56,12 +56,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MIN_TOL, ConsistencyError, ParameterError, check_probabilities, check_tolerance
-from .spectral import pf_eigen
+from .errors import ConsistencyError, ParameterError, check_probabilities, check_solve_tolerance
+from .spectral import DEFAULT_TOL, pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix
 
 DEFAULT_Q_TOL = 1e-10
+#: Default q_c tolerance of ``asymptotics_table``.
+DEFAULT_ASYMPTOTICS_TOL = 1e-9
 #: p above 1/d - BOUNDARY_EPS short-circuits to q_c = lower_bound, which is 0
 #: from p = 1/d on.
 BOUNDARY_EPS = 1e-12
@@ -87,12 +89,12 @@ class AsymptoticsRow:
     residual: float
 
 
-def rho(p: float, q: float, params: TreeParams, tol: float = 1e-12) -> float:
+def rho(p: float, q: float, params: TreeParams, tol: float = DEFAULT_TOL) -> float:
     """Dominant eigenvalue of the exact offspring matrix at (p, q)."""
     return rho_result(p, q, params, tol=tol).rho
 
 
-def rho_result(p: float, q: float, params: TreeParams, tol: float = 1e-12):
+def rho_result(p: float, q: float, params: TreeParams, tol: float = DEFAULT_TOL):
     """Perron solve of the ray matrix R0 + q (R1 - R0), read off the cached
     pencil of p (``_pencil``); ``nu`` is indexed by nonzero ray state.  The
     solve starts from |Re v| for v the eigenvector of the eigenvalue of
@@ -150,21 +152,12 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     their number.
     """
     check_probabilities(p=p)
-    check_tolerance(tol)
     # the eigenvalue only has to resolve sign changes of rho - 1 on the
     # q-scale of tol; the slope drho/dq near the root is of order d^k / k
-    solve_tol = tol * params.d**params.k / (10.0 * params.k)
-    if solve_tol < MIN_TOL:
-        # name the smallest accepted tol, rounded up to 3 significant digits
-        smallest = MIN_TOL * 10.0 * params.k / params.d**params.k
-        shown = float(f"{smallest:.3g}")
-        if shown < smallest:
-            shown += 10.0 ** (math.floor(math.log10(shown)) - 2)
-        raise ParameterError(
-            f"--tol {tol:g} is below {shown:g}, the smallest tolerance "
-            f"q_c accepts at (d={params.d}, k={params.k})"
-        )
-    check_tolerance(solve_tol)
+    solve_tol = check_solve_tolerance(
+        tol, params.d**params.k, 10.0 * params.k,
+        f"q_c accepts at (d={params.d}, k={params.k})",
+    )
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
         return CurvePoint(
@@ -254,7 +247,7 @@ def s_star(p: float, d: int) -> float:
 
 
 def asymptotics_table(
-    p: float, k_values, d: int, tol: float = 1e-9
+    p: float, k_values, d: int, tol: float = DEFAULT_ASYMPTOTICS_TOL
 ) -> list[AsymptoticsRow]:
     """Rescaled residuals of q_c against the two-term large-k expansion,
     which needs p d < 1: from p = 1/d on q_c is 0 and the leading term

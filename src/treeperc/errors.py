@@ -62,3 +62,21 @@ def check_tolerance(tol: float) -> None:
     the comparison and is rejected too."""
     if not MIN_TOL <= tol < math.inf:
         raise ParameterError(f"tolerance must lie in [{MIN_TOL}, inf), got {tol}")
+
+
+def check_solve_tolerance(tol: float, times: float, per: float, accepted_by: str) -> float:
+    """The solve tolerance ``tol * times / per`` that a solver derives from
+    ``tol``.  Rejects a ``tol`` that fails ``check_tolerance``, or whose solve
+    tolerance does; the message names the smallest ``tol`` of 3 significant
+    digits accepted, and ``accepted_by`` ends it."""
+    check_tolerance(tol)
+    solve_tol = tol * times / per
+    if solve_tol < MIN_TOL:
+        shown = float(f"{MIN_TOL * per / times:.3g}")
+        if shown * times / per < MIN_TOL:
+            shown += 10.0 ** (math.floor(math.log10(shown)) - 2)
+        raise ParameterError(
+            f"--tol {tol:g} is below {shown:g}, the smallest tolerance {accepted_by}"
+        )
+    check_tolerance(solve_tol)
+    return solve_tol

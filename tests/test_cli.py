@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import signal
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from treeperc import critical
-from treeperc.cli import main, parse_grid, write_output
+from treeperc.cli import build_parser, emit, main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.tree import TreeParams
 from treeperc.window_chain import OffspringMatrix, build_offspring_matrix
@@ -704,3 +705,101 @@ def test_cli_exit_codes_property(argv):
     assert code in (0, 2, 3, 4), argv
     if "--seed=-1" in argv or f"--seed={2**64}" in argv:
         assert code == 2, argv
+
+
+# vars() of the parsed namespace, without func, for a minimal argv of every
+# command; recorded before the shared flags moved into parent parsers
+NAMESPACE_PINS = [
+    (["qc-point", "--d", "2", "--k", "2", "--p", "0.2"],
+     {"command": "qc-point", "d": 2, "k": 2, "p": 0.2, "tol": 1e-10, "out": "-", "format": "json"}),
+    (["qc-curve", "--d", "2", "--k", "2", "--p-grid", "0:0.5:0.25"],
+     {"command": "qc-curve", "d": 2, "k": 2, "p_grid": "0:0.5:0.25", "tol": 1e-10, "out": "-",
+      "format": "csv"}),
+    (["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "3"],
+     {"command": "asymptotics", "d": 2, "p": 0.25, "k_min": 2, "k_max": 3, "tol": 1e-09,
+      "out": "-", "format": "csv"}),
+    (["survival", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1"],
+     {"command": "survival", "d": 2, "k": 2, "p": 0.2, "q": 0.1, "trials": 100000, "depth": 60,
+      "method": "chain", "out": "-", "format": "json", "seed": 20240817}),
+    *(
+        (["limits", "--regime", regime, "--d", "2", "--k", "2", "--p", "0.2", *q_argv],
+         {"command": "limits", "regime": regime, "d": 2, "k": 2, "p": 0.2, "q": q,
+          "trials": 100000, "horizon": 25, "horizon_low": 15, "size_threshold": 50, "radius": 1,
+          "out": "-", "format": "csv", "seed": 20240817})
+        for regime, q_argv, q in (
+            ("super", ["--q", "0.1"], 0.1), ("sub", ["--q", "0.1"], 0.1), ("critical", [], None)
+        )
+    ),
+    (["dominance", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25", "--delta", "0.05"],
+     {"command": "dominance", "d": 2, "k": 2, "p": 0.2, "q": 0.25, "delta": 0.05,
+      "trials": 100000, "out": "-", "format": "csv", "seed": 20240817}),
+    (["matrix", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.25"],
+     {"command": "matrix", "d": 2, "k": 2, "p": 0.2, "q": 0.25, "tol": 1e-12, "dump": None,
+      "out": "-", "format": "json"}),
+    (["criteria", "--d", "2", "--k", "2", "--p", "0.25", "--s", "1.0"],
+     {"command": "criteria", "d": 2, "k": 2, "p": 0.25, "s": 1.0, "trials": 100000, "out": "-",
+      "format": "json", "seed": 20240817}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    NAMESPACE_PINS,
+    ids=[argv[0] + ("-" + argv[2] if argv[0] == "limits" else "") for argv, _ in NAMESPACE_PINS],
+)
+def test_parsed_namespace_pinned(argv, expect):
+    # the namespace is the # config: line and meta.config of every run
+    args = vars(build_parser().parse_args(argv))
+    del args["func"]
+    assert args == expect
+    assert [type(v) for v in args.values()] == [type(expect[k]) for k in args]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["qc-point", "qc-curve", "asymptotics", "survival", "limits", "dominance", "matrix", "criteria"],
+)
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: treeperc {command} ")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path):
+    # every trial dies out, so the later growth ratios are 0/0
+    code, out = run(
+        tmp_path, "super.json", "limits", "--regime", "super", "--d", "2", "--k", "2",
+        "--p", "0.2", "--q", "0.01", "--trials", "10", "--horizon", "8", "--format", "json",
+    )
+    assert code == 0
+    ratios = [row["growth_ratio"] for row in _strict_json(out.read_text())["rows"]]
+    assert ratios[-1] is None and ratios[0] == 0.5
+    # the same table in CSV still prints nan
+    code, out = run(
+        tmp_path, "super.csv", "limits", "--regime", "super", "--d", "2", "--k", "2",
+        "--p", "0.2", "--q", "0.01", "--trials", "10", "--horizon", "8",
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[-1].split(",")[2] == "nan"
+
+
+def test_emit_converts_numpy_and_non_finite_scalars(capsys):
+    meta = {"version": "v", "config": {"sigma": np.float64(np.inf), "n": np.int64(3)}, "seed": None}
+    row = [np.float64(np.nan), -math.inf, np.int64(7), np.float32(0.5), np.bool_(True), "x"]
+    header = ["a", "b", "c", "d", "e", "f"]
+    emit("-", "json", meta, header, [row])
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["meta"]["config"] == {"sigma": None, "n": 3}
+    assert payload["rows"] == [{"a": None, "b": None, "c": 7, "d": 0.5, "e": True, "f": "x"}]
+    emit("-", "csv", meta, header, [row])
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "# config: n=3 sigma=inf", "a,b,c,d,e,f", "nan,-inf,7,0.5,True,x",
+    ]

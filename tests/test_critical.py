@@ -16,7 +16,7 @@ from treeperc.critical import (
     rho,
     s_star,
 )
-from treeperc.errors import MIN_TOL, ConsistencyError, ParameterError
+from treeperc.errors import MIN_TOL, ConsistencyError, ParameterError, check_solve_tolerance
 from treeperc.spectral import SpectralResult, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
@@ -450,6 +450,22 @@ def test_qc_rejects_tolerance_below_floor():
     for p, tol in ((0.2, 1e-13), (0.2, 1e-300), (0.6, 1e-300)):
         with pytest.raises(ParameterError):
             qc(p, TP, tol=tol)
+
+
+def test_solve_tolerance_floor_names_an_accepted_tol():
+    # the message names the smallest tol of 3 significant digits whose solve
+    # tolerance passes the floor: that tol is accepted, one step below it is
+    # not.  q_c solves at tol d^k / (10 k), matrix at tol / 4.  At 1/11 the
+    # rounded 1.1e-12 is not accepted: 1.1e-12 / 11 rounds below the floor
+    scales = [(d**k, 10.0 * k) for d in range(2, 40) for k in range(1, 12) if d**k < 10 * k]
+    for times, per in scales + [(1, 4), (1, 11), (3, 7), (1, 1000)]:
+        with pytest.raises(ParameterError, match="^--tol 1e-13 is below .*, the smallest") as exc:
+            check_solve_tolerance(MIN_TOL, times, per, "x")
+        shown = float(str(exc.value).split()[4].rstrip(","))
+        assert check_solve_tolerance(shown, times, per, "x") == shown * times / per
+        step = 10.0 ** (math.floor(math.log10(shown)) - 2)
+        with pytest.raises(ParameterError):
+            check_solve_tolerance(shown - step, times, per, "x")
 
 
 def test_qc_rho_brackets():
