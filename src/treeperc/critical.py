@@ -46,6 +46,12 @@ matrices and cached.  A ray has at most 15 states under ``MAX_WINDOW_BITS``,
 small enough for one dense LAPACK eigensolve, whose Perron vector starts the
 power solve; ``pf_eigen`` then certifies it by its residual, after one step
 where the dense vector is exact to working precision.
+
+A curve is solved in passes of up to ``SWEEP_CHUNK`` points (``qc_sweep``).
+At 7 or 15 states a point's time goes to per-call overhead, not arithmetic,
+so a pass makes each LAPACK call once for all its points: the estimates
+(``_long_edge_roots``) and the start vectors of both probes.  LAPACK solves a
+stack one matrix at a time, so every point is bit for bit ``qc``'s.
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ DEFAULT_ASYMPTOTICS_TOL = 1e-9
 #: p above 1/d - BOUNDARY_EPS short-circuits to q_c = lower_bound, which is 0
 #: from p = 1/d on.
 BOUNDARY_EPS = 1e-12
+#: Points per batched pass of ``qc_sweep``, and the size of ``_pencil``'s
+#: cache, so that a point of a pass that falls back to ``qc`` finds its pencil
+#: cached.
+SWEEP_CHUNK = 64
 
 
 @dataclass
@@ -102,11 +112,16 @@ def rho_result(p: float, q: float, params: TreeParams, tol: float = DEFAULT_TOL)
     check_probabilities(p=p, q=q)
     r0, dr = _pencil(params, p)
     matrix = r0 + q * dr
-    values, vectors = np.linalg.eig(matrix)
-    return pf_eigen(matrix, tol=tol, x0=np.abs(vectors[:, np.argmax(values.real)].real))
+    return pf_eigen(matrix, tol=tol, x0=_perron_start(*np.linalg.eig(matrix)))
 
 
-@lru_cache(maxsize=64)
+def _perron_start(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """|Re v| for v the dense eigenvector of the eigenvalue of largest real
+    part, which for a nonnegative matrix is the Perron root."""
+    return np.abs(vectors[:, np.argmax(values.real)].real)
+
+
+@lru_cache(maxsize=SWEEP_CHUNK)
 def _pencil(params: TreeParams, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The ray matrix's pencil at p, R0 and R1 - R0 (R0 and R1 the ray matrix
     at q = 0 and q = 1), as dense read-only arrays: one build per (d, k, p),
@@ -125,13 +140,18 @@ def branching_lower_bound(p: float, params: TreeParams) -> float:
 
 
 def _long_edge_root(p: float, params: TreeParams) -> float:
-    """Estimate of q_c: 1 / the largest real eigenvalue of the long-edge
-    operator K = (I - R0)^-1 (R1 - R0), solved densely on the cached pencil
-    of p (``_pencil``).  LAPACK returns a real eigenvalue with imaginary part
-    exactly 0."""
-    r0, dr = _pencil(params, p)
-    values = np.linalg.eigvals(np.linalg.solve(np.eye(len(r0)) - r0, dr))
-    return 1.0 / float(values[values.imag == 0.0].real.max())
+    """Estimate of q_c on the cached pencil of p (``_pencil``); see
+    ``_long_edge_roots``."""
+    return float(_long_edge_roots(*_pencil(params, p)))
+
+
+def _long_edge_roots(r0: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """Estimates of q_c for a pencil R0, R1 - R0, or a stack of them: 1 / the
+    largest real eigenvalue of each long-edge operator
+    K = (I - R0)^-1 (R1 - R0), solved densely.  LAPACK returns a real
+    eigenvalue with imaginary part exactly 0."""
+    values = np.linalg.eigvals(np.linalg.solve(np.eye(r0.shape[-1]) - r0, dr))
+    return 1.0 / np.where(values.imag == 0.0, values.real, -np.inf).max(axis=-1)
 
 
 def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
@@ -152,12 +172,7 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     their number.
     """
     check_probabilities(p=p)
-    # the eigenvalue only has to resolve sign changes of rho - 1 on the
-    # q-scale of tol; the slope drho/dq near the root is of order d^k / k
-    solve_tol = check_solve_tolerance(
-        tol, params.d**params.k, 10.0 * params.k,
-        f"q_c accepts at (d={params.d}, k={params.k})",
-    )
+    solve_tol = _solve_tol(params, tol)
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
         return CurvePoint(
@@ -212,6 +227,16 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     return _bracket_point(p, lower, lo, hi, last, len(results))
 
 
+def _solve_tol(params: TreeParams, tol: float) -> float:
+    """The Perron solves' tolerance for a q_c tolerance ``tol``: the
+    eigenvalue only has to resolve sign changes of rho - 1 on the q-scale of
+    tol, and the slope drho/dq near the root is of order d^k / k."""
+    return check_solve_tolerance(
+        tol, params.d**params.k, 10.0 * params.k,
+        f"q_c accepts at (d={params.d}, k={params.k})",
+    )
+
+
 def _bracket_point(p, lower, lo, hi, last, evals) -> CurvePoint:
     """The point of the final bracket [lo, hi], ``last`` its last solve.
     q_c lies above the bound a priori, so a bracket that the fall back to
@@ -236,7 +261,55 @@ def _bracket_point(p, lower, lo, hi, last, evals) -> CurvePoint:
 
 
 def qc_sweep(p_grid, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> list[CurvePoint]:
-    return [qc(p, params, tol=tol) for p in p_grid]
+    """``qc`` at each p of ``p_grid``, field for field, in batched passes of
+    up to ``SWEEP_CHUNK`` points.  Every p and the solve tolerance are checked
+    before the first solve.  In each pass, the points whose certificate
+    ``qc`` would probe (p at most 1/d - ``BOUNDARY_EPS``, an a priori bracket
+    wider than ``tol`` and both probes inside it) get their estimates and
+    their probes' dense start vectors from batched LAPACK calls, and
+    ``pf_eigen`` certifies the probes point by point.  A point whose probes
+    confirm its estimate is ``qc``'s 2-solve answer; every other point is
+    ``qc``'s own search."""
+    grid = list(p_grid)
+    for p in grid:
+        check_probabilities(p=p)
+    solve_tol = _solve_tol(params, tol)
+    points = []
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        points += _sweep_pass(grid[start:start + SWEEP_CHUNK], params, tol, solve_tol)
+    return points
+
+
+def _sweep_pass(grid, params: TreeParams, tol: float, solve_tol: float) -> list[CurvePoint]:
+    """One pass of ``qc_sweep`` over at most ``SWEEP_CHUNK`` points."""
+    hi = 1.0 / params.d**params.k
+    lower = [branching_lower_bound(p, params) for p in grid]
+    # qc estimates q_c at an interior p whose bracket is wider than tol
+    inner = [
+        i for i, p in enumerate(grid)
+        if p <= 1.0 / params.d - BOUNDARY_EPS and hi - lower[i] > tol
+    ]
+    confirmed = {}
+    if inner:
+        r0, dr = (np.stack(a) for a in zip(*(_pencil(params, grid[i]) for i in inner)))
+        probes = _long_edge_roots(r0, dr)[:, None] + [-0.25 * tol, 0.25 * tol]
+        # and probes it where both probes lie inside the bracket
+        keep = (np.take(lower, inner) < probes[:, 0]) & (probes[:, 1] < hi)
+        # the probes' ray matrices R0 + q (R1 - R0), (point, probe, n, n)
+        matrices = r0[keep, None] + probes[keep, :, None, None] * dr[keep, None]
+        values, vectors = np.linalg.eig(matrices)
+        kept = zip(np.compress(keep, inner).tolist(), probes[keep].tolist(), matrices, values, vectors)
+        for i, (q_lo, q_hi), m, w, v in kept:
+            # qc's certificate, in its order: the upper probe only where the
+            # lower one reads subcritical
+            last = pf_eigen(m[0], tol=solve_tol, x0=_perron_start(w[0], v[0]))
+            if last.rho <= 1.0:
+                last = pf_eigen(m[1], tol=solve_tol, x0=_perron_start(w[1], v[1]))
+                if last.rho > 1.0:
+                    confirmed[i] = _bracket_point(grid[i], lower[i], q_lo, q_hi, last, 2)
+    return [
+        confirmed[i] if i in confirmed else qc(p, params, tol=tol) for i, p in enumerate(grid)
+    ]
 
 
 def s_star(p: float, d: int) -> float:

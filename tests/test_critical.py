@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +485,89 @@ def test_sweep_monotone_with_positive_gaps():
     for pt in points[1:-1]:
         assert pt.gap > 0
     assert all(pt.q_c <= 0.25 + 1e-9 for pt in points)
+
+
+def test_sweep_checks_grid_before_solving(monkeypatch):
+    # a bad p anywhere in the grid, or a tol below the floor, is refused
+    # before the first solve
+    solves = []
+    for name in ("rho_result", "pf_eigen"):
+        def spy(*args, solve=getattr(critical, name), **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(critical, name, spy)
+    for grid, tol in (
+        (parse_grid("0:1.0001:0.0001"), 1e-10),
+        ([0.1, 0.2, math.nan], 1e-10),
+        ([0.1, 0.2], 1e-13),
+    ):
+        with pytest.raises(ParameterError):
+            qc_sweep(grid, TP, tol=tol)
+        assert solves == []
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (19, 2)])
+def test_sweep_agrees_with_per_point_qc(d, k):
+    # the batched passes change no bit of any field, rho_evals included; the
+    # (2, 4) grid has 201 points, so it crosses passes
+    tp = TreeParams(d, k)
+    grid = [j / (20 * d) for j in range(21)] + [1e-9, 1.0 / d - 1e-9, 1.0 / d + 0.01]
+    if (d, k) == (2, 4):
+        grid = parse_grid("0:0.5:0.0025")
+    for tol in (1e-4, 1e-8, smallest_tol(d, k)):
+        swept = qc_sweep(grid, tp, tol=tol)
+        assert [repr(pt) for pt in swept] == [repr(qc(p, tp, tol=tol)) for p in grid], tol
+
+
+def test_sweep_falls_back_to_per_point_qc(monkeypatch):
+    # an estimate 100 tol below the root fails its upper probe, one 100 tol
+    # above it its lower probe, and one outside the bracket is not probed:
+    # each interior point is then qc's own search, bit for bit
+    roots, tol, tp = critical._long_edge_roots, 1e-8, TreeParams(2, 3)
+    grid = [j / 40 for j in range(21)]
+    for miss in (lambda r: r - 100 * tol, lambda r: r + 100 * tol, lambda r: np.full_like(r, 2.0)):
+        monkeypatch.setattr(critical, "_long_edge_roots", lambda r0, dr: miss(roots(r0, dr)))
+        swept = qc_sweep(grid, tp, tol=tol)
+        assert [repr(pt) for pt in swept] == [repr(qc(p, tp, tol=tol)) for p in grid]
+        assert all(pt.rho_evals > 2 for pt in swept[1:-1])
+
+
+def test_sweep_builds_each_pencil_once_across_passes(monkeypatch):
+    # a pass never holds more pencils than the cache, so a point that falls
+    # back to qc finds its pencil cached; p = 1/d builds none
+    builds = Counter()
+
+    def counting_build(params, p, q):
+        builds[p] += 1
+        return build_offspring_matrix(params, p, q)
+
+    monkeypatch.setattr(critical, "build_offspring_matrix", counting_build)
+    critical._pencil.cache_clear()
+    grid = parse_grid("0:0.5:0.0025")
+    points = qc_sweep(grid, TreeParams(2, 4), tol=1e-4)
+    assert any(pt.rho_evals > 2 for pt in points[1:-1])
+    assert builds == Counter({p: 2 for p in grid[:-1]})
+
+
+def test_sweep_memory_does_not_grow_with_grid():
+    # the passes' working memory, the traced peak above what the call
+    # returns and caches, is the same for 200 points and for 2000; the
+    # returned points themselves grow with the grid
+    tp = TreeParams(2, 4)
+    qc_sweep([0.1], tp, tol=1e-4)
+    working = []
+    for n in (200, 2000):
+        grid = [0.5 * j / n for j in range(n)]
+        tracemalloc.start()
+        try:
+            points = qc_sweep(grid, tp, tol=1e-4)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == n
+        working.append(peak - held)
+    assert working[1] <= 1.5 * working[0]
 
 
 def test_lower_bound_field():
