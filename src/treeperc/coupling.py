@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .errors import SEED_LIMIT, FeasibilityError, ParameterError, check_probabilities
+from .errors import SEED_LIMIT, FeasibilityError, ParameterError, check_count
+from .errors import check_probabilities, check_real
 from .percolation import sweep_layers
 from .rng import EdgeOracle, edge_tables, keyed_hash, open_edges, realization_seed
 from .tree import ROOT, TreeParams, long_selector
@@ -47,8 +48,7 @@ class PhiMap:
         self.n_digits = params.d + params.n_long_children
 
     def is_long_digit(self, j: int) -> bool:
-        if not 1 <= j <= self.n_digits:
-            raise ParameterError(f"digit {j} outside [1, {self.n_digits}]")
+        check_count("digit", j, 1, self.n_digits + 1)
         return j > self.params.d
 
     def phi(self, j: int) -> bytes:
@@ -94,9 +94,7 @@ class HatConfig:
         self._rule = rule
         self._memo: dict[tuple, tuple] = {}
         if rule is None:
-            if p is None or q is None or seed is None:
-                raise ParameterError("random configs need p, q and a seed")
-            check_probabilities(p=p, q=q)
+            p, q = check_probabilities(p=p, q=q)
             self._keyed = keyed_hash(realization_seed(seed, trial))
             # bytes per digit of a tail's stream input: 1 while digits fit a
             # byte; a zero digit ends the input, so inputs are prefix-free
@@ -356,10 +354,9 @@ def dominance_test(
     their combined standard error; dominance is declared when no threshold
     exceeds ``SIGMA_LIMIT`` of them.
     """
-    if not 0.0 <= q - delta <= 1.0:
-        raise ParameterError(f"reduced probability q - delta = {q - delta} invalid")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    p, q = check_probabilities(p=p, q=q)
+    check_probabilities(q_minus_delta=q - check_real("delta", delta))
+    check_count("trials", trials, 1)
     zs = []
     zhs = []
     for trial in range(trials):

@@ -62,7 +62,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, check_probabilities, check_solve_tolerance
+from .errors import ConsistencyError, ParameterError, check_count, check_probabilities
+from .errors import check_solve_tolerance
 from .spectral import DEFAULT_TOL, pf_eigen
 from .tree import TreeParams
 from .window_chain import build_offspring_matrix
@@ -109,7 +110,7 @@ def rho_result(p: float, q: float, params: TreeParams, tol: float = DEFAULT_TOL)
     pencil of p (``_pencil``); ``nu`` is indexed by nonzero ray state.  The
     solve starts from |Re v| for v the eigenvector of the eigenvalue of
     largest real part, which for a nonnegative matrix is the Perron root."""
-    check_probabilities(p=p, q=q)
+    p, q = check_probabilities(p=p, q=q)
     r0, dr = _pencil(params, p)
     matrix = r0 + q * dr
     return pf_eigen(matrix, tol=tol, x0=_perron_start(*np.linalg.eig(matrix)))
@@ -171,7 +172,7 @@ def qc(p: float, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> CurvePoint:
     ``rho_residual`` is the last one's eigen-residual and ``rho_evals``
     their number.
     """
-    check_probabilities(p=p)
+    (p,) = check_probabilities(p=p)
     solve_tol = _solve_tol(params, tol)
     lower = branching_lower_bound(p, params)
     if p > 1.0 / params.d - BOUNDARY_EPS:
@@ -270,9 +271,7 @@ def qc_sweep(p_grid, params: TreeParams, tol: float = DEFAULT_Q_TOL) -> list[Cur
     ``pf_eigen`` certifies the probes point by point.  A point whose probes
     confirm its estimate is ``qc``'s 2-solve answer; every other point is
     ``qc``'s own search."""
-    grid = list(p_grid)
-    for p in grid:
-        check_probabilities(p=p)
+    grid = [check_probabilities(p=p)[0] for p in p_grid]
     solve_tol = _solve_tol(params, tol)
     points = []
     for start in range(0, len(grid), SWEEP_CHUNK):
@@ -314,6 +313,8 @@ def _sweep_pass(grid, params: TreeParams, tol: float, solve_tol: float) -> list[
 
 def s_star(p: float, d: int) -> float:
     """Second-order coefficient of the large-k expansion of q_c."""
+    (p,) = check_probabilities(p=p)
+    check_count("d", d, 2)
     if p * d >= 1.0:
         raise ConsistencyError(f"s_star requires p d < 1, got p={p}, d={d}")
     return (1.0 - p * d) ** 2 * p * p * d / (1.0 - p * p * d)
@@ -325,6 +326,8 @@ def asymptotics_table(
     """Rescaled residuals of q_c against the two-term large-k expansion,
     which needs p d < 1: from p = 1/d on q_c is 0 and the leading term
     (1 - pd)/d^k is not positive."""
+    (p,) = check_probabilities(p=p)
+    check_count("d", d, 2)
     if p * d >= 1.0:
         raise ParameterError(f"the expansion needs p d < 1, got p={p}, d={d}")
     target = s_star(p, d)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the shared checks of seeds,
-edge probabilities and solver tolerances that raise them."""
+"""Exception types shared across the package, and the one encoding of the
+model's input domain: checks of counts, seeds, reals, probabilities and
+tolerances that raise ``ParameterError`` for a wrong kind or range alike."""
 
 import math
+from numbers import Real
 
 
 class ParameterError(ValueError):
@@ -37,18 +39,36 @@ class NonConvergenceError(RuntimeError):
 SEED_LIMIT = 1 << 64
 
 
-def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2^64)."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
+def check_count(name: str, value, low: int, below: float = math.inf) -> None:
+    """Reject a count that is not an ``int`` (a bool is not) in [low, below)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value < below:
+        raise ParameterError(f"{name} must be an integer in [{low}, {below}), got {value!r}")
 
 
-def check_probabilities(**probs: float) -> None:
-    """Reject edge probabilities outside [0, 1]; NaN fails every comparison
-    and is rejected too."""
-    if not all(0.0 <= v <= 1.0 for v in probs.values()):
+def check_seed(seed, name: str = "seed") -> None:
+    """Reject a seed, or a trial index named by ``name``, outside [0, 2^64)."""
+    check_count(name, seed, 0, SEED_LIMIT)
+
+
+def check_real(name: str, value) -> float:
+    """The float value of a real scalar, such as a ``Fraction`` or a numpy
+    scalar; rejects a bool, a non-real and a value beyond the float range."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def check_probabilities(**probs) -> tuple[float, ...]:
+    """The float values (``check_real``) of edge probabilities in argument
+    order; rejects one outside [0, 1], NaN too."""
+    values = tuple(check_real(name, v) for name, v in probs.items())
+    if not all(0.0 <= v <= 1.0 for v in values):
         got = ", ".join(f"{name}={v}" for name, v in probs.items())
         raise ParameterError(f"probabilities must lie in [0, 1], got {got}")
+    return values
 
 
 #: Smallest solver tolerance accepted.  Power iteration certifies residuals
@@ -57,19 +77,21 @@ def check_probabilities(**probs: float) -> None:
 MIN_TOL = 1e-13
 
 
-def check_tolerance(tol: float) -> None:
-    """Reject a solver tolerance below ``MIN_TOL`` or not finite; NaN fails
-    the comparison and is rejected too."""
+def check_tolerance(tol) -> float:
+    """The float value (``check_real``) of a solver tolerance; rejects one
+    below ``MIN_TOL`` or not finite, NaN too."""
+    tol = check_real("tolerance", tol)
     if not MIN_TOL <= tol < math.inf:
         raise ParameterError(f"tolerance must lie in [{MIN_TOL}, inf), got {tol}")
+    return tol
 
 
-def check_solve_tolerance(tol: float, times: float, per: float, accepted_by: str) -> float:
+def check_solve_tolerance(tol, times: float, per: float, accepted_by: str) -> float:
     """The solve tolerance ``tol * times / per`` that a solver derives from
     ``tol``.  Rejects a ``tol`` that fails ``check_tolerance``, or whose solve
     tolerance does; the message names the smallest ``tol`` of 3 significant
     digits accepted, and ``accepted_by`` ends it."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     solve_tol = tol * times / per
     if solve_tol < MIN_TOL:
         shown = float(f"{MIN_TOL * per / times:.3g}")

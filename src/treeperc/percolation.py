@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import count, islice
 
-from .errors import ConsistencyError, ParameterError, SizeCapError, check_probabilities
+from .errors import ConsistencyError, ParameterError, SizeCapError, check_count
+from .errors import check_probabilities, check_real
 from .rng import EdgeOracle
 from .tree import ROOT, TreeParams, slot_index, window_height, window_size, window_vertices
 
@@ -47,7 +48,8 @@ class PercParams:
     q: float
 
     def __post_init__(self):
-        check_probabilities(p=self.p, q=self.q)
+        for name, value in zip("pq", check_probabilities(p=self.p, q=self.q)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -70,6 +72,7 @@ class AdmissibleSet:
     rel_type: int
 
     def __post_init__(self):
+        check_count("rel_type", self.rel_type, 1)
         if not self.rel_type & 1:
             raise ConsistencyError("an admissible set must contain its own base")
 
@@ -129,8 +132,7 @@ def explore_layers(
     params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
 ) -> LayerStats:
     """Occupation counts of heights 0..n_max."""
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
+    check_count("n_max", n_max, 0)
     x = [1]
     for layer, _population in islice(sweep_layers(oracle), n_max):
         x.append(len(layer))
@@ -192,12 +194,9 @@ def conditioned_cluster_sample(
     edge kinds undirected.  Raises when the trials are spent with acceptance
     below ``MIN_ACCEPTANCE``.
     """
-    if not 0 <= radius <= 2:
-        raise ParameterError(f"neighborhood radius must lie in [0, 2], got {radius}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if size_threshold < 0:
-        raise ParameterError(f"size_threshold must be >= 0, got {size_threshold}")
+    check_count("radius", radius, 0, 3)
+    check_count("trials", trials, 1)
+    check_count("size_threshold", size_threshold, 0)
     # membership of a vertex depends only on edges above it, so the ball is
     # determined by the cluster restricted to this many levels
     local_height = radius * params.k
@@ -307,10 +306,8 @@ def estimate_survival(params: TreeParams, perc: PercParams, trials: int, depth: 
     probability of all of them dying before the horizon is negligible
     (bounded by (1 - zeta)^escape for per-vertex survival probability zeta).
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if depth < params.k:
-        raise ParameterError(f"depth must be >= k={params.k}")
+    check_count("trials", trials, 1)
+    check_count("depth", depth, params.k)
     alive_count = 0
     for trial in range(trials):
         oracle = make_oracle(params, perc, seed, trial)
@@ -368,16 +365,14 @@ def criteria_eval(params: TreeParams, p: float, s: float, trials: int, seed: int
       first-generation pieces with size != 2 plus sizes of the offspring of
       the size-2 pieces.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_count("trials", trials, 1)
+    (p,) = check_probabilities(p=p)
     # at p d >= 1 the short cluster is supercritical and a trial only ends
     # at the cluster cap
     if p * params.d >= 1.0:
         raise ParameterError("criteria require p d < 1")
     dk = float(params.d) ** params.k
-    q = (1.0 - p * params.d) / dk + s / dk**2
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"parametrized q={q} outside [0, 1]")
+    q = (1.0 - p * params.d) / dk + check_real("s", s) / dk**2
     perc = PercParams(p=p, q=q)
     sum_a = sum_a2 = 0.0
     sum_b = sum_b2 = 0.0

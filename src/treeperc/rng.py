@@ -40,7 +40,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from hashlib import blake2b
 
-from .errors import SEED_LIMIT, ParameterError, check_probabilities, check_seed
+from .errors import check_probabilities, check_seed
 from .tree import TreeParams, long_selector
 
 #: One block: a 64-byte digest read as 8 little-endian uint64 words.
@@ -53,8 +53,7 @@ _GRAIN = 2.0**-53
 def derive_trial_seed(master_seed: int, trial: int) -> int:
     """Statistically independent 64-bit seed for one trial of an experiment."""
     check_seed(master_seed)
-    if not 0 <= trial < SEED_LIMIT:
-        raise ParameterError(f"trial must lie in [0, 2^64), got {trial}")
+    check_seed(trial, "trial")
     payload = master_seed.to_bytes(8, "little") + trial.to_bytes(8, "little")
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "little")
 
@@ -62,10 +61,9 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
 def realization_seed(seed: int, trial: int) -> int:
     """The seed of one trial's realization: the master seed itself for
     trial 0, a derived one for every later trial."""
-    if trial:
-        return derive_trial_seed(seed, trial)
     check_seed(seed)
-    return seed
+    check_seed(trial, "trial")
+    return derive_trial_seed(seed, trial) if trial else seed
 
 
 def keyed_hash(seed: int):
@@ -166,7 +164,7 @@ class EdgeOracle:
     """
 
     def __init__(self, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
-        check_probabilities(p=p, q=q)
+        p, q = check_probabilities(p=p, q=q)
         self.params = params
         self.seed = realization_seed(seed, trial)
         self._keyed = keyed_hash(self.seed)

@@ -5,8 +5,8 @@ makes the iteration immune to periodicity (a bipartite two-cycle chain, for
 example, would otherwise oscillate), and eigenvectors are unchanged while the
 dominant eigenvalue shifts by exactly one.  Convergence is certified by the
 eigen-residual on the *unshifted* matrix, not by iterate distance.  The
-matrix is a dense array, as the package's ray matrices are, or anything
-with ``tocsr``, such as the sparse window matrices of the tests.
+matrix is a dense array, as the package's ray matrices are; anything else,
+a scipy sparse matrix among them, raises ``ParameterError``.
 
 The solve is one-sided; the left Perron pair is the same solve on the
 transpose.  It starts from the uniform vector, or from a nonnegative warm
@@ -59,33 +59,30 @@ class SpectralResult:
     iterations: int
 
 
-def _as_matrix(matrix):
-    """Return the CSR form of anything with ``tocsr`` (a sparse matrix),
-    else a dense float array."""
-    if hasattr(matrix, "tocsr"):
-        matrix = matrix.tocsr()
-        if (matrix.data < 0).any():
-            raise ParameterError("matrix must be entrywise nonnegative")
-        return matrix
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParameterError("matrix must be square")
-    if (arr < 0).any():
-        raise ParameterError("matrix must be entrywise nonnegative")
-    return arr
+def _as_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a dense float array, which must be nonempty, square,
+    real, finite and entrywise nonnegative."""
+    try:
+        arr = np.asarray(matrix)
+        square = arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0
+    except ValueError:  # a ragged nesting
+        square = False
+    if not square or not (arr >= 0).all() or not np.isfinite(arr).all():
+        raise ParameterError("matrix must be a nonempty square array of finite reals >= 0")
+    return arr.astype(float, copy=False)
 
 
 def _null_vector_if_nilpotent(mat):
     """M v = 0 for v the indicator of the empty columns, summing to one, if
     the nonzero pattern has no cycle (M is nilpotent); else None.  Peels empty
     columns, and the rows of the same index, until none is left; entries are
-    left over exactly when the pattern has a cycle.  Dense or CSR alike."""
+    left over exactly when the pattern has a cycle."""
     pattern = mat != 0
-    in_degree = np.asarray(pattern.sum(axis=0)).ravel()
+    in_degree = pattern.sum(axis=0)
     sources = in_degree == 0
     frontier = np.flatnonzero(sources)
     while frontier.size:
-        removed = np.asarray(pattern[frontier].sum(axis=0)).ravel()
+        removed = pattern[frontier].sum(axis=0)
         in_degree -= removed
         # a column empties in the round its last entry is peeled
         frontier = np.flatnonzero((in_degree == 0) & (removed > 0))
@@ -101,7 +98,7 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
     module docstring); the output does not depend on the starting point
     beyond the certified tolerance.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     mat = _as_matrix(matrix)
     apply_fn, n = mat.dot, mat.shape[0]
     warm = x0 is not None and x0.shape == (n,) and x0.sum() > 0 and (x0 >= 0).all()

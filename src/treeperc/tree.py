@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfSlabError, ParameterError, SizeCapError
+from .errors import OutOfSlabError, ParameterError, SizeCapError, check_count
 
 #: Largest admissible window bitmask width.  The exact window chain is
 #: exponential in this width, so larger (d, k) are rejected outright.  A
@@ -34,13 +34,13 @@ class TreeParams:
     k: int
 
     def __post_init__(self):
-        if self.d < 2 or self.k < 2:
-            raise ParameterError(f"need d >= 2 and k >= 2, got d={self.d}, k={self.k}")
-        if self.window_slots > MAX_WINDOW_BITS:
+        check_count("d", self.d, 2)
+        check_count("k", self.k, 2)
+        # a window has 1 + d slots and k at least: d^k is computed only below that
+        if max(self.d + 1, self.k) > MAX_WINDOW_BITS or self.window_slots > MAX_WINDOW_BITS:
             raise SizeCapError(
-                f"window has {self.window_slots} slots, exceeding the configured "
-                f"cap of {MAX_WINDOW_BITS}; (d={self.d}, k={self.k}) is too large "
-                "for exact window-chain computation"
+                f"(d={self.d}, k={self.k}) needs a window above the exact chain's cap of "
+                f"{MAX_WINDOW_BITS} slots"
             )
 
     @property
@@ -64,7 +64,7 @@ class TreeParams:
 
 def parent(v: bytes) -> bytes:
     if not v:
-        raise ValueError("the root has no parent")
+        raise ParameterError("the root has no parent")
     return v[:-1]
 
 
@@ -74,8 +74,7 @@ def slot_index(u: bytes, params: TreeParams) -> int:
         raise OutOfSlabError(f"vertex {tuple(u)} has height {len(u)} >= k={params.k}")
     i = 0
     for digit in u:
-        if not 1 <= digit <= params.d:
-            raise ValueError(f"digit {digit} outside [1, {params.d}]")
+        check_count("digit", digit, 1, params.d + 1)
         i = params.d * i + digit
     return i
 
@@ -92,15 +91,8 @@ def slot_vertex(i: int, params: TreeParams) -> bytes:
 
 
 def slot_height(i: int, params: TreeParams) -> int:
-    """Height of the vertex occupying slot i."""
-    if not 0 <= i < params.window_slots:
-        raise OutOfSlabError(f"slot {i} outside [0, {params.window_slots})")
-    h = 0
-    level_end = 1
-    while i >= level_end:
-        h += 1
-        level_end += params.d ** h
-    return h
+    """Height of the vertex occupying slot i: its number of digits."""
+    return len(slot_vertex(i, params))
 
 
 def window_size(bits: int) -> int:
@@ -110,8 +102,7 @@ def window_size(bits: int) -> int:
 
 def window_height(bits: int, params: TreeParams) -> int:
     """Maximum slot height present in a nonempty window."""
-    if bits <= 0:
-        raise ValueError("window is empty")
+    check_count("window", bits, 1)
     return slot_height(bits.bit_length() - 1, params)
 
 
@@ -123,8 +114,7 @@ def window_vertices(bits: int, params: TreeParams) -> list[bytes]:
 def long_selector(index: int, params: TreeParams) -> bytes:
     """The index-th element of [d]^k in lexicographic order (0-based index),
     as the k-byte string a long edge appends to its tail."""
-    if not 0 <= index < params.n_long_children:
-        raise ValueError(f"long selector index {index} outside [0, {params.n_long_children})")
+    check_count("long selector index", index, 0, params.n_long_children)
     digits = []
     for _ in range(params.k):
         digits.append(index % params.d + 1)

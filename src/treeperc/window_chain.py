@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, SizeCapError, check_probabilities
+from .errors import SizeCapError, check_count, check_probabilities
 from .tree import TreeParams, parent, slot_index, slot_vertex
 
 #: Bytes a count-level chain run may hold.
@@ -113,11 +113,9 @@ def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams
     increasing window order.  A low slot is set iff its vertex below the
     child is in ``a``; a top slot j is set with ``_open_prob`` of its
     parent's bit in ``a`` and the base's."""
-    if not 0 < a < 1 << params.window_slots:
-        raise ParameterError(f"parent window {a} must be a nonempty set of {params.window_slots} slots")
-    check_probabilities(p=p, q=q)
-    if not 1 <= child <= params.d:
-        raise ParameterError(f"child digit {child} outside [1, {params.d}]")
+    check_count("parent window", a, 1, 1 << params.window_slots)
+    p, q = check_probabilities(p=p, q=q)
+    check_count("child digit", child, 1, params.d + 1)
 
     def bit(u):  # whether vertex u below the child is in the parent window
         return a >> slot_index(bytes((child,)) + u, params) & 1
@@ -140,7 +138,7 @@ def initial_window_dist(params: TreeParams, p: float) -> dict[int, float]:
     taking parents; the empty window has mass zero since the root always
     belongs to its own cluster.
     """
-    check_probabilities(p=p)
+    (p,) = check_probabilities(p=p)
     d = params.d
     return _set_slots(
         {1: 1.0}, range(1, params.window_slots), lambda w, j: p * (w >> (j - 1) // d & 1)
@@ -191,7 +189,7 @@ def build_offspring_matrix(params: TreeParams, p: float, q: float) -> OffspringM
     """Exact mean offspring matrix d * T of the ray process over its 2^k - 1
     nonzero states (``_ray_matrix``), which has the Perron root of the
     window process's 2^W-type mean matrix."""
-    check_probabilities(p=p, q=q)
+    p, q = check_probabilities(p=p, q=q)
     return OffspringMatrix(_ray_matrix(params, p, q))
 
 
@@ -218,10 +216,9 @@ def chain_survival(
     [n-k+1, n], which is exactly when generation n of the ray process is
     nonempty.  Trials run in batches to bound memory.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if depth < params.k:
-        raise ParameterError(f"depth must be >= k={params.k}")
+    check_count("trials", trials, 1)
+    check_count("depth", depth, params.k)
+    check_count("batch", batch, 1)
     alive = 0
     for done in range(0, trials, batch):
         # the batch's history is dropped at once, so one is held at a time
@@ -253,11 +250,9 @@ def simulate_window_chain(
     allocating when the estimated memory exceeds ``MAX_ARRAY_BYTES``, and
     once the total population exceeds ``POPULATION_CAP``.
     """
-    if generations < 0:
-        raise ParameterError("generations must be >= 0")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    check_probabilities(p=p, q=q)
+    check_count("generations", generations, 0)
+    check_count("trials", trials, 1)
+    p, q = check_probabilities(p=p, q=q)
     _check_bytes(
         _chain_bytes(params, trials, generations),
         f"{trials} chain trials over {generations} generations at "

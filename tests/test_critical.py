@@ -23,7 +23,7 @@ from treeperc.spectral import SpectralResult, pf_eigen
 from treeperc.tree import TreeParams
 from treeperc.window_chain import build_offspring_matrix
 from qc_order import qc_end_solves_first
-from window_law import window_matrix
+from window_law import window_rho
 
 TP = TreeParams(2, 2)
 
@@ -64,13 +64,11 @@ RHO_POINTS = [
 def test_quotient_rho_matches_full_rho(d, k, p, q):
     # rho solves the ray matrix d T, the quotient of the full window matrix
     # M along the ray counts R (M R = R d T), which has M's Perron root.  The
-    # ray solve starts from a dense eigenvector and lands on the root; a
-    # power solve of M at tol is only within its backward error of it, so M
-    # is solved at the floor tolerance.  At (2,4) the exact lumping alone is
-    # checked (test_window_chain), as M's power solve takes seconds there
+    # ray solve starts from a dense eigenvector and lands on the root; M's
+    # root comes from ARPACK, not from the power solve under test.  At (2,4)
+    # the exact lumping alone is checked (test_window_chain)
     tp, tol = TreeParams(d, k), 1e-12
-    full = pf_eigen(window_matrix(tp, p, q), tol=MIN_TOL)
-    assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
+    assert abs(rho(p, q, tp, tol=tol) - window_rho(tp, p, q)) <= tol
 
 
 def test_ray_solves_certify_in_one_step():
@@ -147,8 +145,7 @@ def test_quotient_rho_matches_full_rho_at_large_d():
     # states
     tp, tol = TreeParams(10, 2), 1e-12
     for p, q in [(0.01, 0.004), (0.05, 0.02)]:
-        full = pf_eigen(window_matrix(tp, p, q), tol=tol)
-        assert abs(rho(p, q, tp, tol=tol) - full.rho) <= tol
+        assert abs(rho(p, q, tp, tol=tol) - window_rho(tp, p, q)) <= tol
 
 
 def test_qc_strict_gap_at_d16():

@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from treeperc.errors import MIN_TOL, ParameterError
-from treeperc.spectral import CHECK_EVERY, NILPOTENCY_CHECK_AT, pf_eigen
+from treeperc.errors import MIN_TOL, NonConvergenceError, ParameterError
+from treeperc.spectral import CHECK_EVERY, MAX_ITER, NILPOTENCY_CHECK_AT, pf_eigen
 from treeperc.tree import TreeParams
 from window_law import window_matrix
 
@@ -24,12 +24,11 @@ def test_periodic_matrix():
 
 
 def test_window_matrix_two_cycle():
-    m = window_matrix(TreeParams(2, 2), 0.0, 1.0)
+    m = window_matrix(TreeParams(2, 2), 0.0, 1.0).toarray()
     res = pf_eigen(m)
     assert res.rho == pytest.approx(2.0, abs=1e-10)
     # brute-force dense oracle on the same 7x7 matrix
-    dense = m.toarray()
-    brute = max(abs(np.linalg.eigvals(dense)))
+    brute = max(abs(np.linalg.eigvals(m)))
     assert res.rho == pytest.approx(float(brute), abs=1e-9)
 
 
@@ -94,7 +93,7 @@ def test_nilpotent_dense_upper_triangular():
 
 
 def test_nilpotent_window_matrix():
-    m = window_matrix(TreeParams(2, 2), 0.0, 0.0)
+    m = window_matrix(TreeParams(2, 2), 0.0, 0.0).toarray()
     res = pf_eigen(m)
     assert (res.rho, res.residual) == (0.0, 0.0)
     assert res.nu.sum() == pytest.approx(1.0, abs=1e-15) and (res.nu >= 0).all()
@@ -107,21 +106,20 @@ def test_rho_far_below_one_converges(p, q):
     # rho of order 1e-7 to 1e-4 and not nilpotent: past the nilpotency check
     # the solve shifts by its Rayleigh estimate, not by one, and both the
     # matrix and its transpose reach the tolerance on the unshifted matrix
-    m = window_matrix(TreeParams(2, 2), p, q)
-    for mat in (m, m.T.tocsr()):
+    m = window_matrix(TreeParams(2, 2), p, q).toarray()
+    for mat in (m, m.T):
         res = pf_eigen(mat, tol=1e-12)
         assert res.iterations > NILPOTENCY_CHECK_AT and res.residual <= 1e-12
         assert np.abs(mat @ res.nu - res.rho * res.nu).max() / res.nu.max() <= 1e-12
         # the residual is a backward error: rho lies within the root's
         # condition number times it of the dense eigenvalue, which at q = 0
         # (a near-rank-one matrix with kappa up to 1.7e7) is far from tol
-        dense = mat.toarray()
-        rho = max(np.linalg.eigvals(dense).real)
-        vals, left, right = scipy.linalg.eig(dense, left=True, right=True)
+        rho = max(np.linalg.eigvals(mat).real)
+        vals, left, right = scipy.linalg.eig(mat, left=True, right=True)
         i = np.argmax(vals.real)
         x, y = right[:, i].real, left[:, i].real
         kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(y @ x)
-        eta = np.linalg.norm(dense @ res.nu - res.rho * res.nu) / np.linalg.norm(res.nu)
+        eta = np.linalg.norm(mat @ res.nu - res.rho * res.nu) / np.linalg.norm(res.nu)
         assert abs(res.rho - rho) <= 2 * kappa * eta
 
 
@@ -141,6 +139,34 @@ def test_rejects_negative_entries():
         pf_eigen([[1.0, -0.5], [0.0, 1.0]])
     with pytest.raises(ParameterError):
         pf_eigen(sparse.csr_matrix(np.array([[-1.0]])))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        sparse.csr_matrix(np.eye(2)),  # dense arrays only
+        np.eye(2, dtype=complex),
+        [["1", "0"], ["0", "1"]],
+        [[1.0, 0.0], [1.0]],  # ragged
+        np.ones((2, 3)),
+        np.ones(3),
+        np.zeros((0, 0)),
+        [[1.0, math.nan], [0.0, 1.0]],
+        [[1.0, math.inf], [0.0, 1.0]],
+    ],
+)
+def test_rejects_what_is_not_a_square_real_array(matrix):
+    with pytest.raises(ParameterError):
+        pf_eigen(matrix)
+
+
+def test_jordan_block_does_not_converge():
+    # a Jordan block's iterate converges like 1/n: the residual is still
+    # above tol at the iteration budget, and the error carries its state
+    with pytest.raises(NonConvergenceError) as exc:
+        pf_eigen([[1.0, 1.0], [0.0, 1.0]])
+    assert exc.value.iterations == MAX_ITER
+    assert math.isfinite(exc.value.residual) and exc.value.residual < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,11 +4,13 @@ vectorised over parent windows, for ``window_chain.child_window_dist`` to
 be checked against.  ``window_matrix`` builds from it the mean matrix M
 over all 2^W - 1 nonempty windows, with no byte cap; the product solves rho
 on the ray instead, whose mean matrix d T is M lumped along the ray counts
-R (M R = R d T), and the tests check that identity.
+R (M R = R d T), and the tests check that identity.  ``window_rho`` is M's
+Perron root by ARPACK, a solver independent of the package's.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import eigs
 
 from treeperc.errors import ParameterError, check_probabilities
 from treeperc.tree import TreeParams, parent, slot_index, slot_vertex
@@ -113,3 +115,10 @@ def window_matrix(params, p, q):
     for i in range(2, params.d + 1):
         total = total + law_block(child_law, i)
     return total[:, 1:]
+
+
+def window_rho(params, p, q):
+    """The Perron root of ``window_matrix``: for a nonnegative matrix, the
+    eigenvalue of largest real part, by ARPACK from the all-ones vector."""
+    m = window_matrix(params, p, q)
+    return float(eigs(m, k=1, which="LR", v0=np.ones(m.shape[0]))[0][0].real)
