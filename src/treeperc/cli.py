@@ -266,7 +266,7 @@ def cmd_limits(args):
 def _conditional_pmf(values) -> dict:
     positive = values[values > 0]
     if positive.size == 0:
-        raise ParameterError("no surviving trials to condition on")
+        raise FeasibilityError("no surviving trials to condition on")
     out = {}
     for v in positive:
         out[int(v)] = out.get(int(v), 0) + 1

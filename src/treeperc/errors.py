@@ -61,10 +61,10 @@ def check_real(name: str, value) -> float:
     raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
-def check_probabilities(**probs) -> tuple[float, ...]:
+def check_probabilities(**probs) -> list[float]:
     """The float values (``check_real``) of edge probabilities in argument
     order; rejects one outside [0, 1], NaN too."""
-    values = tuple(check_real(name, v) for name, v in probs.items())
+    values = [check_real(name, v) for name, v in probs.items()]
     if not all(0.0 <= v <= 1.0 for v in values):
         got = ", ".join(f"{name}={v}" for name, v in probs.items())
         raise ParameterError(f"probabilities must lie in [0, 1], got {got}")

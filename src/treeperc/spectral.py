@@ -67,7 +67,8 @@ def _as_matrix(matrix) -> np.ndarray:
         square = arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0
     except ValueError:  # a ragged nesting
         square = False
-    if not square or not (arr >= 0).all() or not np.isfinite(arr).all():
+    # a NaN minimum fails the first comparison
+    if not square or not 0 <= arr.min() <= arr.max() < np.inf:
         raise ParameterError("matrix must be a nonempty square array of finite reals >= 0")
     return arr.astype(float, copy=False)
 

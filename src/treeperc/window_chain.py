@@ -29,7 +29,10 @@ once.  Its mean matrix d * T (``build_offspring_matrix``, behind ``rho``,
 ``qc`` and ``matrix``) is that step applied to d vertices of each state,
 held dense (at most 15 states under ``MAX_WINDOW_BITS``), and has the
 Perron root of the 2^W-type window process; ``simulate_window_chain`` and
-``chain_survival`` sample it with one binomial draw per generation.
+``chain_survival`` sample it with one binomial draw per generation.  The
+per-height history of a run is kept only where it is read (``limits`` and
+the acceptance criteria), not by ``chain_survival``, whose depth is bounded
+by a worst-case work cap instead (``_check_run``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ from .tree import TreeParams, parent, slot_index, slot_vertex
 
 #: Bytes a count-level chain run may hold.
 MAX_ARRAY_BYTES = 1 << 30
+
+#: Count cells a chain run may draw in its worst case, every trial alive to
+#: the last generation: a generation of a batch draws its (trials, 2^k) count
+#: array, and its fixed cost counts as ``GENERATION_CELLS`` more.  On a 2-core
+#: x86 VM a generation took 1.4 ms for 20000 trials at k = 2, 7.1 ms at
+#: k = 4 and 19 us for one trial, 17 to 22 ns a cell, so a run at the cap
+#: draws for about five minutes at most.
+MAX_CHAIN_CELLS = 15 * 10**9
+GENERATION_CELLS = 1000
 
 #: Total population at which a count-level chain run stops: the ray
 #: individuals of a generation, the vertices with a cluster vertex among
@@ -98,14 +110,6 @@ def _set_slots(pmf: dict[int, float], slots, prob) -> dict[int, float]:
             on.append((w | 1 << j, pr * pi))
         pmf = {w: pr for w, pr in off + on if pr > 0.0}
     return pmf
-
-
-def _check_bytes(need: int, what: str) -> None:
-    if need > MAX_ARRAY_BYTES:
-        raise SizeCapError(
-            f"{what} needs about {need / 2**30:.2f} GiB, above the cap of "
-            f"{MAX_ARRAY_BYTES / 2**30:.1f} GiB"
-        )
 
 
 def child_window_dist(a: int, child: int, p: float, q: float, params: TreeParams) -> dict[int, float]:
@@ -193,12 +197,31 @@ def build_offspring_matrix(params: TreeParams, p: float, q: float) -> OffspringM
     return OffspringMatrix(_ray_matrix(params, p, q))
 
 
-def _chain_bytes(params: TreeParams, trials: int, generations: int) -> int:
+def _chain_bytes(params: TreeParams, trials: int, generations: int, history: bool = True) -> int:
     """Estimated bytes of a ray chain run: the (trials, generations + 1)
-    int64 history, five (trials, 2^k) int64 count arrays (a generation, its
-    children and births, the next generation, and one for temporaries), and
-    1 MiB for numpy's buffers and small arrays."""
-    return (1 << 20) + 8 * trials * ((5 << params.k) + generations + 1)
+    int64 history if it is kept, five (trials, 2^k) int64 count arrays (a
+    generation, its children and births, the next generation, and one for
+    temporaries), and 1 MiB for numpy's buffers and small arrays."""
+    return (1 << 20) + 8 * trials * ((5 << params.k) + (generations + 1 if history else 0))
+
+
+def _check_run(params: TreeParams, generations: int, trials: int, batch: int, history: bool):
+    """Refuse a chain run of ``trials`` trials over ``generations``
+    generations, in batches of ``batch``, before its first draw: when a
+    batch's arrays (``_chain_bytes``) pass ``MAX_ARRAY_BYTES``, or the
+    run's worst-case draws pass ``MAX_CHAIN_CELLS``."""
+    what = f"{trials} chain trials over {generations} generations at (d={params.d}, k={params.k})"
+    need = _chain_bytes(params, min(batch, trials), generations, history)
+    if need > MAX_ARRAY_BYTES:
+        raise SizeCapError(
+            f"{what} need about {need / 2**30:.2f} GiB a batch, above the cap of "
+            f"{MAX_ARRAY_BYTES / 2**30:.1f} GiB"
+        )
+    cells = generations * ((trials << params.k) + -(-trials // batch) * GENERATION_CELLS)
+    if cells > MAX_CHAIN_CELLS:
+        raise SizeCapError(
+            f"{what} may draw {cells:.3g} count cells, above the cap of {MAX_CHAIN_CELLS:.3g}"
+        )
 
 
 def chain_survival(
@@ -214,15 +237,19 @@ def chain_survival(
 
     "Alive at depth n" means the cluster holds a vertex with height in
     [n-k+1, n], which is exactly when generation n of the ray process is
-    nonempty.  Trials run in batches to bound memory.
+    nonempty.  Trials run in batches to bound memory, without the history,
+    which only ``limits`` reads; the run's memory and work are checked
+    before its first draw (``_check_run``).
     """
     check_count("trials", trials, 1)
     check_count("depth", depth, params.k)
     check_count("batch", batch, 1)
+    _check_run(params, depth, trials, batch, history=False)
     alive = 0
     for done in range(0, trials, batch):
-        # the batch's history is dropped at once, so one is held at a time
-        final = simulate_window_chain(params, p, q, rng, depth, min(batch, trials - done))[0]
+        final = simulate_window_chain(
+            params, p, q, rng, depth, min(batch, trials - done), history=False
+        )[0]
         alive += int(final.any(axis=1).sum())
     freq = alive / trials
     return freq, float(np.sqrt(freq * (1.0 - freq) / trials))
@@ -235,6 +262,7 @@ def simulate_window_chain(
     rng: np.random.Generator,
     generations: int,
     trials: int = 1,
+    history: bool = True,
 ):
     """Simulate the ray process for many independent trials at once, from
     the root alone in state 1 up to ``generations`` or the first generation
@@ -246,24 +274,23 @@ def simulate_window_chain(
     (trials, 2^k - 1), the last generation's count in ray state j + 1 as
     column j, and ``x`` has shape (trials, generations + 1) with the count
     of each generation in the odd states, i.e. the height-layer occupation
-    counts of the underlying cluster.  Raises ``SizeCapError`` before
-    allocating when the estimated memory exceeds ``MAX_ARRAY_BYTES``, and
-    once the total population exceeds ``POPULATION_CAP``.
+    counts of the underlying cluster; with ``history`` false, ``x`` is None
+    and not held.  Raises ``SizeCapError`` before allocating when the run's
+    memory or work passes its cap (``_check_run``), and once the total
+    population exceeds ``POPULATION_CAP``.
     """
     check_count("generations", generations, 0)
     check_count("trials", trials, 1)
     p, q = check_probabilities(p=p, q=q)
-    _check_bytes(
-        _chain_bytes(params, trials, generations),
-        f"{trials} chain trials over {generations} generations at "
-        f"(d={params.d}, k={params.k})",
-    )
+    _check_run(params, generations, trials, trials, history)
     pi = _ray_pi(params, p, q)
     cur = np.zeros((trials, 1 << params.k), dtype=np.int64)
     cur[:, 1] = 1
-    # generations after the first empty one are never drawn and stay 0
-    x = np.zeros((trials, generations + 1), dtype=np.int64)
-    x[:, 0] = 1
+    x = None
+    if history:
+        # generations after the first empty one are never drawn and stay 0
+        x = np.zeros((trials, generations + 1), dtype=np.int64)
+        x[:, 0] = 1
     for gen in range(1, generations + 1):
         children = params.d * cur
         born = rng.binomial(children, pi)
@@ -274,7 +301,8 @@ def simulate_window_chain(
             raise SizeCapError(
                 f"population {total} exceeds cap {POPULATION_CAP} at generation {gen}"
             )
-        x[:, gen] = cur[:, 1::2].sum(axis=1)
+        if history:
+            x[:, gen] = cur[:, 1::2].sum(axis=1)
         if total == 0:
             break
     return cur[:, 1:], x

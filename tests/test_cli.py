@@ -615,6 +615,12 @@ def test_exit_code_cap(tmp_path):
     # the supercritical chain at (17,2) passes POPULATION_CAP at generation 13
     for argv in (
         ["survival", "--method", "chain", "--d", "17", "--k", "2", "--p", "0.01", "--q", "0.01"],
+        # a trial alive to depth 2*10^8 would draw for most of an hour
+        ["survival", "--method", "chain", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1",
+         "--depth", "200000000", "--trials", "1"],
+        # no trial survives to the low horizon: nothing to condition on
+        ["limits", "--regime", "sub", "--d", "2", "--k", "2", "--p", "0.2", "--q", "0.1",
+         "--trials", "3", "--horizon", "25", "--horizon-low", "15"],
         # 31 window slots, above the width cap
         ["qc-point", "--d", "2", "--k", "5", "--p", "0.2"],
         ["asymptotics", "--d", "2", "--p", "0.25", "--k-min", "2", "--k-max", "5"],

@@ -15,6 +15,7 @@ from treeperc.tree import TreeParams, slot_index, slot_vertex
 from treeperc.window_chain import (
     MAX_ARRAY_BYTES,
     _chain_bytes,
+    _check_run,
     _ray_children,
     _ray_pi,
     _ray_shift,
@@ -557,6 +558,23 @@ def test_simulate_memory_cap_before_allocating():
     assert refused_peak(simulate_window_chain, tp, 0.25, 0.05, rng, 2000, 10**5) < 1 << 20
     assert _chain_bytes(tp, 10**8, 60) > MAX_ARRAY_BYTES
     assert refused_peak(chain_survival, tp, 0.25, 0.05, 60, 10**8, rng, 10**8) < 1 << 20
+
+
+def test_chain_survival_keeps_no_history_and_bounds_its_work():
+    # survival reads only the last generation: a deep run holds no
+    # (trials, depth + 1) history, and its depth is bounded by its worst
+    # case, every trial alive to the last generation, instead
+    rng = np.random.default_rng(0)
+    deep = traced_peak(lambda: chain_survival(TP22, 0.2, 0.1, 10**6, 1000, rng))
+    assert deep <= _chain_bytes(TP22, 1000, 10**6, history=False) < 2 << 20
+    # admitted: the CLI defaults on the widest ray, and 10^5 trials to 10^4
+    _check_run(TreeParams(2, 4), 60, 10**5, 20000, history=False)
+    _check_run(TP22, 10**4, 10**5, 20000, history=False)
+    # refused before the first draw: one trial to depth 2 * 10^8
+    state = rng.bit_generator.state
+    with pytest.raises(SizeCapError, match="count cells, above the cap"):
+        chain_survival(TP22, 0.2, 0.1, 2 * 10**8, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_simulate_returns_last_generation_and_layer_counts():
