@@ -95,6 +95,10 @@ def oracle(d_k, p, q, seed=1, trial=0):
     return treeperc.EdgeOracle(tree(d_k), p, q, seed, trial)
 
 
+def config(d_k, p, q, seed, trial=0):
+    return treeperc.HatConfig.random(tree(d_k), p, q, seed, trial)
+
+
 def rng():
     return np.random.default_rng(0)
 
@@ -107,13 +111,10 @@ CASES = {
     "PercParams": (treeperc.PercParams, [PROB, PROB]),
     "AdmissibleSet": (treeperc.AdmissibleSet, [st.binary(max_size=3), count(0, 64)]),
     "EdgeOracle": (oracle, [TREE, PROB, PROB, SEED, SEED]),
-    "HatConfig": (
-        lambda t, p, q, seed, trial: treeperc.HatConfig.random(tree(t), p, q, seed, trial).open_digits(()),
-        [TREE, PROB, PROB, SEED, SEED],
-    ),
+    "HatConfig": (lambda *args: config(*args).open_digits(()), [TREE, PROB, PROB, SEED, SEED]),
     "omega_bar": (lambda t: treeperc.omega_bar(tree(t)).open_digits(()), [TREE]),
     "explore_hat_to_C": (
-        lambda t, p, q, seed: treeperc.explore_hat_to_C(tree(t), treeperc.HatConfig.random(tree(t), p, q, seed)),
+        lambda t, *args: treeperc.explore_hat_to_C(tree(t), config(t, *args)),
         [TREE, PROB, PROB, SEED],
     ),
     "dominance_test": (
@@ -160,7 +161,9 @@ CASES = {
         [TREE, PROB, PROB, count(0, 8)],
     ),
     "estimate_survival": (
-        lambda t, p, q, *args: treeperc.estimate_survival(tree(t), treeperc.PercParams(p, q), *args),
+        lambda t, p, q, *args: treeperc.estimate_survival(
+            tree(t), treeperc.PercParams(p, q), *args
+        ),
         [TREE, PROB, PROB, count(1, 10), count(2, 30), SEED],
     ),
     "conditioned_cluster_sample": (
@@ -173,7 +176,8 @@ CASES = {
         lambda t, *args: treeperc.criteria_eval(tree(t), *args),
         [TREE, SMALL_P, REAL, count(1, 3), SEED],
     ),
-    # a short cluster at p >= 1/d is supercritical, and only its cap ends it
+    # a short cluster at p >= 1/d is supercritical: only its 10^7-vertex cap
+    # ends it, and only after more than a gigabyte (criteria_eval's p too)
     "short_cluster": (
         lambda v, t, p, q: treeperc.short_cluster(v, oracle(t, p, q)),
         [VERTICES, TREE, SMALL_P, PROB],
@@ -189,7 +193,7 @@ CASES = {
 def test_cases_cover_every_export():
     exported = {name for name in vars(treeperc) if not name.startswith("_")}
     modules = {name for name, v in vars(treeperc).items() if type(v) is type(treeperc)}
-    assert set(CASES) == exported - modules - {"annotations"}
+    assert set(CASES) == exported - modules
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -213,7 +217,9 @@ def test_motivating_probes():
         lambda: treeperc.chain_survival(tp, 0.2, 0.1, 10, True, rng()),
         lambda: treeperc.qc(0.2, tp, tol=True),
         lambda: treeperc.EdgeOracle(tp, 0.2, 0.1, seed=1.5),
-        lambda: treeperc.conditioned_cluster_sample(tp, treeperc.PercParams(0.2, 0.1), 10, 1.0, 10, 1),
+        lambda: treeperc.conditioned_cluster_sample(
+            tp, treeperc.PercParams(0.2, 0.1), 10, 1.0, 10, 1
+        ),
         lambda: treeperc.pf_eigen(sparse.csr_matrix(np.eye(2))),
     ]
     for probe in probes:
