@@ -42,7 +42,7 @@ SEED_LIMIT = 1 << 64
 def check_count(name: str, value, low: int, below: float = math.inf) -> None:
     """Reject a count that is not an ``int`` (a bool is not) in [low, below)."""
     if not isinstance(value, int) or isinstance(value, bool) or not low <= value < below:
-        raise ParameterError(f"{name} must be an integer in [{low}, {below}), got {value!r}")
+        raise ParameterError(f"{name} must be an int in [{low}, {below}), got {value!r}")
 
 
 def check_seed(seed, name: str = "seed") -> None:

@@ -6,7 +6,7 @@ example, would otherwise oscillate), and eigenvectors are unchanged while the
 dominant eigenvalue shifts by exactly one.  Convergence is certified by the
 eigen-residual on the *unshifted* matrix, not by iterate distance.  The
 matrix is a dense array, as the package's ray matrices are; anything else,
-a scipy sparse matrix among them, raises ``ParameterError``.
+a sparse matrix among them, raises ``ParameterError``.
 
 The solve is one-sided; the left Perron pair is the same solve on the
 transpose.  It starts from the uniform vector, or from a nonnegative warm
