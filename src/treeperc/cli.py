@@ -3,10 +3,11 @@
 Each flag that several commands share (the model parameters, the Monte Carlo
 trials and seed, the output path and format) is declared once, in a parent
 parser; each ``--tol`` default is the library default of the solver it sets.
-Every command writes one table through ``emit``: CSV with '#'-prefixed
-metadata lines, or a JSON object carrying the same metadata under "meta",
-with a non-finite value written as null.  Outputs are deterministic for a
-fixed seed (the default seed is a constant, not the clock).
+Every command returns its table as ``(header, rows, extra)`` and ``main``
+writes it once through ``emit``, with ``extra`` added to the run's config:
+CSV with '#'-prefixed metadata lines, or a JSON object carrying the same
+metadata under "meta", with a non-finite value written as null.  Outputs are
+deterministic for a fixed seed (the default seed is a constant, not the clock).
 
 Exit codes: 0 success, 2 usage error, 3 cap or feasibility error,
 4 non-convergence.
@@ -167,23 +168,15 @@ def emit(out: str, fmt: str, meta: dict, header: list[str], rows) -> None:
 
 
 def cmd_qc_point(args):
-    point = qc(args.p, TreeParams(args.d, args.k), tol=args.tol)
-    emit(
-        args.out, args.format,
-        _meta(args),
-        ["p", "qc", "lower_bound", "gap", "rho_residual", "bisection_width"],
-        [[point.p, point.q_c, point.lower_bound, point.gap, point.rho_residual, point.bisection_width]],
-    )
+    pt = qc(args.p, TreeParams(args.d, args.k), tol=args.tol)
+    header = ["p", "qc", "lower_bound", "gap", "rho_residual", "bisection_width"]
+    return header, [[pt.p, pt.q_c, pt.lower_bound, pt.gap, pt.rho_residual, pt.bisection_width]], {}
 
 
 def cmd_qc_curve(args):
     points = qc_sweep(parse_grid(args.p_grid), TreeParams(args.d, args.k), tol=args.tol)
-    emit(
-        args.out, args.format,
-        _meta(args),
-        ["p", "qc", "lower_bound", "gap", "rho_residual"],
-        [[pt.p, pt.q_c, pt.lower_bound, pt.gap, pt.rho_residual] for pt in points],
-    )
+    rows = [[pt.p, pt.q_c, pt.lower_bound, pt.gap, pt.rho_residual] for pt in points]
+    return ["p", "qc", "lower_bound", "gap", "rho_residual"], rows, {}
 
 
 def cmd_asymptotics(args):
@@ -192,12 +185,8 @@ def cmd_asymptotics(args):
     rows = asymptotics_table(
         args.p, range(args.k_min, args.k_max + 1), args.d, tol=args.tol
     )
-    emit(
-        args.out, args.format,
-        _meta(args),
-        ["k", "qc", "s_k", "s_star", "residual"],
-        [[r.k, r.q_c, r.s_k, r.s_star, r.residual] for r in rows],
-    )
+    header = ["k", "qc", "s_k", "s_star", "residual"]
+    return header, [[r.k, r.q_c, r.s_k, r.s_star, r.residual] for r in rows], {}
 
 
 def cmd_survival(args):
@@ -209,8 +198,8 @@ def cmd_survival(args):
     else:
         rng = np.random.default_rng(args.seed)
         freq, se = chain_survival(params, args.p, args.q, args.depth, args.trials, rng)
-    meta = _meta(args, depth_proxy="alive means a vertex at height in [depth-k+1, depth]")
-    emit(args.out, args.format, meta, ["frequency", "se"], [[freq, se]])
+    proxy = "alive means a vertex at height in [depth-k+1, depth]"
+    return ["frequency", "se"], [[freq, se]], {"depth_proxy": proxy}
 
 
 def cmd_limits(args):
@@ -230,8 +219,8 @@ def cmd_limits(args):
             [n, mean_x[n], mean_x[n + 1] / mean_x[n] if mean_x[n] > 0 else float("nan"), rho_val]
             for n in range(args.horizon + 1)
         ]
-        emit(args.out, args.format, _meta(args), ["n", "mean_x", "growth_ratio", "rho"], rows)
-    elif args.regime == "sub":
+        return ["n", "mean_x", "growth_ratio", "rho"], rows, {}
+    if args.regime == "sub":
         rng = np.random.default_rng(args.seed)
         n1, n2 = args.horizon_low, args.horizon
         if not 0 <= n1 <= n2:
@@ -242,51 +231,39 @@ def cmd_limits(args):
         support = sorted(set(pmf1) | set(pmf2))
         tv = 0.5 * sum(abs(pmf1.get(i, 0.0) - pmf2.get(i, 0.0)) for i in support)
         rows = [[i, pmf1.get(i, 0.0), pmf2.get(i, 0.0), tv] for i in support]
-        meta = _meta(args, n_low=n1, n_high=n2)
-        emit(args.out, args.format, meta, ["i", "pmf_low", "pmf_high", "tv"], rows)
-    else:
-        point = qc(args.p, params)
-        pmf, rate = conditioned_cluster_sample(
-            params,
-            PercParams(args.p, point.q_c),
-            args.size_threshold,
-            args.radius,
-            args.trials,
-            args.seed,
-        )
-        meta = _meta(args, q=point.q_c, acceptance_rate=rate)
-        emit(
-            args.out, args.format,
-            meta,
-            ["neighborhood_class", "probability"],
-            [[label, pr] for label, pr in pmf.items()],
-        )
+        return ["i", "pmf_low", "pmf_high", "tv"], rows, {"n_low": n1, "n_high": n2}
+    point = qc(args.p, params)
+    pmf, rate = conditioned_cluster_sample(
+        params,
+        PercParams(args.p, point.q_c),
+        args.size_threshold,
+        args.radius,
+        args.trials,
+        args.seed,
+    )
+    rows = [[label, pr] for label, pr in pmf.items()]
+    return ["neighborhood_class", "probability"], rows, {"q": point.q_c, "acceptance_rate": rate}
 
 
 def _conditional_pmf(values) -> dict:
     positive = values[values > 0]
     if positive.size == 0:
         raise FeasibilityError("no surviving trials to condition on")
-    out = {}
-    for v in positive:
-        out[int(v)] = out.get(int(v), 0) + 1
-    return {i: c / positive.size for i, c in sorted(out.items())}
+    levels, counts = np.unique(positive, return_counts=True)
+    return {int(v): c / positive.size for v, c in zip(levels, counts.tolist())}
 
 
 def cmd_dominance(args):
     report = dominance_test(
         TreeParams(args.d, args.k), args.p, args.q, args.delta, args.trials, args.seed
     )
-    meta = _meta(args, dominates=report.dominates, max_violation_sigma=report.max_violation_sigma)
-    emit(
-        args.out, args.format,
-        meta,
-        ["threshold", "surv_Z", "se_Z", "surv_Zhat", "se_Zhat", "violation_sigma"],
-        [
-            [r.threshold, r.surv_z, r.se_z, r.surv_zhat, r.se_zhat, r.violation_sigma]
-            for r in report.rows
-        ],
-    )
+    header = ["threshold", "surv_Z", "se_Z", "surv_Zhat", "se_Zhat", "violation_sigma"]
+    rows = [
+        [r.threshold, r.surv_z, r.se_z, r.surv_zhat, r.se_zhat, r.violation_sigma]
+        for r in report.rows
+    ]
+    extra = {"dominates": report.dominates, "max_violation_sigma": report.max_violation_sigma}
+    return header, rows, extra
 
 
 def cmd_matrix(args):
@@ -308,12 +285,13 @@ def cmd_matrix(args):
         float(np.abs(op.dot(v) - rho * v).max() / max(np.abs(v).max(), 1e-300))
         for op, v in ((dense.T, mu), (dense, nu))
     )
+    iterations = right.iterations + left.iterations
     if residual > args.tol:
         raise NonConvergenceError(
             f"the left and right Perron solves agree only to residual {residual:.3e}, "
             f"above tolerance {args.tol}: rho is too badly conditioned here for it",
             residual=residual,
-            iterations=right.iterations + left.iterations,
+            iterations=iterations,
         )
     if args.dump:
         config = {"d": args.d, "k": args.k, "p": args.p, "q": args.q}
@@ -322,36 +300,22 @@ def cmd_matrix(args):
             ["row_state_hex", "col_state_hex", "rate"],
             ([f"{a:x}", f"{b:x}", rate] for a, b, rate in matrix.iter_entries()),
         )
-    emit(
-        args.out, args.format,
-        _meta(args),
-        ["rho", "residual", "iterations", "n_types", "nnz", "mu_max", "nu_max"],
-        [[
-            rho,
-            residual,
-            right.iterations + left.iterations,
-            matrix.n_types,
-            int(np.count_nonzero(dense)),
-            float(mu.max()),
-            float(nu.max()),
-        ]],
-    )
+    nnz = int(np.count_nonzero(dense))
+    header = ["rho", "residual", "iterations", "n_types", "nnz", "mu_max", "nu_max"]
+    row = [rho, residual, iterations, matrix.n_types, nnz, float(mu.max()), float(nu.max())]
+    return header, [row], {}
 
 
 def cmd_criteria(args):
     (lhs_a, se_a), (lhs_b, se_b), q = criteria_eval(
         TreeParams(args.d, args.k), args.p, args.s, args.trials, args.seed
     )
-    meta = _meta(args, q=q)
-    emit(
-        args.out, args.format,
-        meta,
-        ["lhs_a", "se_a", "lhs_a_lo", "lhs_a_hi", "lhs_b", "se_b", "lhs_b_lo", "lhs_b_hi"],
-        [[
-            lhs_a, se_a, lhs_a - 1.96 * se_a, lhs_a + 1.96 * se_a,
-            lhs_b, se_b, lhs_b - 1.96 * se_b, lhs_b + 1.96 * se_b,
-        ]],
-    )
+    header = ["lhs_a", "se_a", "lhs_a_lo", "lhs_a_hi", "lhs_b", "se_b", "lhs_b_lo", "lhs_b_hi"]
+    row = [
+        lhs_a, se_a, lhs_a - 1.96 * se_a, lhs_a + 1.96 * se_a,
+        lhs_b, se_b, lhs_b - 1.96 * se_b, lhs_b + 1.96 * se_b,
+    ]
+    return header, [row], {"q": q}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +415,8 @@ def main(argv=None) -> int:
         check_output_path(getattr(args, "dump", None))
         if getattr(args, "seed", None) is not None:
             check_seed(args.seed)
-        args.func(args)
+        header, rows, extra = args.func(args)
+        emit(args.out, args.format, _meta(args, **extra), header, rows)
     except (SizeCapError, FeasibilityError) as exc:
         print(f"treeperc: {exc}", file=sys.stderr)
         return EXIT_CAP

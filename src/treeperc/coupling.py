@@ -287,12 +287,12 @@ def finite_coupling(p1: dict, p2: dict, pivot) -> CouplingTable:
     Y = pivot and the excess of P2 to X = pivot.
     """
     outcomes = tuple(sorted(set(p1) | set(p2), key=repr))
+    for dist, name in ((p1, "P1"), (p2, "P2")):
+        mass = sum(check_probabilities(**{f"{name}[{x!r}]": v for x, v in dist.items()}))
+        if abs(mass - 1.0) > 1e-9:
+            raise ParameterError(f"{name} is not a distribution (mass {mass})")
     if pivot not in p1 or p1[pivot] <= 0.0:
         raise FeasibilityError("the pivot must carry positive P1 mass")
-    for dist, name in ((p1, "P1"), (p2, "P2")):
-        mass = sum(dist.values())
-        if abs(mass - 1.0) > 1e-9 or any(v < 0 for v in dist.values()):
-            raise ParameterError(f"{name} is not a distribution (mass {mass})")
     l1 = sum(abs(p1.get(x, 0.0) - p2.get(x, 0.0)) for x in outcomes)
     if l1 >= p1[pivot]:
         raise FeasibilityError(

@@ -22,7 +22,7 @@ cluster are included for cross-checking the samplers.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import count, islice
@@ -131,7 +131,9 @@ def sweep_layers(oracle: EdgeOracle):
 def explore_layers(
     params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
 ) -> LayerStats:
-    """Occupation counts of heights 0..n_max."""
+    """Occupation counts of heights 0..n_max.  The layers come from
+    ``oracle`` alone: ``params`` and ``perc`` are not read, and a ``perc``
+    that disagrees with the oracle's p and q goes unnoticed."""
     check_count("n_max", n_max, 0)
     x = [1]
     for layer, _population in islice(sweep_layers(oracle), n_max):
@@ -234,13 +236,16 @@ def conditioned_cluster_sample(
 
 def short_cluster(vertices, oracle: EdgeOracle) -> set:
     """Closure of a vertex set under open short edges; raises
-    ``SizeCapError`` past ``DEFAULT_CLUSTER_CAP`` vertices."""
+    ``SizeCapError`` past ``DEFAULT_CLUSTER_CAP`` vertices.  The walk is
+    breadth-first: a supercritical cluster then grows in height like the
+    logarithm of its size, where a depth-first walk would follow one path and
+    hold vertices (byte strings) about as long as half the cap."""
     if not vertices:
         raise ParameterError("short_cluster needs a nonempty starting set")
     cluster = set(vertices)
-    frontier = list(cluster)
+    frontier = deque(cluster)
     while frontier:
-        u = frontier.pop()
+        u = frontier.popleft()
         for j in oracle.open_short_children(u):
             v = u + j
             if v not in cluster:

@@ -59,18 +59,24 @@ class SpectralResult:
     iterations: int
 
 
+def _real_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None where it is ragged or not real."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None
+
+
 def _as_matrix(matrix) -> np.ndarray:
     """``matrix`` as a dense float array, which must be nonempty, square,
     real, finite and entrywise nonnegative."""
-    try:
-        arr = np.asarray(matrix)
-        square = arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0
-    except ValueError:  # a ragged nesting
-        square = False
+    arr = _real_array(matrix)
+    square = arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0
     # a NaN minimum fails the first comparison
     if not square or not 0 <= arr.min() <= arr.max() < np.inf:
         raise ParameterError("matrix must be a nonempty square array of finite reals >= 0")
-    return arr.astype(float, copy=False)
+    return arr
 
 
 def _null_vector_if_nilpotent(mat):
@@ -95,14 +101,20 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, x0: np.ndarray | None = None) -> 
 
     ``residual`` is the eigen-residual measured in the sup norm relative to
     the sup norm of the eigenvector; it is at most ``tol``.  An approximate
-    right vector may be passed as ``x0`` to warm-start the iteration (see the
-    module docstring); the output does not depend on the starting point
-    beyond the certified tolerance.
+    right vector may be passed as ``x0``, any array of reals, to warm-start
+    the iteration (see the module docstring); one that is not a nonnegative
+    vector of the matrix's order with a positive finite sum is ignored.  The
+    output does not depend on the starting point beyond the certified
+    tolerance.
     """
     tol = check_tolerance(tol)
     mat = _as_matrix(matrix)
     apply_fn, n = mat.dot, mat.shape[0]
-    warm = x0 is not None and x0.shape == (n,) and x0.sum() > 0 and (x0 >= 0).all()
+    if x0 is not None:
+        x0 = _real_array(x0)
+        if x0 is None:
+            raise ParameterError("x0 must be an array of reals")
+    warm = x0 is not None and x0.shape == (n,) and 0 < x0.sum() < np.inf and (x0 >= 0).all()
     if warm and (x0 > 0).all():
         v = x0 / x0.sum()
     elif warm:

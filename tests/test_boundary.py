@@ -1,11 +1,11 @@
 """The library's input boundary.  Every name that ``treeperc`` exports either
 returns or raises one of the ``treeperc.errors`` classes, whatever kind of
 value each argument of a kind the boundary checks is given: counts, seeds,
-probabilities, reals, tolerances, d and k, matrices.  Structural arguments
-(vertex sets, oracles, generators, cover configurations, and ``pf_eigen``'s
-warm start, left at None) are drawn well formed.  Valid counts and (d, k)
-stay small, and a short cluster's p subcritical, so that every valid call
-ends within the deadline and in little memory."""
+probabilities, reals, tolerances, d and k, matrices, ``pf_eigen``'s warm
+start.  Structural arguments (vertex sets, oracles, generators, cover
+configurations) are drawn well formed.  Valid counts and (d, k) stay small,
+and a short cluster's p subcritical, so that every valid call ends within
+the deadline and in little memory."""
 
 import math
 from fractions import Fraction
@@ -72,6 +72,15 @@ DISTRIBUTION = mostly(
 )
 
 
+# warm starts: no start, real vectors of any length and entry, nested lists
+X0 = st.one_of(
+    st.none(),
+    st.lists(st.floats(), max_size=4),
+    st.lists(st.lists(st.floats(0.0, 1.0), max_size=2), max_size=2),
+    JUNK,
+)
+
+
 def square(entries):
     return st.integers(1, 3).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -135,7 +144,7 @@ CASES = {
         treeperc.asymptotics_table, [PROB, st.lists(count(2, 3), max_size=2), count(2, 3), TOL]
     ),
     "s_star": (treeperc.s_star, [PROB, count(2, 3)]),
-    "pf_eigen": (treeperc.pf_eigen, [MATRIX, TOL]),
+    "pf_eigen": (treeperc.pf_eigen, [MATRIX, TOL, X0]),
     "build_offspring_matrix": (
         lambda t, p, q: treeperc.build_offspring_matrix(tree(t), p, q), [TREE, PROB, PROB]
     ),
@@ -177,7 +186,8 @@ CASES = {
         [TREE, SMALL_P, REAL, count(1, 3), SEED],
     ),
     # a short cluster at p >= 1/d is supercritical: only its 10^7-vertex cap
-    # ends it, and only after more than a gigabyte (criteria_eval's p too)
+    # ends it, after the cluster set and the oracle's memo reach about 1.4 GB
+    # (about 140 bytes a vertex) and some 100 s (criteria_eval's p too)
     "short_cluster": (
         lambda v, t, p, q: treeperc.short_cluster(v, oracle(t, p, q)),
         [VERTICES, TREE, SMALL_P, PROB],

@@ -6,13 +6,14 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from treeperc import critical
-from treeperc.cli import build_parser, emit, main, parse_grid, write_output
+from treeperc.cli import _conditional_pmf, build_parser, emit, main, parse_grid, write_output
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.tree import TreeParams
 from treeperc.window_chain import OffspringMatrix, build_offspring_matrix
@@ -226,6 +227,40 @@ def test_commands_run_without_scipy_or_networkx(tmp_path):
     assert dump.read_text().splitlines()[2] == "row_state_hex,col_state_hex,rate"
 
 
+def _same_cell(csv_cell: str, value) -> bool:
+    """Whether CSV's ``csv_cell`` and JSON's ``value`` hold one table value:
+    CSV writes a string as it is and any other value by its repr, JSON a
+    non-finite float as null."""
+    if value is None:
+        return not math.isfinite(float(csv_cell))
+    return csv_cell == (value if isinstance(value, str) else repr(value))
+
+
+@pytest.mark.parametrize("argv", SCIPY_FREE_RUNS, ids=lambda argv: "-".join(argv[:3]))
+def test_commands_write_one_table_in_both_formats(tmp_path, argv):
+    csv_code, csv_out = run(tmp_path, "run.csv", *argv, "--format", "csv")
+    json_code, json_out = run(tmp_path, "run.json", *argv, "--format", "json")
+    assert csv_code == json_code == 0
+    lines = csv_out.read_text().splitlines()
+    payload = _strict_json(json_out.read_text())
+    # the config line is sorted key=value pairs; a value may hold spaces
+    assert lines[1].startswith("# config: ")
+    pairs = re.split(r" (?=\w+=)", lines[1][len("# config: "):])
+    config = dict(pair.split("=", 1) for pair in pairs)
+    assert config.keys() == payload["meta"]["config"].keys()
+    for key, value in payload["meta"]["config"].items():
+        assert _same_cell(config[key], value), (key, config[key], value)
+    seed = payload["meta"]["seed"]
+    seed_lines = [line for line in lines if line.startswith("# seed: ")]
+    assert seed_lines == ([] if seed is None else [f"# seed: {seed}"])
+    body = [line for line in lines if not line.startswith("#")]
+    header = body[0].split(",")
+    assert len(payload["rows"]) == len(body) - 1 > 0
+    for line, row in zip(body[1:], payload["rows"]):
+        assert row.keys() == set(header)
+        assert all(_same_cell(cell, row[h]) for h, cell in zip(header, line.split(","))), line
+
+
 def test_qc_curve_csv_layout(tmp_path):
     code, out = run(
         tmp_path, "curve.csv", "qc-curve", "--d", "2", "--k", "2",
@@ -413,6 +448,22 @@ def test_limits_sub_regime(tmp_path):
     assert lines[4].split(",")[0] == "1"
     tv = float(lines[4].split(",")[3])
     assert 0.0 <= tv <= 1.0
+
+
+def test_conditional_pmf_matches_counting():
+    # the pmf of the positive counts, keyed by int in increasing order, as a
+    # loop over the counts gives it
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        values = rng.integers(0, rng.integers(2, 9), size=rng.integers(1, 60))
+        positive = [int(v) for v in values if v > 0]
+        if not positive:
+            continue
+        counts = Counter(positive)
+        expect = [(i, counts[i] / len(positive)) for i in sorted(counts)]
+        got = list(_conditional_pmf(values).items())
+        assert got == expect
+        assert [(type(i), type(pr)) for i, pr in got] == [(int, float)] * len(got)
 
 
 # Byte-exact outputs for the default seed: a change to the walk kernels in

@@ -230,6 +230,9 @@ def test_finite_coupling_infeasible():
         finite_coupling({1: 1.0}, {1: 0.5, 2: 0.5}, 2)
     with pytest.raises(ParameterError):
         finite_coupling({1: 0.6, 2: 0.6}, {1: 0.5, 2: 0.5}, 1)
+    # NaN passes a mass test and a sign test alike
+    with pytest.raises(ParameterError):
+        finite_coupling({0: math.nan, 1: 0.5}, {0: 1.0}, 0)
 
 
 def test_finite_coupling_random_feasible_triples():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -67,6 +68,22 @@ def test_short_cluster_trivial_and_cap(monkeypatch):
     oracle = make_oracle(TP, PercParams(1.0, 0.0), 2)
     with pytest.raises(SizeCapError):
         short_cluster({ROOT}, oracle)
+
+
+def test_short_cluster_memory_stays_small_up_to_the_cap(monkeypatch):
+    # at p = 1 the cluster is the whole short tree; breadth-first, its
+    # vertices stay about log2(cap) digits long, where a depth-first walk
+    # would hold a path of cap/2 digits and about cap^2/4 bytes (104 MB here)
+    monkeypatch.setattr("treeperc.percolation.DEFAULT_CLUSTER_CAP", 2 * 10**4)
+    oracle = make_oracle(TP, PercParams(1.0, 0.0), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            short_cluster({ROOT}, oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_short_cluster_mean_size():

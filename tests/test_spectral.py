@@ -57,6 +57,20 @@ def test_warm_start_reaches_same_pair():
     assert pf_eigen(a, tol=1e-12, x0=np.ones(3)).rho == cold.rho
 
 
+def test_warm_start_takes_any_array_of_reals():
+    a = np.array([[1.0, 0.4], [0.3, 0.8]])
+    listed, array = pf_eigen(a, x0=[0.5, 0.5]), pf_eigen(a, x0=np.array([0.5, 0.5]))
+    assert (listed.rho, listed.iterations) == (array.rho, array.iterations)
+    assert (listed.nu == array.nu).all()
+    # one that is not a nonnegative vector of positive finite sum is ignored
+    cold = pf_eigen(a)
+    for x0 in ([1.0], [0.0, 0.0], [-1.0, 2.0], [math.inf, 1.0], [math.nan, 1.0], 1.0):
+        assert pf_eigen(a, x0=x0).rho == cold.rho, x0
+    for x0 in ([[1.0], [1.0, 2.0]], [1j, 1.0], np.array([1j, 1.0]), ["0.5", "0.5"], "ab"):
+        with pytest.raises(ParameterError):
+            pf_eigen(a, x0=x0)
+
+
 def test_exact_warm_start_certifies_in_one_step():
     # a strictly positive start is used as given and checked after its
     # first step: an eigenvector exact to working precision costs one step
