@@ -1,8 +1,10 @@
 """Command line front end: argument parsing, orchestration, CSV/JSON output.
 
 Each flag that several commands share (the model parameters, the Monte Carlo
-trials and seed, the output path and format) is declared once, in a parent
-parser; each ``--tol`` default is the library default of the solver it sets.
+trials and seed, the output path and format) is declared once, in ``FLAGS``;
+``COMMANDS`` lists, for each command, the shared flags it takes and its own.
+``main`` builds the parser of the command it runs and no other.  Each
+``--tol`` default is the library default of the solver it sets.
 Every command returns its table as ``(header, rows, extra)`` and ``main``
 writes it once through ``emit``, with ``extra`` added to the run's config:
 CSV with '#'-prefixed metadata lines, or a JSON object carrying the same
@@ -318,98 +320,118 @@ def cmd_criteria(args):
     return header, [row], {"q": q}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The treeperc parser.  Each flag that several commands take is declared
-    once, in a parent parser that each of them lists.  argparse shares a
-    parent's actions between the commands that list it, so a default set on
-    one command would change it for all: ``--format`` has one parent per
-    default, and ``limits`` declares its own optional ``--q``."""
+#: Each flag that several commands take, declared once by its add_argument
+#: keywords.  ``--tol`` is the q_c tolerance; ``--format`` takes its default
+#: from the command.
+FLAGS = {
+    "--d": {"type": int, "required": True},
+    "--k": {"type": int, "required": True},
+    "--p": {"type": float, "required": True},
+    "--q": {"type": float, "required": True},
+    "--tol": {"type": float, "default": DEFAULT_Q_TOL},
+    "--trials": {"type": int, "default": 10**5},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--out": {"default": "-", "help": "output path, '-' for stdout"},
+    "--format": {"choices": ("csv", "json")},
+}
+
+#: Each command: its function, help line, default output format, the FLAGS it
+#: takes before ``--out`` and ``--format``, and its own flags as
+#: (name, add_argument keywords).
+COMMANDS = {
+    "qc-point": (
+        cmd_qc_point, "critical long-edge probability at one p", "json",
+        ("--d", "--k", "--p", "--tol"), (),
+    ),
+    "qc-curve": (
+        cmd_qc_curve, "critical curve over a p grid", "csv",
+        ("--d", "--k", "--tol"), (("--p-grid", {"required": True, "help": "inclusive a:b:step"}),),
+    ),
+    "asymptotics": (
+        cmd_asymptotics, "two-term large-k expansion residuals", "csv",
+        ("--d", "--p"),
+        (
+            ("--k-min", {"type": int, "required": True}),
+            ("--k-max", {"type": int, "required": True}),
+            ("--tol", {"type": float, "default": DEFAULT_ASYMPTOTICS_TOL}),
+        ),
+    ),
+    "survival": (
+        cmd_survival, "Monte Carlo survival frequency at depth", "json",
+        ("--d", "--k", "--p", "--q", "--trials", "--seed"),
+        (
+            ("--depth", {"type": int, "default": 60}),
+            ("--method", {
+                "choices": ("chain", "direct"),
+                "default": "chain",
+                "help": "count-level chain simulation or per-vertex exploration",
+            }),
+        ),
+    ),
+    "limits": (
+        cmd_limits, "long-horizon layer-count diagnostics", "csv",
+        ("--d", "--k", "--p", "--trials", "--seed"),
+        (
+            ("--regime", {"choices": ("super", "sub", "critical"), "required": True}),
+            ("--q", {"type": float, "help": "ignored for --regime critical"}),
+            ("--horizon", {"type": int, "default": 25}),
+            ("--horizon-low", {"type": int, "default": 15, "help": "sub regime only"}),
+            ("--size-threshold", {"type": int, "default": 50, "help": "critical regime"}),
+            ("--radius", {"type": int, "default": 1, "help": "critical regime"}),
+        ),
+    ),
+    "dominance": (
+        cmd_dominance, "slab leaf-count stochastic dominance test", "csv",
+        ("--d", "--k", "--p", "--q", "--trials", "--seed"),
+        (("--delta", {"type": float, "required": True}),),
+    ),
+    "matrix": (
+        cmd_matrix, "Perron pair of the ray mean matrix d*T, optional dump", "json",
+        ("--d", "--k", "--p", "--q"),
+        (
+            ("--tol", {"type": float, "default": DEFAULT_TOL}),
+            ("--dump", {"help": "write the entries of d*T as CSV to this path"}),
+        ),
+    ),
+    "criteria": (
+        cmd_criteria, "survival/extinction functional estimates", "json",
+        ("--d", "--k", "--p", "--trials", "--seed"),
+        (("--s", {"type": float, "required": True, "help": "second-order offset"}),),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The treeperc parser, with every command, or with only ``command`` (a
+    key of COMMANDS) when that is given.  Its usage line names every command
+    either way."""
     parser = argparse.ArgumentParser(
         prog="treeperc",
         description="critical curves and Monte Carlo experiments for "
         "two-range oriented percolation on trees",
     )
     parser.add_argument("--version", action="version", version=f"treeperc {__version__}")
-    d, k, p, q, q_tol, mc, to_csv, to_json = (
-        argparse.ArgumentParser(add_help=False) for _ in range(8)
-    )
-    d.add_argument("--d", type=int, required=True)
-    k.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    q.add_argument("--q", type=float, required=True)
-    q_tol.add_argument("--tol", type=float, default=DEFAULT_Q_TOL)
-    mc.add_argument("--trials", type=int, default=10**5)
-    mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    for out, fmt in ((to_csv, "csv"), (to_json, "json")):
-        out.add_argument("--out", default="-", help="output path, '-' for stdout")
-        out.add_argument("--format", choices=("csv", "json"), default=fmt)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, parents, help):
-        sp = sub.add_parser(name, parents=parents, help=help)
-        sp.set_defaults(func=func)
-        return sp
-
-    command(
-        "qc-point", cmd_qc_point, [d, k, p, q_tol, to_json],
-        "critical long-edge probability at one p",
-    )
-    sp = command("qc-curve", cmd_qc_curve, [d, k, q_tol, to_csv], "critical curve over a p grid")
-    sp.add_argument("--p-grid", required=True, help="inclusive a:b:step")
-
-    sp = command(
-        "asymptotics", cmd_asymptotics, [d, p, to_csv], "two-term large-k expansion residuals"
-    )
-    sp.add_argument("--k-min", type=int, required=True)
-    sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=DEFAULT_ASYMPTOTICS_TOL)
-
-    sp = command(
-        "survival", cmd_survival, [d, k, p, q, mc, to_json],
-        "Monte Carlo survival frequency at depth",
-    )
-    sp.add_argument("--depth", type=int, default=60)
-    sp.add_argument(
-        "--method",
-        choices=("chain", "direct"),
-        default="chain",
-        help="count-level chain simulation or per-vertex exploration",
-    )
-
-    sp = command(
-        "limits", cmd_limits, [d, k, p, mc, to_csv], "long-horizon layer-count diagnostics"
-    )
-    sp.add_argument("--regime", choices=("super", "sub", "critical"), required=True)
-    sp.add_argument("--q", type=float, help="ignored for --regime critical")
-    sp.add_argument("--horizon", type=int, default=25)
-    sp.add_argument("--horizon-low", type=int, default=15, help="sub regime only")
-    sp.add_argument("--size-threshold", type=int, default=50, help="critical regime")
-    sp.add_argument("--radius", type=int, default=1, help="critical regime")
-
-    sp = command(
-        "dominance", cmd_dominance, [d, k, p, q, mc, to_csv],
-        "slab leaf-count stochastic dominance test",
-    )
-    sp.add_argument("--delta", type=float, required=True)
-
-    sp = command(
-        "matrix", cmd_matrix, [d, k, p, q, to_json],
-        "Perron pair of the ray mean matrix d*T, optional dump",
-    )
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--dump", help="write the entries of d*T as CSV to this path")
-
-    sp = command(
-        "criteria", cmd_criteria, [d, k, p, mc, to_json],
-        "survival/extinction functional estimates",
-    )
-    sp.add_argument("--s", type=float, required=True, help="second-order offset")
+    # left unset in the full parser, where argparse names the argument
+    # "command" in its invalid-choice error
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help_line, fmt, shared, own) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_line)
+        for flag in (*shared, "--out", "--format"):
+            sp.add_argument(flag, **FLAGS[flag])
+        for flag, kwargs in own:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func, format=fmt)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no value before the command, so a run that
+    # reaches a command names it first, and only its parser need be built
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         check_output_path(args.out)
         check_output_path(getattr(args, "dump", None))

@@ -132,8 +132,12 @@ def explore_layers(
     params: TreeParams, perc: PercParams, oracle: EdgeOracle, n_max: int
 ) -> LayerStats:
     """Occupation counts of heights 0..n_max.  The layers come from
-    ``oracle`` alone: ``params`` and ``perc`` are not read, and a ``perc``
-    that disagrees with the oracle's p and q goes unnoticed."""
+    ``oracle``; ``params`` and ``perc`` must be the oracle's own."""
+    if params != oracle.params or perc != PercParams(oracle.p, oracle.q):
+        raise ParameterError(
+            f"explore_layers got {params} and {perc}, but the oracle draws from "
+            f"{oracle.params} at p={oracle.p}, q={oracle.q}"
+        )
     check_count("n_max", n_max, 0)
     x = [1]
     for layer, _population in islice(sweep_layers(oracle), n_max):

@@ -164,11 +164,11 @@ class EdgeOracle:
     """
 
     def __init__(self, params: TreeParams, p: float, q: float, seed: int, trial: int = 0):
-        p, q = check_probabilities(p=p, q=q)
+        self.p, self.q = check_probabilities(p=p, q=q)
         self.params = params
         self.seed = realization_seed(seed, trial)
         self._keyed = keyed_hash(self.seed)
-        self._short, self._long = edge_tables(params, p, q)
+        self._short, self._long = edge_tables(params, self.p, self.q)
         self._memo: dict[bytes, tuple] = {}
 
     def _open(self, v: bytes) -> tuple:

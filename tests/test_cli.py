@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,8 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from treeperc import critical
-from treeperc.cli import _conditional_pmf, build_parser, emit, main, parse_grid, write_output
+from treeperc import cli, critical
+from treeperc.cli import (
+    COMMANDS,
+    _conditional_pmf,
+    build_parser,
+    emit,
+    main,
+    parse_grid,
+    write_output,
+)
 from treeperc.errors import ParameterError, SizeCapError
 from treeperc.tree import TreeParams
 from treeperc.window_chain import OffspringMatrix, build_offspring_matrix
@@ -821,6 +830,129 @@ def test_command_help_exits_0(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: treeperc {command} ")
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in NAMESPACE_PINS], ids=lambda argv: "-".join(argv[:3])
+)
+def test_one_command_parser_parses_as_the_full_one(argv):
+    one = vars(build_parser(argv[0]).parse_args(argv))
+    full = vars(build_parser().parse_args(argv))
+    assert one == full
+    assert [type(v) for v in one.values()] == [type(full[k]) for k in one]
+
+
+def _parent_parsers():
+    """The parser as it was built before the flag table: every command, each
+    shared flag declared in a parent parser.  It is the reference whose help
+    and usage errors the table must reproduce byte for byte."""
+    parser = argparse.ArgumentParser(
+        prog="treeperc",
+        description="critical curves and Monte Carlo experiments for "
+        "two-range oriented percolation on trees",
+    )
+    parser.add_argument("--version", action="version", version=f"treeperc {cli.__version__}")
+    d, k, p, q, q_tol, mc, to_csv, to_json = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8)
+    )
+    d.add_argument("--d", type=int, required=True)
+    k.add_argument("--k", type=int, required=True)
+    p.add_argument("--p", type=float, required=True)
+    q.add_argument("--q", type=float, required=True)
+    q_tol.add_argument("--tol", type=float, default=critical.DEFAULT_Q_TOL)
+    mc.add_argument("--trials", type=int, default=10**5)
+    mc.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    for out, fmt in ((to_csv, "csv"), (to_json, "json")):
+        out.add_argument("--out", default="-", help="output path, '-' for stdout")
+        out.add_argument("--format", choices=("csv", "json"), default=fmt)
+    sub = parser.add_subparsers(dest="command", required=True)
+    parents = {
+        "qc-point": [d, k, p, q_tol, to_json],
+        "qc-curve": [d, k, q_tol, to_csv],
+        "asymptotics": [d, p, to_csv],
+        "survival": [d, k, p, q, mc, to_json],
+        "limits": [d, k, p, mc, to_csv],
+        "dominance": [d, k, p, q, mc, to_csv],
+        "matrix": [d, k, p, q, to_json],
+        "criteria": [d, k, p, mc, to_json],
+    }
+    helps = {
+        "qc-point": "critical long-edge probability at one p",
+        "qc-curve": "critical curve over a p grid",
+        "asymptotics": "two-term large-k expansion residuals",
+        "survival": "Monte Carlo survival frequency at depth",
+        "limits": "long-horizon layer-count diagnostics",
+        "dominance": "slab leaf-count stochastic dominance test",
+        "matrix": "Perron pair of the ray mean matrix d*T, optional dump",
+        "criteria": "survival/extinction functional estimates",
+    }
+    sp = {name: sub.add_parser(name, parents=parents[name], help=helps[name]) for name in parents}
+    sp["qc-curve"].add_argument("--p-grid", required=True, help="inclusive a:b:step")
+    sp["asymptotics"].add_argument("--k-min", type=int, required=True)
+    sp["asymptotics"].add_argument("--k-max", type=int, required=True)
+    sp["asymptotics"].add_argument("--tol", type=float, default=critical.DEFAULT_ASYMPTOTICS_TOL)
+    sp["survival"].add_argument("--depth", type=int, default=60)
+    sp["survival"].add_argument(
+        "--method",
+        choices=("chain", "direct"),
+        default="chain",
+        help="count-level chain simulation or per-vertex exploration",
+    )
+    sp["limits"].add_argument("--regime", choices=("super", "sub", "critical"), required=True)
+    sp["limits"].add_argument("--q", type=float, help="ignored for --regime critical")
+    sp["limits"].add_argument("--horizon", type=int, default=25)
+    sp["limits"].add_argument("--horizon-low", type=int, default=15, help="sub regime only")
+    sp["limits"].add_argument("--size-threshold", type=int, default=50, help="critical regime")
+    sp["limits"].add_argument("--radius", type=int, default=1, help="critical regime")
+    sp["dominance"].add_argument("--delta", type=float, required=True)
+    sp["matrix"].add_argument("--tol", type=float, default=cli.DEFAULT_TOL)
+    sp["matrix"].add_argument("--dump", help="write the entries of d*T as CSV to this path")
+    sp["criteria"].add_argument("--s", type=float, required=True, help="second-order offset")
+    return parser
+
+
+def _exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in COMMANDS),
+        ["bogus"],
+        ["qc-point", "--d", "2", "--bogus"],
+        ["qc-point", "--d", "2"],
+        # the top-level parser reports what no command took, under a usage
+        # line that names every command
+        ["qc-point", "--d", "2", "--k", "2", "--p", "0.2", "--bogus"],
+    ],
+    ids=" ".join,
+)
+def test_help_and_usage_errors_match_the_parent_parsers(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expect = _exit_and_output(_parent_parsers().parse_args, argv, capsys)
+    assert expect[0] in (0, 2)
+    assert _exit_and_output(main, argv, capsys) == expect
+    assert _exit_and_output(build_parser().parse_args, argv, capsys) == expect
+
+
+def test_main_builds_only_the_parser_of_its_command(tmp_path, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv in SCIPY_FREE_RUNS:
+        built.clear()
+        assert run(tmp_path, "run", *argv)[0] == 0, argv
+        assert built == [argv[0]], argv
 
 
 def _strict_json(text):

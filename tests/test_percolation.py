@@ -49,6 +49,22 @@ def test_explore_layers_trivial():
     assert stats.x == [1, 0, 4, 0, 16]
 
 
+def test_explore_layers_refuses_params_other_than_the_oracles():
+    perc = PercParams(0.3, 0.1)
+    oracle = make_oracle(TP, perc, 1)
+    for params, other in (
+        (TP, PercParams(0.3, 0.2)),
+        (TP, PercParams(0.2, 0.1)),
+        (TreeParams(2, 3), perc),
+        (None, perc),
+        (TP, (0.3, 0.1)),
+    ):
+        with pytest.raises(ParameterError):
+            explore_layers(params, other, oracle, 2)
+    # equal values pass, however they were written
+    assert explore_layers(TreeParams(2, 2), PercParams(0.3, 0.1), oracle, 2).x[0] == 1
+
+
 def test_layer_death_after_k_empty_layers():
     # once k consecutive layers are empty nothing below can be occupied
     perc = PercParams(0.45, 0.12)
